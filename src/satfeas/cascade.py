@@ -53,7 +53,6 @@ from .model import (
     FeasibilityParams,
     FeasibilityReport,
     LayerVerdict,
-    Portfolio,
     RebalanceProposal,
     SatelliteDesign,
     Unbounded,
@@ -402,11 +401,17 @@ def _binding_layer(verdicts: Mapping[str, LayerVerdict]) -> str:
     return best_name if best_name is not None else "structural"
 
 
+def _asset_map(assets: Iterable[Asset] | Mapping[str, Asset]) -> Mapping[str, Asset]:
+    """Index assets by id; a mapping is returned as is, without a copy."""
+    if isinstance(assets, Mapping):
+        return assets
+    return {a.id: a for a in assets}
+
+
 def filter_rebalance(
     proposal: RebalanceProposal,
     params: FeasibilityParams,
     assets: Iterable[Asset] | Mapping[str, Asset],
-    current: Portfolio | None = None,
 ) -> tuple[list[tuple[str, float]], list[tuple[tuple[str, float], str]]]:
     """Partition proposed trades into executed and suppressed-with-reason.
 
@@ -417,14 +422,12 @@ def filter_rebalance(
     at the traded notional ``A * |dw|``. Executed and suppressed trades
     together are exactly the input, in order.
 
-    Asset records must cover every traded id, current holdings included;
-    ``current`` is accepted for contract completeness but the per-trade
-    checks depend only on the trade, the parameters, and the asset record.
+    Asset records must cover every traded id, current holdings included.
+    A mapping of id to asset is read in place, never copied, so a caller
+    that filters many proposals (``replay``) builds it once and the cost
+    of a call is linear in its trades, not in the universe.
     """
-    if isinstance(assets, Mapping):
-        by_id = dict(assets)
-    else:
-        by_id = {a.id: a for a in assets}
+    by_id = _asset_map(assets)
     for name, _dw in proposal.trades:
         if name not in by_id:
             raise ValidationError(f"unknown asset id {name!r} in proposal",

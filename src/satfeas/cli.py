@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -194,7 +195,10 @@ def _cmd_replay(args) -> int:
             kappa_c=cfg.kappa_c, theme=cfg.theme, core_weights=core_weights))
     remainder = 1.0 - design.alpha
     if core is not None:
-        core_pairs = tuple((name, w * remainder) for name, w in core)
+        # the core file may sum to one within a looser tolerance than a
+        # Portfolio accepts; scaling by its own sum closes the gap
+        scale = remainder / math.fsum(w for _, w in core)
+        core_pairs = tuple((name, w * scale) for name, w in core)
     else:
         core_pairs = (("CORE", remainder),) if remainder > 0 else ()
     portfolio = Portfolio(core_weights=core_pairs, satellite=design)

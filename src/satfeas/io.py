@@ -34,10 +34,17 @@ EVENT_HEADER = ["date", "id", "delta_w", "schedule_due", "structural_break"]
 CORE_HEADER = ["id", "weight"]
 
 
-def _read_rows(path: str | Path, header: list[str], what: str) -> list[dict[str, str]]:
+def _read_rows(path: str | Path, header: list[str],
+               what: str) -> list[tuple[int, tuple[str, ...]]]:
+    """Every nonblank data row as ``(row number, stripped cells)``.
+
+    The whole file is checked for its header and field counts before any
+    cell is parsed, so a malformed row is reported ahead of a bad value.
+    """
     p = Path(path)
     if not p.is_file():
         raise ValidationError(f"{what} file not found: {p}", code="file_missing", field=what)
+    width = len(header)
     with p.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -51,16 +58,17 @@ def _read_rows(path: str | Path, header: list[str], what: str) -> list[dict[str,
                 code="bad_header", field=what)
         rows = []
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            cells = tuple(map(str.strip, row))
+            if not any(cells):
                 continue
-            if len(row) != len(header):
-                raise ValidationError(f"{what} row {lineno} has {len(row)} fields, "
-                                      f"expected {len(header)}", code="bad_row", field=what)
-            rows.append({"_line": str(lineno), **dict(zip(header, (c.strip() for c in row)))})
+            if len(cells) != width:
+                raise ValidationError(f"{what} row {lineno} has {len(cells)} fields, "
+                                      f"expected {width}", code="bad_row", field=what)
+            rows.append((lineno, cells))
         return rows
 
 
-def _parse_float(text: str, what: str, line: str) -> float:
+def _parse_float(text: str, what: str, line: int) -> float:
     try:
         return float(text)
     except ValueError:
@@ -68,14 +76,15 @@ def _parse_float(text: str, what: str, line: str) -> float:
                               code="bad_number", field=what) from None
 
 
-def _parse_bool(text: str, what: str, line: str) -> bool:
-    lowered = text.lower()
-    if lowered == "true":
-        return True
-    if lowered == "false":
-        return False
-    raise ValidationError(f"{what} row {line}: expected true or false, got {text!r}",
-                          code="bad_boolean", field=what)
+_BOOLS = {"true": True, "false": False}
+
+
+def _parse_bool(text: str, what: str, line: int) -> bool:
+    value = _BOOLS.get(text.lower())
+    if value is None:
+        raise ValidationError(f"{what} row {line}: expected true or false, got {text!r}",
+                              code="bad_boolean", field=what)
+    return value
 
 
 def load_candidates(path: str | Path) -> list[Asset]:
@@ -86,22 +95,22 @@ def load_candidates(path: str | Path) -> list[Asset]:
     """
     assets: list[Asset] = []
     seen: set[str] = set()
-    for row in _read_rows(path, CANDIDATE_HEADER, "candidates"):
-        line = row["_line"]
-        if row["id"] in seen:
-            raise ValidationError(f"candidates row {line}: duplicate id {row['id']!r}",
+    for line, (name, tier, adv, cost, gaer, exclusion) in _read_rows(
+            path, CANDIDATE_HEADER, "candidates"):
+        if name in seen:
+            raise ValidationError(f"candidates row {line}: duplicate id {name!r}",
                                   code="duplicate_id", field="candidates")
-        seen.add(row["id"])
+        seen.add(name)
         override = None
-        if row["round_trip_cost_bps"]:
-            override = _parse_float(row["round_trip_cost_bps"], "candidates", line)
+        if cost:
+            override = _parse_float(cost, "candidates", line)
         try:
             asset = Asset(
-                id=row["id"],
-                tier=TierClass.parse(row["tier"]),
-                adv_usd=_parse_float(row["adv_usd"], "candidates", line),
-                gaer_admissible=_parse_bool(row["gaer_admissible"], "candidates", line),
-                exclusion=ExclusionCategory.parse(row["exclusion"]),
+                id=name,
+                tier=TierClass.parse(tier),
+                adv_usd=_parse_float(adv, "candidates", line),
+                gaer_admissible=_parse_bool(gaer, "candidates", line),
+                exclusion=ExclusionCategory.parse(exclusion),
                 round_trip_cost_bps=override,
             )
         except ValidationError as e:
@@ -129,17 +138,16 @@ def load_core_weights(path: str | Path) -> list[tuple[str, float]]:
 
     out: list[tuple[str, float]] = []
     seen: set[str] = set()
-    for row in _read_rows(path, CORE_HEADER, "core_weights"):
-        line = row["_line"]
-        if row["id"] in seen:
-            raise ValidationError(f"core_weights row {line}: duplicate id {row['id']!r}",
+    for line, (name, weight) in _read_rows(path, CORE_HEADER, "core_weights"):
+        if name in seen:
+            raise ValidationError(f"core_weights row {line}: duplicate id {name!r}",
                                   code="duplicate_id", field="core_weights")
-        seen.add(row["id"])
-        w = _parse_float(row["weight"], "core_weights", line)
+        seen.add(name)
+        w = _parse_float(weight, "core_weights", line)
         if w < 0:
             raise ValidationError(f"core_weights row {line}: weight must be nonnegative",
                                   code="weight_must_be_nonnegative", field="core_weights")
-        out.append((row["id"], w))
+        out.append((name, w))
     total = math.fsum(w for _, w in out)
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"core weights sum to {total!r}, expected 1.0",
@@ -151,13 +159,12 @@ def load_proposal_trades(path: str | Path) -> list[tuple[str, float]]:
     """Read a rebalance proposal CSV of per-asset weight changes."""
     out: list[tuple[str, float]] = []
     seen: set[str] = set()
-    for row in _read_rows(path, PROPOSAL_HEADER, "proposal"):
-        line = row["_line"]
-        if row["id"] in seen:
-            raise ValidationError(f"proposal row {line}: duplicate id {row['id']!r}",
+    for line, (name, dw) in _read_rows(path, PROPOSAL_HEADER, "proposal"):
+        if name in seen:
+            raise ValidationError(f"proposal row {line}: duplicate id {name!r}",
                                   code="duplicate_id", field="proposal")
-        seen.add(row["id"])
-        out.append((row["id"], _parse_float(row["delta_w"], "proposal", line)))
+        seen.add(name)
+        out.append((name, _parse_float(dw, "proposal", line)))
     return out
 
 
@@ -165,46 +172,44 @@ def load_events(path: str | Path) -> list[RebalanceEvent]:
     """Read an event-stream CSV, grouping consecutive rows by date.
 
     Governance flags must agree within a date group; dates must be strictly
-    increasing across groups.
+    increasing across groups. Each cell is parsed once.
     """
-    rows = _read_rows(path, EVENT_HEADER, "events")
     events: list[RebalanceEvent] = []
-    group: list[dict[str, str]] = []
+    group: list[tuple[str, float]] = []
+    # the open group: date text, first row, parsed date and flags, raw flag text
+    key = first = day = schedule_due = structural_break = flag_text = None
 
-    def flush(group_rows: list[dict[str, str]]) -> None:
-        if not group_rows:
-            return
-        first = group_rows[0]
-        line = first["_line"]
-        try:
-            day = date.fromisoformat(first["date"])
-        except ValueError:
-            raise ValidationError(f"events row {line}: bad date {first['date']!r}",
-                                  code="bad_date", field="events") from None
-        schedule_due = _parse_bool(first["schedule_due"], "events", line)
-        structural_break = _parse_bool(first["structural_break"], "events", line)
-        trades = []
-        for row in group_rows:
-            rline = row["_line"]
-            if (_parse_bool(row["schedule_due"], "events", rline) != schedule_due
-                    or _parse_bool(row["structural_break"], "events", rline) != structural_break):
-                raise ValidationError(
-                    f"events row {rline}: governance flags differ within date {first['date']}",
-                    code="inconsistent_flags", field="events")
-            trades.append((row["id"], _parse_float(row["delta_w"], "events", rline)))
-        proposal = RebalanceProposal(trades=tuple(trades), schedule_due=schedule_due,
+    def flush() -> None:
+        proposal = RebalanceProposal(trades=tuple(group), schedule_due=schedule_due,
                                      structural_break=structural_break)
         if events and day <= events[-1].date:
-            raise ValidationError(f"events row {line}: dates must be strictly increasing",
+            raise ValidationError(f"events row {first}: dates must be strictly increasing",
                                   code="events_out_of_order", field="events")
         events.append(RebalanceEvent(date=day, proposal=proposal))
 
-    for row in rows:
-        if group and row["date"] != group[0]["date"]:
-            flush(group)
-            group = []
-        group.append(row)
-    flush(group)
+    for line, (day_text, name, dw, due, brk) in _read_rows(path, EVENT_HEADER, "events"):
+        if day_text != key:
+            if group:
+                flush()
+                group = []
+            key, first = day_text, line
+            try:
+                day = date.fromisoformat(day_text)
+            except ValueError:
+                raise ValidationError(f"events row {line}: bad date {day_text!r}",
+                                      code="bad_date", field="events") from None
+            schedule_due = _parse_bool(due, "events", line)
+            structural_break = _parse_bool(brk, "events", line)
+            flag_text = (due, brk)
+        elif (due, brk) != flag_text and (
+                _parse_bool(due, "events", line) != schedule_due
+                or _parse_bool(brk, "events", line) != structural_break):
+            raise ValidationError(
+                f"events row {line}: governance flags differ within date {key}",
+                code="inconsistent_flags", field="events")
+        group.append((name, _parse_float(dw, "events", line)))
+    if group:
+        flush()
     return events
 
 

@@ -63,9 +63,12 @@ def _require(cond: bool, message: str, code: str, field_name: str) -> None:
         raise ValidationError(message, code=code, field=field_name)
 
 
+def _is_finite(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _finite(x: float, name: str) -> None:
-    _require(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x),
-             f"{name} must be a finite number", "not_finite", name)
+    _require(_is_finite(x), f"{name} must be a finite number", "not_finite", name)
 
 
 class TierClass(str, Enum):
@@ -404,8 +407,11 @@ class RebalanceProposal:
                                       "bad_trade", "trades") from None
             _require(isinstance(name, str) and name != "", "trade ids must be nonempty strings",
                      "bad_id", "trades")
-            _finite(dw, f"delta_w for {name}")
-            _require(name not in seen, f"duplicate id {name!r} in trades", "duplicate_id", "trades")
+            # per-trade messages are built only on failure: proposals can be long
+            if not _is_finite(dw):
+                _finite(dw, f"delta_w for {name}")
+            if name in seen:
+                raise ValidationError(f"duplicate id {name!r} in trades", "duplicate_id", "trades")
             seen.add(name)
             out.append((name, float(dw)))
         object.__setattr__(self, "trades", tuple(out))

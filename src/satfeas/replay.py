@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from .cascade import filter_rebalance
+from .cascade import _asset_map, filter_rebalance
 from .model import Asset, FeasibilityParams, Portfolio, RebalanceProposal, ValidationError
 
 
@@ -74,6 +74,17 @@ class ReplayStep:
     total_weight: float
 
 
+#: 1.0 in the fixed point of the exact sleeve sum, whose unit is 2**-1074,
+#: the smallest positive float: every finite float is a whole number of units.
+_FIXED_ONE = 1 << 1074
+
+
+def _fixed(x: float) -> int:
+    """``x`` as an exact integer count of 2**-1074; raises on inf and nan."""
+    n, d = x.as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
 def replay_steps(
     events: Sequence[RebalanceEvent],
     params: FeasibilityParams,
@@ -84,13 +95,17 @@ def replay_steps(
 
     Satellite weights are updated with executed trades only; the offsetting
     cash adjustment keeps the total portfolio weight at one.
+
+    ``total_weight`` is ``core + cash + fsum(sleeve)``. The sleeve sum is
+    kept as an exact integer multiple of 2**-1074, updated per executed
+    trade and rounded once per event. Both it and ``fsum`` are the correctly
+    rounded exact sum, so the result is the same float at a cost linear in
+    the trades rather than in the sleeve size.
     """
-    if isinstance(assets, Mapping):
-        by_id = dict(assets)
-    else:
-        by_id = {a.id: a for a in assets}
+    by_id = _asset_map(assets)
     previous: date | None = None
     sat = {name: w for name, w in initial.satellite.constituents}
+    exact: int | None = sum(_fixed(w) for w in sat.values())
     core_total = math.fsum(w for _, w in initial.core_weights)
     cash = 0.0
     for event in events:
@@ -101,9 +116,16 @@ def replay_steps(
         previous = event.date
         executed, suppressed = filter_rebalance(event.proposal, params, by_id)
         for name, dw in executed:
-            sat[name] = sat.get(name, 0.0) + dw
+            old = sat.get(name, 0.0)
+            sat[name] = new = old + dw
             cash -= dw
-        total = core_total + cash + math.fsum(sat.values())
+            if exact is not None:
+                try:
+                    exact += _fixed(new) - _fixed(old)
+                except (OverflowError, ValueError):
+                    exact = None  # a position is no longer finite: use fsum from here on
+        sleeve = math.fsum(sat.values()) if exact is None else exact / _FIXED_ONE
+        total = core_total + cash + sleeve
         yield ReplayStep(event=event, executed=tuple(executed),
                          suppressed=tuple(suppressed), total_weight=total)
 
@@ -114,11 +136,12 @@ def replay(
     initial: Portfolio,
     assets: Iterable[Asset] | Mapping[str, Asset],
 ) -> ReplayStats:
-    """Aggregate an event stream into suppression statistics."""
-    if isinstance(assets, Mapping):
-        by_id = dict(assets)
-    else:
-        by_id = {a.id: a for a in assets}
+    """Aggregate an event stream into suppression statistics.
+
+    The id map is built once and shared by every filter call, so the cost
+    is linear in the trades replayed.
+    """
+    by_id = _asset_map(assets)
     proposed = 0
     executed_n = 0
     by_reason: dict[str, int] = {}

@@ -143,6 +143,17 @@ class TestFilterAndReplay:
         assert doc["trades_suppressed_by_reason"]["below_action_resolution"] == 1
         assert doc["trades_executed"] == 3
 
+    def test_replay_core_within_load_tolerance(self, capsys, tmp_path):
+        # the core loader accepts a sum within 1e-9 of one, a Portfolio only
+        # within 1e-12: replay rescales the core instead of failing
+        core = tmp_path / "core.csv"
+        core.write_text("id,weight\nK1,0.5\nK2,0.5000000005\n")
+        argv = ("replay", "--config", AI_CONFIG, "--candidates", AI_CANDIDATES,
+                "--events", str(FIXTURES / "ai_events.csv"), "--format", "json")
+        code, out, err = run(capsys, *argv, "--core-weights", str(core))
+        assert code == 0 and err == ""
+        assert out == run(capsys, *argv)[1]
+
 
 class TestErrors:
     def test_unknown_subcommand_exits_one(self, capsys):

@@ -1,10 +1,14 @@
 """CSV ingestion and report emission."""
 
+from datetime import date
+
 import pytest
 
 from satfeas import (
     CascadeInput,
     ExclusionCategory,
+    RebalanceEvent,
+    RebalanceProposal,
     TierClass,
     ValidationError,
     run_cascade,
@@ -19,7 +23,7 @@ from satfeas.io import (
     parse_report,
 )
 
-from conftest import make_asset, make_params
+from conftest import FIXTURES, make_asset, make_params
 
 
 def write(tmp_path, name, text):
@@ -133,6 +137,73 @@ class TestOtherLoaders:
             load_events(path)
         assert err.value.code == "events_out_of_order"
 
+
+
+EVENT_HEADER = "date,id,delta_w,schedule_due,structural_break\n"
+ROW_A = "2025-01-01,A,0.1,true,false\n"
+
+#: (case, file body, error code, message); rows count the header as row 1.
+LOAD_EVENTS_ERRORS = [
+    ("empty file", "", "bad_header", "is empty"),
+    ("bad header", "date,id,dw,schedule_due,structural_break\n" + ROW_A, "bad_header",
+     "must have header 'date,id,delta_w,schedule_due,structural_break', "
+     "got 'date,id,dw,schedule_due,structural_break'"),
+    ("field count", EVENT_HEADER + ROW_A + "2025-01-01,B,0.1,true\n", "bad_row",
+     "events row 3 has 4 fields, expected 5"),
+    ("field count before a bad value",
+     EVENT_HEADER + "2025-13-01,A,x,maybe,false\n2025-01-02,B,0.1\n", "bad_row",
+     "events row 3 has 3 fields, expected 5"),
+    ("blank rows are skipped but counted",
+     EVENT_HEADER + "\n" + ROW_A + " , ,,,\n\n2025-01-02,B,x,true,false\n", "bad_number",
+     "events row 6: 'x' is not a number"),
+    ("bad date", EVENT_HEADER + ROW_A + "2025-13-01,B,0.1,true,false\n", "bad_date",
+     "events row 3: bad date '2025-13-01'"),
+    ("bad boolean on a group's first row", EVENT_HEADER + "2025-01-01,A,0.1,true,nope\n",
+     "bad_boolean", "events row 2: expected true or false, got 'nope'"),
+    ("bad boolean later in a group", EVENT_HEADER + ROW_A + "2025-01-01,B,0.1,yes,false\n",
+     "bad_boolean", "events row 3: expected true or false, got 'yes'"),
+    ("flags differ within a date", EVENT_HEADER + ROW_A + "2025-01-01,B,0.1,TRUE,true\n",
+     "inconsistent_flags", "events row 3: governance flags differ within date 2025-01-01"),
+    ("bad number", EVENT_HEADER + ROW_A + "2025-01-01,B,abc,true,false\n", "bad_number",
+     "events row 3: 'abc' is not a number"),
+    ("date out of order",
+     EVENT_HEADER + "2025-02-01,A,0.1,true,false\n" + "2025-01-01,B,0.1,true,false\n"
+     "2025-01-01,C,0.1,true,false\n", "events_out_of_order",
+     "events row 3: dates must be strictly increasing"),
+    ("date repeated after another date",
+     EVENT_HEADER + ROW_A + "2025-01-02,B,0.1,true,false\n2025-01-01,C,0.1,true,false\n",
+     "events_out_of_order", "events row 4: dates must be strictly increasing"),
+    ("duplicate id within a date", EVENT_HEADER + ROW_A + "2025-01-01,A,0.2,true,false\n",
+     "duplicate_id", "duplicate id 'A' in trades"),
+    ("nan delta_w", EVENT_HEADER + ROW_A + "2025-01-01,B,nan,true,false\n", "not_finite",
+     "delta_w for B must be a finite number"),
+    ("inf delta_w", EVENT_HEADER + "2025-01-01,A,-inf,true,false\n", "not_finite",
+     "delta_w for A must be a finite number"),
+]
+
+
+@pytest.mark.parametrize("body,code,message",
+                         [case[1:] for case in LOAD_EVENTS_ERRORS],
+                         ids=[case[0] for case in LOAD_EVENTS_ERRORS])
+def test_load_events_error_table(tmp_path, body, code, message):
+    path = write(tmp_path, "e.csv", body)
+    with pytest.raises(ValidationError) as err:
+        load_events(path)
+    assert err.value.code == code
+    assert message in str(err.value)
+
+
+def test_load_events_ai_fixture_pinned():
+    def ev(day, trades, due=False, brk=False):
+        return RebalanceEvent(date=date.fromisoformat(day), proposal=RebalanceProposal(
+            trades=trades, schedule_due=due, structural_break=brk))
+
+    assert load_events(FIXTURES / "ai_events.csv") == [
+        ev("2025-03-31", (("CHIP1", 0.004), ("CLOUD1", -0.003))),
+        ev("2025-06-30", (("CHIP1", 0.02), ("CLOUD1", -0.0005), ("INTEG1", 0.012)), due=True),
+        ev("2025-09-30", (("FAB1", 0.001),)),
+        ev("2025-12-31", (("PLAT1", 0.015),), brk=True),
+    ]
 
 class TestEmitReport:
     def run_fixture(self):

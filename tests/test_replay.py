@@ -5,6 +5,8 @@ import random
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satfeas import (
     Portfolio,
@@ -13,6 +15,7 @@ from satfeas import (
     ReplayStats,
     SatelliteDesign,
     ValidationError,
+    filter_rebalance,
     replay,
     replay_steps,
 )
@@ -140,3 +143,109 @@ class TestReplay:
             ReplayStats(events_total=1, trades_proposed=3, trades_executed=1,
                         trades_suppressed_by_reason={"governance_gate": 1},
                         gross_turnover_executed=0.0, max_participation_observed=0.0)
+
+
+# Streams for the property tests: each event is (window open, {id: trade}),
+# where a trade is (sell, |dw|) or None for a sell of the whole position.
+# Ten ids against a two-name initial sleeve, so names enter mid-stream.
+POOL = [f"a{i}" for i in range(10)]
+TRADE = st.one_of(st.none(),
+                  st.tuples(st.booleans(), st.floats(min_value=1e-300, max_value=0.3)))
+STREAM = st.lists(st.tuples(st.booleans(),
+                            st.dictionaries(st.sampled_from(POOL), TRADE,
+                                            min_size=1, max_size=6)),
+                  max_size=15)
+
+
+def build_events(stream, initial):
+    """Events of ``stream``; a whole-position sell is sized as if every
+    trade in an open window executes."""
+    sat = dict(initial.satellite.constituents)
+    events = []
+    for i, (window_open, trades) in enumerate(stream):
+        proposal = []
+        for name, trade in trades.items():
+            if trade is None:
+                dw = -sat.get(name, 0.0)
+            else:
+                sell, size = trade
+                dw = -size if sell else size
+            proposal.append((name, dw))
+            if window_open:
+                sat[name] = sat.get(name, 0.0) + dw
+        events.append(event(date(2025, 1, 1) + timedelta(days=i), proposal,
+                            schedule_due=window_open))
+    return events
+
+
+class TestReplayProperties:
+    @given(stream=STREAM)
+    @settings(max_examples=100, deadline=None)
+    def test_total_weight_bit_equal_to_fsum_of_sleeve(self, stream):
+        # nothing binds: min_effect 0 and ADV so deep no impact reaches the cap
+        params = make_params(min_effect_bps=0.0)
+        initial = make_portfolio()
+        events = build_events(stream, initial)
+        core_total = math.fsum(w for _, w in initial.core_weights)
+        sat = dict(initial.satellite.constituents)
+        cash = 0.0
+        steps = list(replay_steps(events, params, initial, make_assets(10, adv=1e12)))
+        assert len(steps) == len(events)
+        for step in steps:
+            proposal = step.event.proposal
+            assert len(step.executed) == (len(proposal.trades) if proposal.schedule_due else 0)
+            for name, dw in step.executed:
+                sat[name] = sat.get(name, 0.0) + dw
+                cash -= dw
+            expected = core_total + cash + math.fsum(sat.values())
+            assert step.total_weight.hex() == expected.hex()
+
+    @given(stream=STREAM)
+    @settings(max_examples=60, deadline=None)
+    def test_stats_equal_naive_per_event_filter(self, stream):
+        # dw_min is 0.08 (0.02 with the cost override) and the impact cap binds
+        # above 0.01 * adv / 1e6, so every suppression reason occurs
+        params = make_params(aum_usd=1e6, min_effect_bps=2.0)
+        assets = [make_asset(id=name, adv_usd=10.0 ** (6 + i % 4),
+                             round_trip_cost_bps=100.0 if i % 3 == 0 else None)
+                  for i, name in enumerate(POOL)]
+        initial = make_portfolio()
+        events = build_events(stream, initial)
+        proposed = executed = 0
+        by_reason: dict[str, int] = {}
+        turnover = max_participation = 0.0
+        for ev in events:
+            done, skipped = filter_rebalance(ev.proposal, params, assets)
+            proposed += len(ev.proposal.trades)
+            executed += len(done)
+            for _trade, reason in skipped:
+                by_reason[reason] = by_reason.get(reason, 0) + 1
+            turnover += math.fsum(abs(dw) for _, dw in done)
+            for name, dw in done:
+                adv = next(a.adv_usd for a in assets if a.id == name)
+                max_participation = max(max_participation, params.aum_usd * abs(dw) / adv)
+        naive = ReplayStats(events_total=len(events), trades_proposed=proposed,
+                            trades_executed=executed, trades_suppressed_by_reason=by_reason,
+                            gross_turnover_executed=turnover,
+                            max_participation_observed=max_participation)
+        assert replay(events, params, initial, assets) == naive
+
+    def test_overflowing_position_keeps_the_fsum_total(self):
+        # a near-zero impact law lets 1e308 trades execute: the position
+        # overflows to inf on the second event and the total follows fsum
+        params = make_params(aum_usd=1.0, c=1e-10, min_effect_bps=0.0)
+        assets = [make_asset(id="a0", adv_usd=1e308), make_asset(id="a1", adv_usd=1e308)]
+        initial = make_portfolio()
+        events = [event(date(2025, 1, d), [("a0", 1e308)], schedule_due=True)
+                  for d in (1, 2, 3)]
+        core_total = math.fsum(w for _, w in initial.core_weights)
+        sat = dict(initial.satellite.constituents)
+        cash = 0.0
+        totals = []
+        for step in replay_steps(events, params, initial, assets):
+            sat["a0"] += 1e308
+            cash -= 1e308
+            totals.append(step.total_weight)
+            expected = core_total + cash + math.fsum(sat.values())
+            assert step.total_weight.hex() == expected.hex()
+        assert totals[0] == 0.0 and math.isnan(totals[1])
