@@ -36,8 +36,10 @@ from typing import Iterable, Mapping, Sequence
 
 from .layers import (
     alpha_max_structural,
+    asset_dw_min,
     breadth_bound_econ,
     breadth_bound_entropy,
+    effective_alpha,
     entropy_increment_approx,
     entropy_increment_exact,
     impact_cost,
@@ -48,6 +50,7 @@ from .layers import (
 from .model import (
     LAYERS,
     UNBOUNDED,
+    WEIGHT_TOL,
     Asset,
     DerivedBounds,
     FeasibilityParams,
@@ -57,8 +60,10 @@ from .model import (
     SatelliteDesign,
     Unbounded,
     ValidationError,
+    check_kappas,
+    check_unique_ids,
 )
-from .tiering import assign_tier_weights, eligibility_filter
+from .tiering import assign_tier_weights, eligibility_filter, eligibility_reason
 
 REASON_GOVERNANCE = "governance_gate"
 REASON_RESOLUTION = "below_action_resolution"
@@ -66,8 +71,6 @@ REASON_IMPACT = "impact_cap"
 
 #: Tie-break priority for equal normalized margins.
 _TIE_ORDER = ("economic", "structural", "epistemic", "physical", "domain")
-
-_TOL = 1e-12
 
 
 def _fmt(x: float) -> str:
@@ -93,21 +96,12 @@ class CascadeInput:
 
     def __post_init__(self):
         object.__setattr__(self, "candidates", tuple(self.candidates))
-        seen: set[str] = set()
         for a in self.candidates:
             if not isinstance(a, Asset):
                 raise ValidationError("candidates must be Asset instances",
                                       code="bad_candidate", field="candidates")
-            if a.id in seen:
-                raise ValidationError(f"duplicate candidate id {a.id!r}",
-                                      code="duplicate_id", field="candidates")
-            seen.add(a.id)
-        if not self.kappa_a >= 1:
-            raise ValidationError("kappa_a must be >= 1", code="kappa_a_out_of_range",
-                                  field="kappa_a")
-        if not 0 < self.kappa_c <= 1:
-            raise ValidationError("kappa_c must lie in (0,1]", code="kappa_c_out_of_range",
-                                  field="kappa_c")
+        check_unique_ids([a.id for a in self.candidates], "candidates")
+        check_kappas(self.kappa_a, self.kappa_c)
         if self.design is not None and not isinstance(self.design, SatelliteDesign):
             raise ValidationError("design must be a SatelliteDesign", code="bad_design",
                                   field="design")
@@ -123,8 +117,7 @@ def compute_bounds(params: FeasibilityParams,
     is reproducible from the parameters alone; per-asset caps are attached
     when candidates are supplied.
     """
-    a_struct = alpha_max_structural(params.structural)
-    a_eff = min(params.structural.alpha_policy_max, a_struct)
+    a_eff = effective_alpha(params.structural)
     caps_impact = None
     caps_part = None
     if candidates is not None:
@@ -132,7 +125,7 @@ def compute_bounds(params: FeasibilityParams,
         if params.impact.participation_cap is not None:
             caps_part = {a.id: max_weight_participation(a, params) for a in candidates}
     return DerivedBounds(
-        alpha_max_structural=a_struct,
+        alpha_max_structural=alpha_max_structural(params.structural),
         alpha_effective=a_eff,
         delta_w_min=min_weight_change(params.econ),
         k_max_econ=breadth_bound_econ(a_eff, params.econ),
@@ -161,7 +154,7 @@ def run_cascade(inp: CascadeInput) -> tuple[FeasibilityReport, SatelliteDesign]:
 
     notes: list[str] = []
     pol_min = params.structural.alpha_policy_min
-    if alpha_cap < pol_min - _TOL:
+    if alpha_cap < pol_min - WEIGHT_TOL:
         notes.append(f"alpha_effective {_fmt(alpha_cap)} falls below "
                      f"alpha_policy_min {_fmt(pol_min)}")
 
@@ -173,8 +166,8 @@ def run_cascade(inp: CascadeInput) -> tuple[FeasibilityReport, SatelliteDesign]:
                                   code="unknown_asset_id", field="design")
         alpha_eval = design.alpha
         members = [(by_id[name], w) for name, w in design.constituents]
-        ineligible = [(asset, reason) for (asset, _w), reason in zip(members, _reasons(members))
-                      if reason is not None]
+        ineligible = [(asset, reason) for asset, _w in members
+                      if (reason := eligibility_reason(asset)) is not None]
     else:
         alpha_eval = alpha_cap
         k_limit = len(eligible)
@@ -201,7 +194,7 @@ def run_cascade(inp: CascadeInput) -> tuple[FeasibilityReport, SatelliteDesign]:
         "structural": _structural_verdict(alpha_eval, alpha_cap, params),
         "epistemic": _epistemic_verdict(alpha_eval, members, params, inp.core_weights),
         "economic": _economic_verdict(alpha_eval, members, params),
-        "physical": _physical_verdict(members, params),
+        "physical": _physical_verdict(members, bounds),
     }
     binding = _binding_layer(verdicts)
     report = FeasibilityReport(
@@ -212,18 +205,6 @@ def run_cascade(inp: CascadeInput) -> tuple[FeasibilityReport, SatelliteDesign]:
         notes=tuple(notes),
     )
     return report, design
-
-
-def _reasons(members: Sequence[tuple[Asset, float]]):
-    from .model import ExclusionCategory
-
-    for asset, _w in members:
-        if not asset.gaer_admissible:
-            yield "gaer_inadmissible"
-        elif asset.exclusion is not ExclusionCategory.NONE:
-            yield asset.exclusion.value
-        else:
-            yield None
 
 
 def _domain_verdict(n_candidates: int, n_eligible: int,
@@ -260,7 +241,7 @@ def _structural_verdict(alpha: float, alpha_cap: float,
     if alpha == 0:
         detail = "empty sleeve (alpha = 0)"
         passed = False
-    elif alpha > alpha_cap + _TOL:
+    elif alpha > alpha_cap + WEIGHT_TOL:
         detail = f"alpha {_fmt(alpha)} exceeds cap {_fmt(alpha_cap)}"
         passed = False
     else:
@@ -322,19 +303,8 @@ def _economic_verdict(alpha: float, members: Sequence[tuple[Asset, float]],
         detail = f"breadth {k} against economic bound {bound}"
 
     passed_w, native_w, norm_w, w_detail = True, None, None, None
-    eps = params.econ.min_effect_bps
     for asset, w in members:
-        crt = asset.round_trip_cost_bps
-        if crt is None:
-            crt = params.econ.round_trip_cost_bps
-        if crt > 0:
-            dw_min = eps / crt
-        elif eps == 0:
-            dw_min = 0.0
-        else:
-            # zero-cost override with a positive effect threshold: no weight
-            # clears it; report the whole position as below resolution
-            dw_min = math.inf
+        dw_min = asset_dw_min(asset, params.econ)
         if w > 0:
             norm = (w - dw_min) / w if math.isfinite(dw_min) else -1.0
         else:
@@ -343,7 +313,7 @@ def _economic_verdict(alpha: float, members: Sequence[tuple[Asset, float]],
         if norm_w is None or norm < norm_w:
             norm_w, native_w = norm, native
             w_detail = f"smallest weight margin on {asset.id} (dw_min {_fmt(dw_min)})"
-        if not w + _TOL >= dw_min:
+        if not w + WEIGHT_TOL >= dw_min:
             passed_w = False
 
     candidates = [(n, m) for n, m in ((norm_b, native_b), (norm_w, native_w))
@@ -361,21 +331,25 @@ def _economic_verdict(alpha: float, members: Sequence[tuple[Asset, float]],
 
 
 def _physical_verdict(members: Sequence[tuple[Asset, float]],
-                      params: FeasibilityParams) -> LayerVerdict:
+                      bounds: DerivedBounds) -> LayerVerdict:
     if not members:
         return LayerVerdict(passed=True, margin=None, normalized_margin=None,
                             bound=None, usage=None, detail="empty sleeve")
-    use_participation = params.impact.participation_cap is not None
+    caps_part = bounds.weight_caps_participation
     passed = True
     worst: tuple[float, float, float, str] | None = None  # (norm, cap, weight, id)
     for asset, w in members:
-        cap = max_weight_impact(asset, params)
-        if use_participation:
-            cap = min(cap, max_weight_participation(asset, params))
-        norm = (cap - w) / cap
+        cap = bounds.weight_caps_impact[asset.id]
+        if caps_part is not None:
+            cap = min(cap, caps_part[asset.id])
+        if cap > 0:
+            norm = (cap - w) / cap
+        else:
+            norm = -1.0  # the cap underflowed to zero: no position is admissible
+            passed = False
         if worst is None or norm < worst[0]:
             worst = (norm, cap, w, asset.id)
-        if w > cap + _TOL:
+        if w > cap + WEIGHT_TOL:
             passed = False
     norm, cap, weight, worst_id = worst
     detail = f"tightest cap {_fmt(cap)} on {worst_id}"
@@ -396,7 +370,7 @@ def _binding_layer(verdicts: Mapping[str, LayerVerdict]) -> str:
         m = verdicts[name].normalized_margin
         if m is None:
             continue
-        if best is None or m < best - _TOL:
+        if best is None or m < best - WEIGHT_TOL:
             best, best_name = m, name
     return best_name if best_name is not None else "structural"
 
@@ -436,17 +410,12 @@ def filter_rebalance(
     executed: list[tuple[str, float]] = []
     suppressed: list[tuple[tuple[str, float], str]] = []
     window_open = proposal.schedule_due or proposal.structural_break
-    eps = params.econ.min_effect_bps
     for name, dw in proposal.trades:
         if not window_open:
             suppressed.append(((name, dw), REASON_GOVERNANCE))
             continue
         asset = by_id[name]
-        crt = asset.round_trip_cost_bps
-        if crt is None:
-            crt = params.econ.round_trip_cost_bps
-        ok_econ = abs(dw) >= eps / crt if crt > 0 else eps == 0
-        if not ok_econ:
+        if not abs(dw) >= asset_dw_min(asset, params.econ):
             suppressed.append(((name, dw), REASON_RESOLUTION))
             continue
         impact = impact_cost(params.aum_usd * abs(dw), asset.adv_usd, params.impact)

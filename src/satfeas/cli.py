@@ -19,7 +19,9 @@ from typing import Sequence
 from .cascade import CascadeInput, compute_bounds, filter_rebalance, run_cascade
 from .config import RunConfig, load_config
 from .io import (
+    bounds_lines,
     emit_report,
+    json_bytes,
     load_candidates,
     load_core_weights,
     load_events,
@@ -117,15 +119,9 @@ def _cmd_bounds(args) -> int:
         candidates = load_candidates(path)
     bounds = compute_bounds(cfg.params, candidates)
     if args.format == "json":
-        _emit((json.dumps(bounds.to_dict(), sort_keys=True, indent=2) + "\n").encode())
+        _emit(json_bytes(bounds.to_dict()))
     else:
-        lines = ["derived bounds", "--------------"]
-        d = bounds.to_dict()
-        for key in ("alpha_max_structural", "alpha_effective", "delta_w_min",
-                    "k_max_econ", "k_max_entropy"):
-            value = d[key]
-            text = format(value, ".10g") if isinstance(value, float) else str(value)
-            lines.append(f"{key:<22}{text}")
+        lines = bounds_lines(bounds)
         if bounds.weight_caps_impact is not None:
             lines.append("")
             lines.append("per-asset impact caps")
@@ -169,7 +165,7 @@ def _cmd_filter(args) -> int:
     if args.format == "json":
         doc = {"executed": [[n, dw] for n, dw in executed],
                "suppressed": [[n, dw, reason] for (n, dw), reason in suppressed]}
-        _emit((json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
+        _emit(json_bytes(doc))
     else:
         lines = [f"executed {len(executed)} of {len(proposal.trades)} trades"]
         for name, dw in executed:
@@ -203,18 +199,19 @@ def _cmd_replay(args) -> int:
         core_pairs = (("CORE", remainder),) if remainder > 0 else ()
     portfolio = Portfolio(core_weights=core_pairs, satellite=design)
     stats = replay(events, cfg.params, portfolio, assets)
+    d = stats.to_dict()
     if args.format == "json":
-        _emit((json.dumps(stats.to_dict(), sort_keys=True, indent=2) + "\n").encode())
+        _emit(json_bytes(d))
     else:
-        d = stats.to_dict()
+        rows = [(key, str(d[key]))
+                for key in ("events_total", "trades_proposed", "trades_executed")]
+        rows += [(f"suppressed[{reason}]", str(count))
+                 for reason, count in d["trades_suppressed_by_reason"].items()]
+        rows += [(key, format(d[key], ".10g"))
+                 for key in ("gross_turnover_executed", "max_participation_observed")]
+        width = max(len(label) for label, _ in rows) + 2  # every value in one column
         lines = ["replay statistics", "-----------------"]
-        for key in ("events_total", "trades_proposed", "trades_executed"):
-            lines.append(f"{key:<28}{d[key]}")
-        for reason, count in d["trades_suppressed_by_reason"].items():
-            lines.append(f"suppressed[{reason}]".ljust(28) + str(count))
-        lines.append(f"{'gross_turnover_executed':<28}{format(d['gross_turnover_executed'], '.10g')}")
-        lines.append(f"{'max_participation_observed':<28}"
-                     f"{format(d['max_participation_observed'], '.10g')}")
+        lines += [label.ljust(width) + value for label, value in rows]
         _emit(("\n".join(lines) + "\n").encode())
     return 0
 

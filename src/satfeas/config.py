@@ -21,6 +21,7 @@ from .model import (
     ImpactParams,
     StructuralParams,
     ValidationError,
+    check_kappas,
 )
 
 DEFAULTS: dict[str, Any] = {
@@ -79,6 +80,11 @@ def _number(value: Any, key: str) -> float:
     return float(value)
 
 
+def _prefixed(e: ValidationError, name: str) -> ValidationError:
+    """``e`` restated for a key inside config section ``name``."""
+    return ValidationError(f"{name}.{e.args[0]}", code=e.code, field=f"{name}.{e.field}")
+
+
 def _build(data: Mapping[str, Any]) -> RunConfig:
     if not isinstance(data, Mapping):
         raise ValidationError("config root must be a JSON object", code="not_an_object",
@@ -101,8 +107,7 @@ def _build(data: Mapping[str, Any]) -> RunConfig:
         try:
             return cls(**kwargs)
         except ValidationError as e:
-            raise ValidationError(f"{name}.{e.args[0]}", code=e.code,
-                                  field=f"{name}.{e.field}") from None
+            raise _prefixed(e, name) from None
 
     impact = section_params("impact", ImpactParams,
                             {"c", "delta", "impact_cap", "participation_cap"},
@@ -127,12 +132,10 @@ def _build(data: Mapping[str, Any]) -> RunConfig:
     tilts = _section(data, "tilts", {"kappa_a", "kappa_c"})
     kappa_a = _number(tilts["kappa_a"], "tilts.kappa_a")
     kappa_c = _number(tilts["kappa_c"], "tilts.kappa_c")
-    if not kappa_a >= 1:
-        raise ValidationError("tilts.kappa_a must be >= 1", code="kappa_a_out_of_range",
-                              field="tilts.kappa_a")
-    if not 0 < kappa_c <= 1:
-        raise ValidationError("tilts.kappa_c must lie in (0,1]", code="kappa_c_out_of_range",
-                              field="tilts.kappa_c")
+    try:
+        check_kappas(kappa_a, kappa_c)
+    except ValidationError as e:
+        raise _prefixed(e, "tilts") from None
 
     theme = data.get("theme", DEFAULTS["theme"])
     if not isinstance(theme, str):

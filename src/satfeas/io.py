@@ -10,13 +10,16 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 from datetime import date
 from pathlib import Path
 from typing import Any, Sequence
 
 from .model import (
     LAYERS,
+    NORMALIZED_SUM_TOL,
     Asset,
+    DerivedBounds,
     ExclusionCategory,
     FeasibilityReport,
     RebalanceProposal,
@@ -76,6 +79,14 @@ def _parse_float(text: str, what: str, line: int) -> float:
                               code="bad_number", field=what) from None
 
 
+def _check_new_id(seen: set[str], name: str, what: str, line: int) -> None:
+    """Record ``name`` in ``seen``, rejecting an id already there."""
+    if name in seen:
+        raise ValidationError(f"{what} row {line}: duplicate id {name!r}",
+                              code="duplicate_id", field=what)
+    seen.add(name)
+
+
 _BOOLS = {"true": True, "false": False}
 
 
@@ -97,10 +108,7 @@ def load_candidates(path: str | Path) -> list[Asset]:
     seen: set[str] = set()
     for line, (name, tier, adv, cost, gaer, exclusion) in _read_rows(
             path, CANDIDATE_HEADER, "candidates"):
-        if name in seen:
-            raise ValidationError(f"candidates row {line}: duplicate id {name!r}",
-                                  code="duplicate_id", field="candidates")
-        seen.add(name)
+        _check_new_id(seen, name, "candidates", line)
         override = None
         if cost:
             override = _parse_float(cost, "candidates", line)
@@ -133,23 +141,18 @@ def dump_candidates(assets: Sequence[Asset]) -> str:
 
 
 def load_core_weights(path: str | Path) -> list[tuple[str, float]]:
-    """Read a core composition CSV, normalized to sum to one within 1e-9."""
-    import math
-
+    """Read a core composition CSV, normalized to sum to one within NORMALIZED_SUM_TOL."""
     out: list[tuple[str, float]] = []
     seen: set[str] = set()
     for line, (name, weight) in _read_rows(path, CORE_HEADER, "core_weights"):
-        if name in seen:
-            raise ValidationError(f"core_weights row {line}: duplicate id {name!r}",
-                                  code="duplicate_id", field="core_weights")
-        seen.add(name)
+        _check_new_id(seen, name, "core_weights", line)
         w = _parse_float(weight, "core_weights", line)
         if w < 0:
             raise ValidationError(f"core_weights row {line}: weight must be nonnegative",
                                   code="weight_must_be_nonnegative", field="core_weights")
         out.append((name, w))
     total = math.fsum(w for _, w in out)
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > NORMALIZED_SUM_TOL:
         raise ValidationError(f"core weights sum to {total!r}, expected 1.0",
                               code="weights_not_normalized", field="core_weights")
     return out
@@ -160,10 +163,7 @@ def load_proposal_trades(path: str | Path) -> list[tuple[str, float]]:
     out: list[tuple[str, float]] = []
     seen: set[str] = set()
     for line, (name, dw) in _read_rows(path, PROPOSAL_HEADER, "proposal"):
-        if name in seen:
-            raise ValidationError(f"proposal row {line}: duplicate id {name!r}",
-                                  code="duplicate_id", field="proposal")
-        seen.add(name)
+        _check_new_id(seen, name, "proposal", line)
         out.append((name, _parse_float(dw, "proposal", line)))
     return out
 
@@ -176,6 +176,7 @@ def load_events(path: str | Path) -> list[RebalanceEvent]:
     """
     events: list[RebalanceEvent] = []
     group: list[tuple[str, float]] = []
+    seen: set[str] = set()  # the ids of the open group
     # the open group: date text, first row, parsed date and flags, raw flag text
     key = first = day = schedule_due = structural_break = flag_text = None
 
@@ -191,7 +192,7 @@ def load_events(path: str | Path) -> list[RebalanceEvent]:
         if day_text != key:
             if group:
                 flush()
-                group = []
+                group, seen = [], set()
             key, first = day_text, line
             try:
                 day = date.fromisoformat(day_text)
@@ -207,18 +208,27 @@ def load_events(path: str | Path) -> list[RebalanceEvent]:
             raise ValidationError(
                 f"events row {line}: governance flags differ within date {key}",
                 code="inconsistent_flags", field="events")
-        group.append((name, _parse_float(dw, "events", line)))
+        _check_new_id(seen, name, "events", line)
+        value = _parse_float(dw, "events", line)
+        if not math.isfinite(value):
+            raise ValidationError(f"events row {line}: delta_w for {name} must be a finite number",
+                                  code="not_finite", field="events")
+        group.append((name, value))
     if group:
         flush()
     return events
+
+
+def json_bytes(doc: Any) -> bytes:
+    """``doc`` as stable-key-ordered, indented JSON ending in a newline."""
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
 def emit_report(report: FeasibilityReport, design: SatelliteDesign,
                 fmt: str = "text") -> bytes:
     """Render a report plus its design as stable JSON or a fixed-width table."""
     if fmt == "json":
-        doc = {"design": design.to_dict(), "report": report.to_dict()}
-        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        return json_bytes({"design": design.to_dict(), "report": report.to_dict()})
     if fmt == "text":
         return _render_text(report, design).encode("utf-8")
     raise ValidationError(f"unknown report format {fmt!r}", code="bad_format", field="format")
@@ -254,6 +264,18 @@ def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
+def bounds_lines(b: DerivedBounds) -> list[str]:
+    """The titled text block of the closed-form bounds, per-asset caps aside."""
+    lines = ["derived bounds", "--------------"]
+    for key, value in (("alpha_max_structural", b.alpha_max_structural),
+                       ("alpha_effective", b.alpha_effective),
+                       ("delta_w_min", b.delta_w_min),
+                       ("k_max_econ", b.k_max_econ),
+                       ("k_max_entropy", b.k_max_entropy)):
+        lines.append(f"{key:<22}{_cell(value)}")
+    return lines
+
+
 def _render_text(report: FeasibilityReport, design: SatelliteDesign) -> str:
     lines = ["satellite feasibility report",
              "============================",
@@ -271,13 +293,7 @@ def _render_text(report: FeasibilityReport, design: SatelliteDesign) -> str:
                     rows)
 
     b = report.derived_bounds
-    lines += ["", "derived bounds", "--------------"]
-    for key, value in (("alpha_max_structural", b.alpha_max_structural),
-                       ("alpha_effective", b.alpha_effective),
-                       ("delta_w_min", b.delta_w_min),
-                       ("k_max_econ", b.k_max_econ),
-                       ("k_max_entropy", b.k_max_entropy)):
-        lines.append(f"{key:<22}{_cell(value)}")
+    lines += ["", *bounds_lines(b)]
 
     if b.weight_caps_impact is not None:
         cap_rows = []

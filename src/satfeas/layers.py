@@ -22,6 +22,7 @@ import math
 from typing import Sequence
 
 from .model import (
+    NORMALIZED_SUM_TOL,
     UNBOUNDED,
     Asset,
     EconParams,
@@ -32,9 +33,9 @@ from .model import (
     ValidationError,
 )
 
-#: Relative slack for the weight-sum precondition of entropy functions;
-#: looser than WEIGHT_TOL because callers may pass externally sourced cores.
-ENTROPY_SUM_TOL = 1e-9
+#: Practical ceiling for the breadth bounds: beyond any float and any
+#: portfolio, so larger closed-form values are reported as exactly this.
+BREADTH_CEILING = 10**300
 
 
 def impact_cost(traded_notional_usd: float, adv_usd: float, params) -> float:
@@ -59,11 +60,20 @@ def max_weight_impact(asset: Asset, params: FeasibilityParams) -> float:
 
     Inverts the impact law at ``Q = A * w * tau``, giving
     ``w <= (V / (A * tau)) * (I_cap / c) ** (1/delta)``, clamped to [0, 1]
-    because the raw formula can exceed one at small portfolio scale.
+    because the raw formula can exceed one at small portfolio scale. Where
+    the power overflows a float, the law is inverted in log space instead.
     """
     tau = params.turnover_fraction
     imp = params.impact
-    raw = (asset.adv_usd / (params.aum_usd * tau)) * (imp.impact_cap / imp.c) ** (1.0 / imp.delta)
+    try:
+        power = (imp.impact_cap / imp.c) ** (1.0 / imp.delta)
+    except OverflowError:
+        power = math.inf
+    if power == math.inf:
+        log_raw = (math.log(asset.adv_usd) - math.log(params.aum_usd) - math.log(tau)
+                   + (math.log(imp.impact_cap) - math.log(imp.c)) / imp.delta)
+        return math.exp(min(log_raw, 0.0))
+    raw = asset.adv_usd / (params.aum_usd * tau) * power
     return min(max(raw, 0.0), 1.0)
 
 
@@ -91,6 +101,22 @@ def min_weight_change(econ: EconParams) -> float:
     return econ.min_effect_bps / econ.round_trip_cost_bps
 
 
+def asset_dw_min(asset: Asset, econ: EconParams) -> float:
+    """Cost-dominance threshold for one asset, using its cost override if any.
+
+    ``eps / C_rt`` with the asset's round-trip cost in place of the sleeve's
+    when present. A zero-cost override gives 0 at a zero effect threshold
+    and ``inf`` (no weight clears it) at a positive one.
+    """
+    crt = asset.round_trip_cost_bps
+    if crt is None:
+        crt = econ.round_trip_cost_bps
+    eps = econ.min_effect_bps
+    if crt > 0:
+        return eps / crt
+    return 0.0 if eps == 0 else math.inf
+
+
 def trade_admissible(delta_w: float, econ: EconParams) -> bool:
     """Whether a signed weight change clears the cost-dominance threshold.
 
@@ -105,14 +131,18 @@ def breadth_bound_econ(alpha: float, econ: EconParams) -> int | Unbounded:
 
     Each active constituent must carry at least ``dw_min`` total-portfolio
     weight, so ``K <= alpha / dw_min``. Returns UNBOUNDED when the threshold
-    is zero; otherwise the exact largest integer K with ``K * dw_min <= alpha``.
+    is zero; otherwise the exact largest integer K with ``K * dw_min <= alpha``,
+    or ``BREADTH_CEILING`` when that is larger.
     """
     if not 0 <= alpha <= 1:
         raise ValidationError("alpha must lie in [0,1]", code="alpha_out_of_range", field="alpha")
     dw_min = min_weight_change(econ)
     if dw_min == 0:
         return UNBOUNDED
-    k = int(math.floor(alpha / dw_min))
+    ratio = alpha / dw_min
+    if ratio >= float(BREADTH_CEILING):
+        return BREADTH_CEILING
+    k = int(math.floor(ratio))
     # float-boundary correction: characterize the result multiplicatively
     if (k + 1) * dw_min <= alpha:
         k += 1
@@ -146,7 +176,7 @@ def weight_entropy(weights: Sequence[float]) -> float:
     function is continuous as any weight vanishes. Result lies in [0, ln N].
     """
     total = math.fsum(weights)
-    if abs(total - 1.0) > ENTROPY_SUM_TOL:
+    if abs(total - 1.0) > NORMALIZED_SUM_TOL:
         raise ValidationError(f"weights sum to {total!r}, expected 1.0",
                               code="weights_not_normalized", field="weights")
     for w in weights:
@@ -187,11 +217,6 @@ def entropy_increment_exact(core_weights: Sequence[float], alpha: float, k: int)
     h_core = weight_entropy(core_weights)
     mixture = [(1.0 - alpha) * c for c in core_weights] + [alpha / k] * k
     return weight_entropy(mixture) - h_core
-
-
-#: Practical ceiling for the entropy breadth bound: beyond any float and any
-#: portfolio, so larger closed-form values are reported as exactly this.
-BREADTH_CEILING = 10**300
 
 
 def breadth_bound_entropy(alpha: float, entropy: EntropyParams) -> int:

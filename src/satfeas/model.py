@@ -12,13 +12,17 @@ most once, inside the operation that mixes them with fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 #: Absolute tolerance for equality-style weight invariants. All formulas in
 #: the engine are closed-form, so nothing looser is justified.
 WEIGHT_TOL = 1e-12
+
+#: Absolute slack on the sum of a weight vector normalized outside the engine
+#: (a core composition file); looser than WEIGHT_TOL for that reason.
+NORMALIZED_SUM_TOL = 1e-9
 
 #: Feasibility layers in cascade evaluation order.
 LAYERS = ("domain", "structural", "epistemic", "economic", "physical")
@@ -138,29 +142,6 @@ class Asset:
             _require(self.round_trip_cost_bps >= 0,
                      "round_trip_cost_bps must be nonnegative when present",
                      "cost_must_be_nonnegative", "round_trip_cost_bps")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "tier": self.tier.value,
-            "adv_usd": self.adv_usd,
-            "round_trip_cost_bps": self.round_trip_cost_bps,
-            "gaer_admissible": self.gaer_admissible,
-            "exclusion": self.exclusion.value,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Asset":
-        d = _strict_keys(data, {"id", "tier", "adv_usd", "round_trip_cost_bps",
-                                "gaer_admissible", "exclusion"}, set(), "asset")
-        return cls(
-            id=d["id"],
-            tier=TierClass.parse(d["tier"]),
-            adv_usd=d["adv_usd"],
-            gaer_admissible=d["gaer_admissible"],
-            exclusion=ExclusionCategory.parse(d["exclusion"]),
-            round_trip_cost_bps=d["round_trip_cost_bps"],
-        )
 
 
 @dataclass(frozen=True)
@@ -292,10 +273,32 @@ class FeasibilityParams:
         }
 
 
+def check_unique_ids(ids: Sequence[str], what: str) -> None:
+    """Raise ``duplicate_id`` naming the first id that repeats in ``ids``."""
+    if len(set(ids)) == len(ids):
+        return
+    seen: set[str] = set()
+    for name in ids:
+        _require(name not in seen, f"duplicate id {name!r} in {what}", "duplicate_id", what)
+        seen.add(name)
+
+
+def check_kappas(kappa_a: float, kappa_c: float) -> None:
+    """The tier tilt ranges: ``kappa_a >= 1`` and ``0 < kappa_c <= 1``."""
+    _finite(kappa_a, "kappa_a")
+    _require(kappa_a >= 1, "kappa_a must be >= 1", "kappa_a_out_of_range", "kappa_a")
+    _finite(kappa_c, "kappa_c")
+    _require(0 < kappa_c <= 1, "kappa_c must lie in (0,1]", "kappa_c_out_of_range", "kappa_c")
+
+
 def _check_weight_pairs(pairs: Iterable[tuple[str, float]], what: str) -> tuple[tuple[str, float], ...]:
+    try:
+        items = iter(pairs)
+    except TypeError:
+        raise ValidationError(f"{what} must be a list of (id, weight) pairs",
+                              "bad_weight_pair", what) from None
     out = []
-    seen = set()
-    for item in pairs:
+    for item in items:
         try:
             name, w = item
         except (TypeError, ValueError):
@@ -306,9 +309,8 @@ def _check_weight_pairs(pairs: Iterable[tuple[str, float]], what: str) -> tuple[
         _finite(w, f"{what} weight for {name}")
         _require(w >= 0, f"{what} weight for {name} must be nonnegative",
                  "weight_must_be_nonnegative", what)
-        _require(name not in seen, f"duplicate id {name!r} in {what}", "duplicate_id", what)
-        seen.add(name)
         out.append((name, float(w)))
+    check_unique_ids([name for name, _ in out], what)
     return tuple(out)
 
 
@@ -328,10 +330,7 @@ class SatelliteDesign:
         _require(0 <= self.alpha <= 1, "alpha must lie in [0,1]", "alpha_out_of_range", "alpha")
         object.__setattr__(self, "constituents",
                            _check_weight_pairs(self.constituents, "constituents"))
-        _finite(self.kappa_a, "kappa_a")
-        _require(self.kappa_a >= 1, "kappa_a must be >= 1", "kappa_a_out_of_range", "kappa_a")
-        _finite(self.kappa_c, "kappa_c")
-        _require(0 < self.kappa_c <= 1, "kappa_c must lie in (0,1]", "kappa_c_out_of_range", "kappa_c")
+        check_kappas(self.kappa_a, self.kappa_c)
         total = math.fsum(w for _, w in self.constituents)
         _require(abs(total - self.alpha) <= WEIGHT_TOL,
                  f"constituent weights sum to {total!r}, expected alpha={self.alpha!r}",
@@ -354,9 +353,7 @@ class SatelliteDesign:
     def from_dict(cls, data: Mapping[str, Any]) -> "SatelliteDesign":
         d = _strict_keys(data, {"theme", "alpha", "constituents", "kappa_a", "kappa_c"},
                          set(), "design")
-        return cls(theme=d["theme"], alpha=d["alpha"],
-                   constituents=tuple((str(n), float(w)) for n, w in d["constituents"]),
-                   kappa_a=d["kappa_a"], kappa_c=d["kappa_c"])
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -377,16 +374,6 @@ class Portfolio:
                  f"portfolio weights sum to {total!r}, expected 1.0",
                  "weights_do_not_sum_to_one", "core_weights")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"core_weights": [[n, w] for n, w in self.core_weights],
-                "satellite": self.satellite.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Portfolio":
-        d = _strict_keys(data, {"core_weights", "satellite"}, set(), "portfolio")
-        return cls(core_weights=tuple((str(n), float(w)) for n, w in d["core_weights"]),
-                   satellite=SatelliteDesign.from_dict(d["satellite"]))
-
 
 @dataclass(frozen=True)
 class RebalanceProposal:
@@ -398,7 +385,6 @@ class RebalanceProposal:
 
     def __post_init__(self):
         out = []
-        seen = set()
         for item in self.trades:
             try:
                 name, dw = item
@@ -410,26 +396,13 @@ class RebalanceProposal:
             # per-trade messages are built only on failure: proposals can be long
             if not _is_finite(dw):
                 _finite(dw, f"delta_w for {name}")
-            if name in seen:
-                raise ValidationError(f"duplicate id {name!r} in trades", "duplicate_id", "trades")
-            seen.add(name)
             out.append((name, float(dw)))
+        check_unique_ids([name for name, _ in out], "trades")
         object.__setattr__(self, "trades", tuple(out))
         _require(isinstance(self.schedule_due, bool), "schedule_due must be a boolean",
                  "bad_flag", "schedule_due")
         _require(isinstance(self.structural_break, bool), "structural_break must be a boolean",
                  "bad_flag", "structural_break")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"trades": [[n, dw] for n, dw in self.trades],
-                "schedule_due": self.schedule_due,
-                "structural_break": self.structural_break}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RebalanceProposal":
-        d = _strict_keys(data, {"trades", "schedule_due", "structural_break"}, set(), "proposal")
-        return cls(trades=tuple((str(n), float(dw)) for n, dw in d["trades"]),
-                   schedule_due=d["schedule_due"], structural_break=d["structural_break"])
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .model import Asset, ExclusionCategory, TierClass, ValidationError
+from .model import (
+    Asset,
+    ExclusionCategory,
+    TierClass,
+    ValidationError,
+    check_kappas,
+    check_unique_ids,
+)
 
 #: Machine-readable rejection reason for domain-inadmissible assets.
 REASON_GAER = "gaer_inadmissible"
@@ -49,31 +56,36 @@ class TierCounts:
         return cls(counts[TierClass.A], counts[TierClass.B], counts[TierClass.C])
 
 
+def eligibility_reason(asset: Asset) -> str | None:
+    """Why ``asset`` may not enter a sleeve, or ``None`` when it may.
+
+    The reason is ``gaer_inadmissible`` or the exclusion category name.
+    """
+    if not asset.gaer_admissible:
+        return REASON_GAER
+    if asset.exclusion is not ExclusionCategory.NONE:
+        return asset.exclusion.value
+    return None
+
+
 def eligibility_filter(
     candidates: Sequence[Asset],
 ) -> tuple[list[Asset], list[tuple[Asset, str]]]:
     """Split candidates into eligible assets and rejects with reasons.
 
-    Eligible means domain-admissible and free of category exclusions.
-    Rejection reasons are ``gaer_inadmissible`` or the exclusion category
-    name. Input order is preserved on both sides, and filtering the eligible
-    output again returns it unchanged.
+    Eligible means :func:`eligibility_reason` gives no reason. Input order
+    is preserved on both sides, and filtering the eligible output again
+    returns it unchanged.
     """
-    seen: set[str] = set()
-    for a in candidates:
-        if a.id in seen:
-            raise ValidationError(f"duplicate candidate id {a.id!r}",
-                                  code="duplicate_id", field="candidates")
-        seen.add(a.id)
+    check_unique_ids([a.id for a in candidates], "candidates")
     eligible: list[Asset] = []
     rejected: list[tuple[Asset, str]] = []
     for a in candidates:
-        if not a.gaer_admissible:
-            rejected.append((a, REASON_GAER))
-        elif a.exclusion is not ExclusionCategory.NONE:
-            rejected.append((a, a.exclusion.value))
-        else:
+        reason = eligibility_reason(a)
+        if reason is None:
             eligible.append(a)
+        else:
+            rejected.append((a, reason))
     return eligible, rejected
 
 
@@ -95,17 +107,8 @@ def assign_tier_weights(
     if not assets:
         raise ValidationError("cannot assign weights to an empty sleeve",
                               code="empty_sleeve", field="assets")
-    if not kappa_a >= 1:
-        raise ValidationError("kappa_a must be >= 1", code="kappa_a_out_of_range", field="kappa_a")
-    if not 0 < kappa_c <= 1:
-        raise ValidationError("kappa_c must lie in (0,1]", code="kappa_c_out_of_range",
-                              field="kappa_c")
-    seen: set[str] = set()
-    for a in assets:
-        if a.id in seen:
-            raise ValidationError(f"duplicate asset id {a.id!r}", code="duplicate_id",
-                                  field="assets")
-        seen.add(a.id)
+    check_kappas(kappa_a, kappa_c)
+    check_unique_ids([a.id for a in assets], "assets")
 
     k = len(assets)
     tilt = {TierClass.A: kappa_a, TierClass.B: 1.0, TierClass.C: kappa_c}

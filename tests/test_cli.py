@@ -143,6 +143,23 @@ class TestFilterAndReplay:
         assert doc["trades_suppressed_by_reason"]["below_action_resolution"] == 1
         assert doc["trades_executed"] == 3
 
+    def test_replay_text_pinned(self, capsys):
+        code, out, err = run(capsys, "replay", "--config", AI_CONFIG,
+                             "--candidates", AI_CANDIDATES,
+                             "--events", str(FIXTURES / "ai_events.csv"))
+        assert code == 0 and err == ""
+        # every value starts in one column, past the longest label
+        assert out == (
+            "replay statistics\n"
+            "-----------------\n"
+            "events_total                         4\n"
+            "trades_proposed                      7\n"
+            "trades_executed                      3\n"
+            "suppressed[below_action_resolution]  1\n"
+            "suppressed[governance_gate]          3\n"
+            "gross_turnover_executed              0.047\n"
+            "max_participation_observed           0.0004\n")
+
     def test_replay_core_within_load_tolerance(self, capsys, tmp_path):
         # the core loader accepts a sum within 1e-9 of one, a Portfolio only
         # within 1e-12: replay rescales the core instead of failing
@@ -186,3 +203,51 @@ class TestErrors:
         code, _, err = run(capsys, "design", "--config", AI_CONFIG)
         assert code == 1
         assert "candidates" in err
+
+
+def write_config(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestExtremeInputs:
+    """Valid inputs at the edge of float range end in a report or a named error."""
+
+    @pytest.mark.parametrize("doc", [
+        # the economic breadth bound alpha / dw_min overflows a float
+        {"econ": {"round_trip_cost_bps": 1, "min_effect_bps": 1e-320}},
+        # (impact_cap / c) ** (1 / delta) = 100 ** 1000 overflows a float
+        {"impact": {"c": 0.01, "delta": 0.001, "impact_cap": 1.0}},
+    ], ids=["econ_bound_overflow", "impact_cap_overflow"])
+    @pytest.mark.parametrize("command", ["bounds", "design"])
+    def test_overflow_configs_report(self, capsys, tmp_path, doc, command):
+        code, out, err = run(capsys, command, "--config", write_config(tmp_path, doc),
+                             "--candidates", AI_CANDIDATES, "--format", "json")
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        json.loads(out, parse_constant=pytest.fail)
+
+    def test_zero_impact_cap_fails_physical_layer(self, capsys, tmp_path):
+        # (0.01 / 0.1) ** 1000 underflows: every weight cap is exactly zero
+        cfg = write_config(tmp_path, {"impact": {"c": 0.1, "delta": 0.001,
+                                                 "impact_cap": 0.01}})
+        code, out, err = run(capsys, "design", "--config", cfg,
+                             "--candidates", AI_CANDIDATES, "--format", "json")
+        assert code == 2 and "Traceback" not in err
+        physical = json.loads(out)["report"]["layers"]["physical"]
+        assert physical["passed"] is False
+        assert physical["bound"] == 0.0
+        assert physical["normalized_margin"] == -1.0
+
+    @pytest.mark.parametrize("constituents", [[["CHIP1", "x"]], 5],
+                             ids=["non_numeric_weight", "not_a_list"])
+    def test_malformed_design_exits_one(self, capsys, tmp_path, constituents):
+        design = tmp_path / "d.json"
+        design.write_text(json.dumps({"theme": "ai", "alpha": 0.02,
+                                      "constituents": constituents,
+                                      "kappa_a": 1.5, "kappa_c": 0.5}))
+        code, out, err = run(capsys, "check", "--config", AI_CONFIG,
+                             "--candidates", AI_CANDIDATES, "--design", str(design))
+        assert code == 1 and out == ""
+        assert err.startswith("error: constituents")

@@ -174,11 +174,11 @@ LOAD_EVENTS_ERRORS = [
      EVENT_HEADER + ROW_A + "2025-01-02,B,0.1,true,false\n2025-01-01,C,0.1,true,false\n",
      "events_out_of_order", "events row 4: dates must be strictly increasing"),
     ("duplicate id within a date", EVENT_HEADER + ROW_A + "2025-01-01,A,0.2,true,false\n",
-     "duplicate_id", "duplicate id 'A' in trades"),
+     "duplicate_id", "events row 3: duplicate id 'A'"),
     ("nan delta_w", EVENT_HEADER + ROW_A + "2025-01-01,B,nan,true,false\n", "not_finite",
-     "delta_w for B must be a finite number"),
+     "events row 3: delta_w for B must be a finite number"),
     ("inf delta_w", EVENT_HEADER + "2025-01-01,A,-inf,true,false\n", "not_finite",
-     "delta_w for A must be a finite number"),
+     "events row 2: delta_w for A must be a finite number"),
 ]
 
 

@@ -26,6 +26,7 @@ from satfeas import (
     trade_admissible,
     weight_entropy,
 )
+from satfeas.layers import asset_dw_min
 
 from conftest import make_asset, make_params
 
@@ -96,6 +97,14 @@ class TestWeightCaps:
         params = make_params(aum_usd=1e3, turnover_fraction=0.5)
         assert max_weight_impact(make_asset(adv_usd=1e9), params) == 1.0
 
+    @pytest.mark.parametrize("aum,c,delta,cap,adv", [
+        (1e5, 0.01, 0.001, 1.0, 1e6),  # 100 ** 1000 overflows the power
+        (1e308, 1e-10, 0.5, 1e308, 1e-300),  # cap / c is inf and the scale is 0
+    ])
+    def test_impact_cap_in_log_space_when_the_power_overflows(self, aum, c, delta, cap, adv):
+        params = make_params(aum_usd=aum, c=c, delta=delta, impact_cap=cap)
+        assert max_weight_impact(make_asset(adv_usd=adv), params) == 1.0
+
     def test_participation_hand_cases(self):
         params = make_params(aum_usd=1e5, turnover_fraction=1.0, participation_cap=0.05)
         assert max_weight_participation(make_asset(adv_usd=1e6), params) == pytest.approx(
@@ -134,6 +143,15 @@ class TestCostDominance:
         assert min_weight_change(EconParams(50.0, 5.0)) == pytest.approx(0.1, abs=1e-15)
         assert min_weight_change(EconParams(30.0, 0.0)) == 0.0
         assert min_weight_change(EconParams(25.0, 2.0)) == pytest.approx(0.08, abs=1e-15)
+
+    def test_asset_threshold_uses_cost_override(self):
+        econ = EconParams(50.0, 5.0)
+        assert asset_dw_min(make_asset(), econ) == min_weight_change(econ)
+        assert asset_dw_min(make_asset(round_trip_cost_bps=500.0), econ) == 0.01
+        # a zero-cost override: nothing to clear at zero effect, nothing clears it otherwise
+        free = make_asset(round_trip_cost_bps=0.0)
+        assert asset_dw_min(free, EconParams(50.0, 0.0)) == 0.0
+        assert asset_dw_min(free, econ) == math.inf
 
     def test_boundary_trade_is_admissible(self):
         econ = EconParams(50.0, 5.0)

@@ -3,7 +3,6 @@
 import pytest
 
 from satfeas import (
-    Asset,
     EconParams,
     EntropyParams,
     ExclusionCategory,
@@ -111,27 +110,11 @@ class TestValidation:
 
 
 class TestRoundTrips:
-    def test_asset_dict_round_trip(self):
-        asset = make_asset(id="CHIP1", tier=TierClass.B, adv_usd=2.5e6,
-                           exclusion=ExclusionCategory.THEMATIC_ETF,
-                           round_trip_cost_bps=12.5)
-        assert Asset.from_dict(asset.to_dict()) == asset
-
     def test_design_dict_round_trip(self):
         design = SatelliteDesign(theme="ai", alpha=0.1,
                                  constituents=(("a", 0.06), ("b", 0.04)),
                                  kappa_a=1.5, kappa_c=0.5)
         assert SatelliteDesign.from_dict(design.to_dict()) == design
-
-    def test_portfolio_dict_round_trip(self):
-        sat = SatelliteDesign(theme="t", alpha=0.2, constituents=(("a", 0.2),))
-        pf = Portfolio(core_weights=(("c1", 0.5), ("c2", 0.3)), satellite=sat)
-        assert Portfolio.from_dict(pf.to_dict()) == pf
-
-    def test_proposal_dict_round_trip(self):
-        prop = RebalanceProposal(trades=(("a", 0.1), ("b", -0.02)),
-                                 schedule_due=True, structural_break=False)
-        assert RebalanceProposal.from_dict(prop.to_dict()) == prop
 
     def test_unknown_keys_rejected(self):
         design = SatelliteDesign(theme="t", alpha=0.1, constituents=(("a", 0.1),))
