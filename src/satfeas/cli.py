@@ -32,6 +32,7 @@ from .model import (
     RebalanceProposal,
     SatelliteDesign,
     ValidationError,
+    to_json,
 )
 from .replay import replay
 
@@ -119,7 +120,7 @@ def _cmd_bounds(args) -> int:
         candidates = load_candidates(path)
     bounds = compute_bounds(cfg.params, candidates)
     if args.format == "json":
-        _emit(json_bytes(bounds.to_dict()))
+        _emit(json_bytes(to_json(bounds)))
     else:
         lines = bounds_lines(bounds)
         if bounds.weight_caps_impact is not None:
@@ -199,14 +200,14 @@ def _cmd_replay(args) -> int:
         core_pairs = (("CORE", remainder),) if remainder > 0 else ()
     portfolio = Portfolio(core_weights=core_pairs, satellite=design)
     stats = replay(events, cfg.params, portfolio, assets)
-    d = stats.to_dict()
+    d = to_json(stats)
     if args.format == "json":
         _emit(json_bytes(d))
     else:
         rows = [(key, str(d[key]))
                 for key in ("events_total", "trades_proposed", "trades_executed")]
         rows += [(f"suppressed[{reason}]", str(count))
-                 for reason, count in d["trades_suppressed_by_reason"].items()]
+                 for reason, count in sorted(d["trades_suppressed_by_reason"].items())]
         rows += [(key, format(d[key], ".10g"))
                  for key in ("gross_turnover_executed", "max_participation_observed")]
         width = max(len(label) for label, _ in rows) + 2  # every value in one column

@@ -10,7 +10,7 @@ object is a valid config.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -51,33 +51,34 @@ class RunConfig:
     core_weights_path: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        d = self.params.to_dict()
+        d = asdict(self.params)
         d["theme"] = self.theme
         d["tilts"] = {"kappa_a": self.kappa_a, "kappa_c": self.kappa_c}
-        if self.candidates_path is not None:
-            d["candidates"] = self.candidates_path
-        if self.core_weights_path is not None:
-            d["core_weights"] = self.core_weights_path
+        d["candidates"] = self.candidates_path
+        d["core_weights"] = self.core_weights_path
         return d
-
-
-def _section(data: Mapping[str, Any], name: str, known: set[str]) -> dict[str, Any]:
-    raw = data.get(name, {})
-    if not isinstance(raw, Mapping):
-        raise ValidationError(f"{name} must be an object", code="bad_section", field=name)
-    for key in raw:
-        if key not in known:
-            raise ValidationError(f"unknown config key '{name}.{key}'",
-                                  code="unknown_key", field=f"{name}.{key}")
-    merged = dict(DEFAULTS[name])
-    merged.update(raw)
-    return merged
 
 
 def _number(value: Any, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{key} must be a number", code="bad_type", field=key)
     return float(value)
+
+
+def _section(data: Mapping[str, Any], name: str) -> dict[str, float | None]:
+    """Section ``name`` over its defaults, each value a number (or null where the default is)."""
+    raw = data.get(name, {})
+    if not isinstance(raw, Mapping):
+        raise ValidationError(f"{name} must be an object", code="bad_section", field=name)
+    defaults = DEFAULTS[name]
+    for key in raw:
+        if key not in defaults:
+            raise ValidationError(f"unknown config key '{name}.{key}'",
+                                  code="unknown_key", field=f"{name}.{key}")
+    merged = {**defaults, **raw}
+    return {key: None if value is None and defaults[key] is None
+            else _number(value, f"{name}.{key}")
+            for key, value in merged.items()}
 
 
 def _prefixed(e: ValidationError, name: str) -> ValidationError:
@@ -89,68 +90,39 @@ def _build(data: Mapping[str, Any]) -> RunConfig:
     if not isinstance(data, Mapping):
         raise ValidationError("config root must be a JSON object", code="not_an_object",
                               field="config")
-    top_known = {"aum_usd", "turnover_fraction", "theme", "impact", "econ",
-                 "structural", "entropy", "tilts", "candidates", "core_weights"}
     for key in data:
-        if key not in top_known:
+        if key not in DEFAULTS:
             raise ValidationError(f"unknown config key {key!r}", code="unknown_key", field=key)
 
-    def section_params(name: str, cls, keys: set[str], optional_none: set[str] = frozenset()):
-        merged = _section(data, name, keys)
-        kwargs = {}
-        for key in keys:
-            v = merged[key]
-            if v is None and key in optional_none:
-                kwargs[key] = None
-            else:
-                kwargs[key] = _number(v, f"{name}.{key}")
+    def section_params(name: str, cls):
         try:
-            return cls(**kwargs)
+            return cls(**_section(data, name))
         except ValidationError as e:
             raise _prefixed(e, name) from None
 
-    impact = section_params("impact", ImpactParams,
-                            {"c", "delta", "impact_cap", "participation_cap"},
-                            optional_none={"participation_cap"})
-    econ = section_params("econ", EconParams, {"round_trip_cost_bps", "min_effect_bps"})
-    structural = section_params("structural", StructuralParams,
-                                {"loss_tolerance", "max_drawdown",
-                                 "alpha_policy_min", "alpha_policy_max"})
-    entropy = section_params("entropy", EntropyParams, {"delta_h_max"})
+    sections = {name: section_params(name, cls) for name, cls in (
+        ("impact", ImpactParams), ("econ", EconParams),
+        ("structural", StructuralParams), ("entropy", EntropyParams))}
+    top = {**DEFAULTS, **data}
+    params = FeasibilityParams(
+        aum_usd=_number(top["aum_usd"], "aum_usd"),
+        turnover_fraction=_number(top["turnover_fraction"], "turnover_fraction"), **sections)
 
+    tilts = _section(data, "tilts")
     try:
-        params = FeasibilityParams(
-            aum_usd=_number(data.get("aum_usd", DEFAULTS["aum_usd"]), "aum_usd"),
-            turnover_fraction=_number(data.get("turnover_fraction",
-                                               DEFAULTS["turnover_fraction"]),
-                                      "turnover_fraction"),
-            impact=impact, econ=econ, structural=structural, entropy=entropy,
-        )
-    except ValidationError as e:
-        raise ValidationError(str(e), code=e.code, field=e.field) from None
-
-    tilts = _section(data, "tilts", {"kappa_a", "kappa_c"})
-    kappa_a = _number(tilts["kappa_a"], "tilts.kappa_a")
-    kappa_c = _number(tilts["kappa_c"], "tilts.kappa_c")
-    try:
-        check_kappas(kappa_a, kappa_c)
+        check_kappas(tilts["kappa_a"], tilts["kappa_c"])
     except ValidationError as e:
         raise _prefixed(e, "tilts") from None
 
-    theme = data.get("theme", DEFAULTS["theme"])
-    if not isinstance(theme, str):
+    if not isinstance(top["theme"], str):
         raise ValidationError("theme must be a string", code="bad_type", field="theme")
-
-    paths = {}
     for key in ("candidates", "core_weights"):
-        v = data.get(key, DEFAULTS[key])
-        if v is not None and not isinstance(v, str):
+        if top[key] is not None and not isinstance(top[key], str):
             raise ValidationError(f"{key} must be a path string", code="bad_type", field=key)
-        paths[key] = v
 
-    return RunConfig(params=params, kappa_a=kappa_a, kappa_c=kappa_c, theme=theme,
-                     candidates_path=paths["candidates"],
-                     core_weights_path=paths["core_weights"])
+    return RunConfig(params=params, kappa_a=tilts["kappa_a"], kappa_c=tilts["kappa_c"],
+                     theme=top["theme"], candidates_path=top["candidates"],
+                     core_weights_path=top["core_weights"])
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -27,6 +27,10 @@ from .model import (
     TierClass,
     Unbounded,
     ValidationError,
+    _strict_keys,
+    from_json,
+    to_json,
+    weight_sum,
 )
 from .replay import RebalanceEvent
 
@@ -77,6 +81,15 @@ def _parse_float(text: str, what: str, line: int) -> float:
     except ValueError:
         raise ValidationError(f"{what} row {line}: {text!r} is not a number",
                               code="bad_number", field=what) from None
+
+
+def _parse_finite(text: str, what: str, line: int, column: str, name: str) -> float:
+    """``text`` as a finite float; nan and inf are rejected at their row."""
+    value = _parse_float(text, what, line)
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} row {line}: {column} for {name} must be a finite number",
+                              code="not_finite", field=what)
+    return value
 
 
 def _check_new_id(seen: set[str], name: str, what: str, line: int) -> None:
@@ -146,12 +159,12 @@ def load_core_weights(path: str | Path) -> list[tuple[str, float]]:
     seen: set[str] = set()
     for line, (name, weight) in _read_rows(path, CORE_HEADER, "core_weights"):
         _check_new_id(seen, name, "core_weights", line)
-        w = _parse_float(weight, "core_weights", line)
+        w = _parse_finite(weight, "core_weights", line, "weight", name)
         if w < 0:
             raise ValidationError(f"core_weights row {line}: weight must be nonnegative",
                                   code="weight_must_be_nonnegative", field="core_weights")
         out.append((name, w))
-    total = math.fsum(w for _, w in out)
+    total = weight_sum(w for _, w in out)
     if abs(total - 1.0) > NORMALIZED_SUM_TOL:
         raise ValidationError(f"core weights sum to {total!r}, expected 1.0",
                               code="weights_not_normalized", field="core_weights")
@@ -164,7 +177,7 @@ def load_proposal_trades(path: str | Path) -> list[tuple[str, float]]:
     seen: set[str] = set()
     for line, (name, dw) in _read_rows(path, PROPOSAL_HEADER, "proposal"):
         _check_new_id(seen, name, "proposal", line)
-        out.append((name, _parse_float(dw, "proposal", line)))
+        out.append((name, _parse_finite(dw, "proposal", line, "delta_w", name)))
     return out
 
 
@@ -209,37 +222,34 @@ def load_events(path: str | Path) -> list[RebalanceEvent]:
                 f"events row {line}: governance flags differ within date {key}",
                 code="inconsistent_flags", field="events")
         _check_new_id(seen, name, "events", line)
-        value = _parse_float(dw, "events", line)
-        if not math.isfinite(value):
-            raise ValidationError(f"events row {line}: delta_w for {name} must be a finite number",
-                                  code="not_finite", field="events")
-        group.append((name, value))
+        group.append((name, _parse_finite(dw, "events", line, "delta_w", name)))
     if group:
         flush()
     return events
 
 
 def json_bytes(doc: Any) -> bytes:
-    """``doc`` as stable-key-ordered, indented JSON ending in a newline."""
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """``doc`` as stable-key-ordered, indented JSON ending in a newline (dataclasses by to_json)."""
+    return (json.dumps(doc, sort_keys=True, indent=2, default=to_json) + "\n").encode("utf-8")
 
 
 def emit_report(report: FeasibilityReport, design: SatelliteDesign,
                 fmt: str = "text") -> bytes:
     """Render a report plus its design as stable JSON or a fixed-width table."""
     if fmt == "json":
-        return json_bytes({"design": design.to_dict(), "report": report.to_dict()})
+        return json_bytes({"design": to_json(design), "report": to_json(report)})
     if fmt == "text":
         return _render_text(report, design).encode("utf-8")
     raise ValidationError(f"unknown report format {fmt!r}", code="bad_format", field="format")
 
 
 def parse_report(data: bytes | str) -> tuple[FeasibilityReport, SatelliteDesign]:
-    """Inverse of :func:`emit_report` for the JSON format."""
+    """Inverse of :func:`emit_report` for JSON; a malformed shape raises ValidationError."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    doc = json.loads(data)
-    return FeasibilityReport.from_dict(doc["report"]), SatelliteDesign.from_dict(doc["design"])
+    doc = _strict_keys(json.loads(data), {"design", "report"}, "report document")
+    return (from_json(FeasibilityReport, doc["report"], "report"),
+            SatelliteDesign.from_dict(doc["design"]))
 
 
 def _cell(value: Any) -> str:

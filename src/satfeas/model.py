@@ -12,7 +12,7 @@ most once, inside the operation that mixes them with fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -167,12 +167,6 @@ class ImpactParams:
                      "participation_cap must lie in (0,1] when present",
                      "participation_cap_out_of_range", "participation_cap")
 
-    def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {"c": self.c, "delta": self.delta, "impact_cap": self.impact_cap}
-        if self.participation_cap is not None:
-            d["participation_cap"] = self.participation_cap
-        return d
-
 
 @dataclass(frozen=True)
 class EconParams:
@@ -188,10 +182,6 @@ class EconParams:
         _finite(self.min_effect_bps, "min_effect_bps")
         _require(self.min_effect_bps >= 0, "min_effect_bps must be nonnegative",
                  "effect_must_be_nonnegative", "min_effect_bps")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"round_trip_cost_bps": self.round_trip_cost_bps,
-                "min_effect_bps": self.min_effect_bps}
 
 
 @dataclass(frozen=True)
@@ -216,10 +206,6 @@ class StructuralParams:
                  "alpha policy range must satisfy 0 <= alpha_policy_min <= alpha_policy_max <= 1",
                  "alpha_policy_out_of_range", "alpha_policy_min")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"loss_tolerance": self.loss_tolerance, "max_drawdown": self.max_drawdown,
-                "alpha_policy_min": self.alpha_policy_min, "alpha_policy_max": self.alpha_policy_max}
-
 
 @dataclass(frozen=True)
 class EntropyParams:
@@ -231,9 +217,6 @@ class EntropyParams:
         _finite(self.delta_h_max, "delta_h_max")
         _require(self.delta_h_max >= 0, "delta_h_max must be nonnegative",
                  "entropy_budget_must_be_nonnegative", "delta_h_max")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"delta_h_max": self.delta_h_max}
 
 
 @dataclass(frozen=True)
@@ -262,16 +245,6 @@ class FeasibilityParams:
             _require(isinstance(getattr(self, name), typ),
                      f"{name} must be a {typ.__name__}", "bad_section", name)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "aum_usd": self.aum_usd,
-            "turnover_fraction": self.turnover_fraction,
-            "impact": self.impact.to_dict(),
-            "econ": self.econ.to_dict(),
-            "structural": self.structural.to_dict(),
-            "entropy": self.entropy.to_dict(),
-        }
-
 
 def check_unique_ids(ids: Sequence[str], what: str) -> None:
     """Raise ``duplicate_id`` naming the first id that repeats in ``ids``."""
@@ -289,6 +262,14 @@ def check_kappas(kappa_a: float, kappa_c: float) -> None:
     _require(kappa_a >= 1, "kappa_a must be >= 1", "kappa_a_out_of_range", "kappa_a")
     _finite(kappa_c, "kappa_c")
     _require(0 < kappa_c <= 1, "kappa_c must lie in (0,1]", "kappa_c_out_of_range", "kappa_c")
+
+
+def weight_sum(weights: Iterable[float]) -> float:
+    """``math.fsum`` of nonnegative weights, ``inf`` where the sum leaves the float range."""
+    try:
+        return math.fsum(weights)
+    except OverflowError:
+        return math.inf
 
 
 def _check_weight_pairs(pairs: Iterable[tuple[str, float]], what: str) -> tuple[tuple[str, float], ...]:
@@ -331,7 +312,7 @@ class SatelliteDesign:
         object.__setattr__(self, "constituents",
                            _check_weight_pairs(self.constituents, "constituents"))
         check_kappas(self.kappa_a, self.kappa_c)
-        total = math.fsum(w for _, w in self.constituents)
+        total = weight_sum(w for _, w in self.constituents)
         _require(abs(total - self.alpha) <= WEIGHT_TOL,
                  f"constituent weights sum to {total!r}, expected alpha={self.alpha!r}",
                  "weights_do_not_sum_to_alpha", "constituents")
@@ -340,20 +321,9 @@ class SatelliteDesign:
     def ids(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.constituents)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "theme": self.theme,
-            "alpha": self.alpha,
-            "constituents": [[name, w] for name, w in self.constituents],
-            "kappa_a": self.kappa_a,
-            "kappa_c": self.kappa_c,
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SatelliteDesign":
-        d = _strict_keys(data, {"theme", "alpha", "constituents", "kappa_a", "kappa_c"},
-                         set(), "design")
-        return cls(**d)
+        return from_json(cls, data, "design")
 
 
 @dataclass(frozen=True)
@@ -368,8 +338,8 @@ class Portfolio:
                            _check_weight_pairs(self.core_weights, "core_weights"))
         _require(isinstance(self.satellite, SatelliteDesign), "satellite must be a SatelliteDesign",
                  "bad_satellite", "satellite")
-        total = math.fsum(w for _, w in self.core_weights) + \
-            math.fsum(w for _, w in self.satellite.constituents)
+        total = weight_sum(w for _, w in self.core_weights) + \
+            weight_sum(w for _, w in self.satellite.constituents)
         _require(abs(total - 1.0) <= WEIGHT_TOL,
                  f"portfolio weights sum to {total!r}, expected 1.0",
                  "weights_do_not_sum_to_one", "core_weights")
@@ -423,25 +393,6 @@ class LayerVerdict:
     usage: float | None = None
     detail: str | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        bound: Any = self.bound
-        if isinstance(bound, Unbounded):
-            bound = "unbounded"
-        return {"passed": self.passed, "margin": self.margin,
-                "normalized_margin": self.normalized_margin,
-                "bound": bound, "usage": self.usage, "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LayerVerdict":
-        d = _strict_keys(data, {"passed", "margin", "normalized_margin", "bound",
-                                "usage", "detail"}, set(), "layer verdict")
-        bound = d["bound"]
-        if bound == "unbounded":
-            bound = UNBOUNDED
-        return cls(passed=d["passed"], margin=d["margin"],
-                   normalized_margin=d["normalized_margin"], bound=bound,
-                   usage=d["usage"], detail=d["detail"])
-
 
 @dataclass(frozen=True)
 class DerivedBounds:
@@ -458,34 +409,6 @@ class DerivedBounds:
     k_max_entropy: int
     weight_caps_impact: dict[str, float] | None = None
     weight_caps_participation: dict[str, float] | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        k_econ: Any = self.k_max_econ
-        if isinstance(k_econ, Unbounded):
-            k_econ = "unbounded"
-        return {
-            "alpha_max_structural": self.alpha_max_structural,
-            "alpha_effective": self.alpha_effective,
-            "delta_w_min": self.delta_w_min,
-            "k_max_econ": k_econ,
-            "k_max_entropy": self.k_max_entropy,
-            "weight_caps_impact": self.weight_caps_impact,
-            "weight_caps_participation": self.weight_caps_participation,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DerivedBounds":
-        d = _strict_keys(data, {"alpha_max_structural", "alpha_effective", "delta_w_min",
-                                "k_max_econ", "k_max_entropy", "weight_caps_impact",
-                                "weight_caps_participation"}, set(), "derived bounds")
-        k_econ = d["k_max_econ"]
-        if k_econ == "unbounded":
-            k_econ = UNBOUNDED
-        return cls(alpha_max_structural=d["alpha_max_structural"],
-                   alpha_effective=d["alpha_effective"], delta_w_min=d["delta_w_min"],
-                   k_max_econ=k_econ, k_max_entropy=d["k_max_entropy"],
-                   weight_caps_impact=d["weight_caps_impact"],
-                   weight_caps_participation=d["weight_caps_participation"])
 
 
 @dataclass(frozen=True)
@@ -511,39 +434,63 @@ class FeasibilityReport:
         _require(self.admissible == conj,
                  "admissible must equal the conjunction of layer verdicts",
                  "admissibility_mismatch", "admissible")
+        _require(isinstance(self.notes, (list, tuple))
+                 and all(isinstance(note, str) for note in self.notes),
+                 "notes must be a list of strings", "bad_notes", "notes")
         object.__setattr__(self, "notes", tuple(self.notes))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "admissible": self.admissible,
-            "binding_layer": self.binding_layer,
-            "derived_bounds": self.derived_bounds.to_dict(),
-            "layers": {name: v.to_dict() for name, v in self.layer_verdicts.items()},
-            "notes": list(self.notes),
-        }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FeasibilityReport":
-        d = _strict_keys(data, {"admissible", "binding_layer", "derived_bounds",
-                                "layers", "notes"}, set(), "report")
-        verdicts = {name: LayerVerdict.from_dict(v) for name, v in d["layers"].items()}
-        ordered = {name: verdicts[name] for name in LAYERS if name in verdicts}
-        ordered.update({k: v for k, v in verdicts.items() if k not in ordered})
-        return cls(admissible=d["admissible"], layer_verdicts=ordered,
-                   derived_bounds=DerivedBounds.from_dict(d["derived_bounds"]),
-                   binding_layer=d["binding_layer"], notes=tuple(d["notes"]))
+#: JSON keys that differ from their field names.
+_JSON_KEYS = {"layer_verdicts": "layers"}
 
 
-def _strict_keys(data: Mapping[str, Any], required: set[str], optional: set[str],
-                 path: str) -> dict[str, Any]:
+def to_json(value: Any) -> Any:
+    """``value`` as JSON data: a dataclass becomes the dict of its fields, each converted.
+
+    ``UNBOUNDED`` becomes "unbounded"; anything else (tuples, the per-asset cap
+    dicts) passes unchanged. ``io.json_bytes`` also hands this function to
+    ``json.dumps`` as ``default``, which reaches the verdicts inside ``layers``.
+    """
+    if isinstance(value, Unbounded):
+        return "unbounded"
+    if is_dataclass(value):
+        return {_JSON_KEYS.get(f.name, f.name): to_json(getattr(value, f.name))
+                for f in fields(value)}
+    return value
+
+
+def from_json(cls: type, data: Any, what: str) -> Any:
+    """The strict inverse of :func:`to_json`: every field key is required, no other accepted.
+
+    "unbounded" is restored only on fields annotated ``Unbounded``; the derived
+    bounds and the per-layer verdicts (in cascade order) are decoded in turn.
+    """
+    keyed = [(f, _JSON_KEYS.get(f.name, f.name)) for f in fields(cls)]
+    d = _strict_keys(data, {key for _, key in keyed}, what)
+    kwargs = {}
+    for f, key in keyed:
+        value = d[key]
+        if f.type == "DerivedBounds":
+            value = from_json(DerivedBounds, value, f"{what}.{key}")
+        elif f.type == "dict[str, LayerVerdict]":
+            verdicts = _strict_keys(value, set(LAYERS), f"{what}.{key}")
+            value = {name: from_json(LayerVerdict, verdicts[name], f"{what}.{key}.{name}")
+                     for name in LAYERS}
+        elif "Unbounded" in f.type and value == "unbounded":
+            value = UNBOUNDED
+        kwargs[f.name] = value
+    return cls(**kwargs)
+
+
+def _strict_keys(data: Any, keys: set[str], path: str) -> dict[str, Any]:
     """Reject unknown keys and report missing ones, returning a plain dict."""
     if not isinstance(data, Mapping):
         raise ValidationError(f"{path} must be an object", "not_an_object", path)
-    unknown = sorted(set(data) - required - optional)
+    unknown = sorted(set(data) - keys)
     if unknown:
         raise ValidationError(f"{path} has unknown key {unknown[0]!r}", "unknown_key",
                               f"{path}.{unknown[0]}")
-    missing = sorted(required - set(data))
+    missing = sorted(keys - set(data))
     if missing:
         raise ValidationError(f"{path} is missing key {missing[0]!r}", "missing_key",
                               f"{path}.{missing[0]}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cascade import _asset_map, filter_rebalance
 from .model import Asset, FeasibilityParams, Portfolio, RebalanceProposal, ValidationError
@@ -51,17 +51,6 @@ class ReplayStats:
             raise ValidationError(
                 "executed plus suppressed trade counts must equal proposed",
                 code="stats_inconsistent", field="trades_proposed")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "events_total": self.events_total,
-            "trades_proposed": self.trades_proposed,
-            "trades_executed": self.trades_executed,
-            "trades_suppressed_by_reason": dict(sorted(
-                self.trades_suppressed_by_reason.items())),
-            "gross_turnover_executed": self.gross_turnover_executed,
-            "max_participation_observed": self.max_participation_observed,
-        }
 
 
 @dataclass(frozen=True)

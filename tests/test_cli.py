@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from satfeas import UNBOUNDED
 from satfeas.cli import main
+from satfeas.io import parse_report
 
 from conftest import FIXTURES
 
@@ -251,3 +253,45 @@ class TestExtremeInputs:
                              "--candidates", AI_CANDIDATES, "--design", str(design))
         assert code == 1 and out == ""
         assert err.startswith("error: constituents")
+
+    def test_design_weights_past_float_range_exit_one(self, capsys, tmp_path):
+        design = tmp_path / "d.json"
+        design.write_text(json.dumps({"theme": "ai", "alpha": 0.1,
+                                      "constituents": [["CHIP1", 1e308], ["FAB1", 1e308]],
+                                      "kappa_a": 1.5, "kappa_c": 0.5}))
+        code, out, err = run(capsys, "check", "--config", AI_CONFIG,
+                             "--candidates", AI_CANDIDATES, "--design", str(design))
+        assert (code, out) == (1, "")
+        assert err == "error: constituent weights sum to inf, expected alpha=0.1\n"
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_core_weight_exits_one(self, capsys, tmp_path, weight):
+        core = tmp_path / "core.csv"
+        core.write_text(f"id,weight\nCORE1,{weight}\n")
+        code, out, err = run(capsys, "design", "--config", AI_CONFIG,
+                             "--candidates", AI_CANDIDATES, "--core-weights", str(core))
+        assert (code, out) == (1, "")
+        assert err == "error: core_weights row 2: weight for CORE1 must be a finite number\n"
+
+
+class TestUnboundedEncoding:
+    """A zero minimum effect makes the economic breadth bound vacuous."""
+
+    def config(self, tmp_path):
+        cfg = json.loads((FIXTURES / "ai_config.json").read_text())
+        cfg["econ"]["min_effect_bps"] = 0
+        return write_config(tmp_path, cfg)
+
+    def test_bounds_json_prints_unbounded(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "bounds", "--config", self.config(tmp_path),
+                           "--format", "json")
+        assert code == 0
+        assert '  "k_max_econ": "unbounded",' in out.splitlines()
+
+    def test_design_json_round_trips_unbounded(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "design", "--config", self.config(tmp_path),
+                           "--candidates", AI_CANDIDATES, "--format", "json")
+        assert code == 0
+        report, _design = parse_report(out)
+        assert report.derived_bounds.k_max_econ is UNBOUNDED
+        assert report.layer_verdicts["economic"].bound is UNBOUNDED

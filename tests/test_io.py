@@ -1,5 +1,6 @@
 """CSV ingestion and report emission."""
 
+import json
 from datetime import date
 
 import pytest
@@ -102,6 +103,26 @@ class TestOtherLoaders:
         with pytest.raises(ValidationError) as err:
             load_core_weights(path)
         assert err.value.code == "weights_not_normalized"
+
+    def test_core_weights_sum_past_float_range(self, tmp_path):
+        path = write(tmp_path, "core.csv", "id,weight\nC1,1e308\nC2,1e308\n")
+        with pytest.raises(ValidationError) as err:
+            load_core_weights(path)
+        assert err.value.code == "weights_not_normalized"
+        assert "sum to inf" in str(err.value)
+
+    @pytest.mark.parametrize("loader,header,message", [
+        (load_core_weights, "id,weight", "core_weights row 3: weight for C2"),
+        (load_proposal_trades, "id,delta_w", "proposal row 3: delta_w for C2"),
+    ], ids=["core", "proposal"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected_at_its_row(self, tmp_path, loader, header,
+                                                  message, value):
+        path = write(tmp_path, "f.csv", f"{header}\nC1,1.0\nC2,{value}\n")
+        with pytest.raises(ValidationError) as err:
+            loader(path)
+        assert err.value.code == "not_finite"
+        assert str(err.value) == f"{message} must be a finite number"
 
     def test_proposal_loader(self, tmp_path):
         path = write(tmp_path, "p.csv", "id,delta_w\nA1,0.02\nA2,-0.01\n")
@@ -244,3 +265,56 @@ class TestEmitReport:
         report, design = self.run_fixture()
         with pytest.raises(ValidationError):
             emit_report(report, design, "yaml")
+
+
+
+_DROP = object()
+
+
+def _edit(*path, value=_DROP):
+    """An edit of a report document: the value at ``path`` replaced, or dropped."""
+    def edit(doc):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        return doc
+    return edit
+
+
+#: (case, edit of a valid report document, error code, field named).
+PARSE_REPORT_ERRORS = [
+    ("root not an object", lambda doc: [doc], "not_an_object", "report document"),
+    ("report missing", _edit("report"), "missing_key", "report document.report"),
+    ("design missing", _edit("design"), "missing_key", "report document.design"),
+    ("unknown root key", _edit("extra", value=1), "unknown_key", "report document.extra"),
+    ("report not an object", _edit("report", value=5), "not_an_object", "report"),
+    ("layers not an object", _edit("report", "layers", value=5), "not_an_object",
+     "report.layers"),
+    ("layer missing", _edit("report", "layers", "physical"), "missing_key",
+     "report.layers.physical"),
+    ("unknown layer", _edit("report", "layers", "social", value={}), "unknown_key",
+     "report.layers.social"),
+    ("verdict not an object", _edit("report", "layers", "domain", value=5), "not_an_object",
+     "report.layers.domain"),
+    ("verdict key missing", _edit("report", "layers", "domain", "margin"), "missing_key",
+     "report.layers.domain.margin"),
+    ("bounds not an object", _edit("report", "derived_bounds", value=5), "not_an_object",
+     "report.derived_bounds"),
+    ("bounds key unknown", _edit("report", "derived_bounds", "k_max", value=3), "unknown_key",
+     "report.derived_bounds.k_max"),
+    ("notes not a list", _edit("report", "notes", value=5), "bad_notes", "notes"),
+    ("design not an object", _edit("design", value=5), "not_an_object", "design"),
+]
+
+
+@pytest.mark.parametrize("edit,code,field", [case[1:] for case in PARSE_REPORT_ERRORS],
+                         ids=[case[0] for case in PARSE_REPORT_ERRORS])
+def test_parse_report_rejects_malformed_shapes(edit, code, field):
+    doc = json.loads(emit_report(*TestEmitReport().run_fixture(), "json"))
+    with pytest.raises(ValidationError) as err:
+        parse_report(json.dumps(edit(doc)))
+    assert (err.value.code, err.value.field) == (code, field)

@@ -15,6 +15,7 @@ from satfeas import (
     TierClass,
     ValidationError,
 )
+from satfeas.model import to_json
 
 from conftest import make_asset, make_params
 
@@ -114,11 +115,11 @@ class TestRoundTrips:
         design = SatelliteDesign(theme="ai", alpha=0.1,
                                  constituents=(("a", 0.06), ("b", 0.04)),
                                  kappa_a=1.5, kappa_c=0.5)
-        assert SatelliteDesign.from_dict(design.to_dict()) == design
+        assert SatelliteDesign.from_dict(to_json(design)) == design
 
     def test_unknown_keys_rejected(self):
         design = SatelliteDesign(theme="t", alpha=0.1, constituents=(("a", 0.1),))
-        data = design.to_dict()
+        data = to_json(design)
         data["alpha_forecast"] = 0.2
         with pytest.raises(ValidationError, match="unknown key"):
             SatelliteDesign.from_dict(data)
