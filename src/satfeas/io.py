@@ -64,14 +64,15 @@ def _read_rows(path: str | Path, header: list[str],
                 f"{what} file {p} must have header {','.join(header)!r}, got {','.join(got)!r}",
                 code="bad_header", field=what)
         rows = []
+        append, strip = rows.append, str.strip
         for lineno, row in enumerate(reader, start=2):
-            cells = tuple(map(str.strip, row))
+            cells = tuple(map(strip, row))
             if not any(cells):
                 continue
             if len(cells) != width:
                 raise ValidationError(f"{what} row {lineno} has {len(cells)} fields, "
                                       f"expected {width}", code="bad_row", field=what)
-            rows.append((lineno, cells))
+            append((lineno, cells))
         return rows
 
 
@@ -93,10 +94,11 @@ def _parse_finite(text: str, what: str, line: int, column: str, name: str) -> fl
 
 
 def _check_new_id(seen: set[str], name: str, what: str, line: int) -> None:
-    """Record ``name`` in ``seen``, rejecting an id already there."""
+    """Record ``name`` in ``seen``, rejecting an empty id or one already there."""
+    if not name:
+        raise ValidationError(f"{what} row {line}: id must be a nonempty string", "bad_id", what)
     if name in seen:
-        raise ValidationError(f"{what} row {line}: duplicate id {name!r}",
-                              code="duplicate_id", field=what)
+        raise ValidationError(f"{what} row {line}: duplicate id {name!r}", "duplicate_id", what)
     seen.add(name)
 
 
@@ -119,24 +121,23 @@ def load_candidates(path: str | Path) -> list[Asset]:
     """
     assets: list[Asset] = []
     seen: set[str] = set()
+    tiers, exclusions = TierClass._value2member_map_, ExclusionCategory._value2member_map_
     for line, (name, tier, adv, cost, gaer, exclusion) in _read_rows(
             path, CANDIDATE_HEADER, "candidates"):
         _check_new_id(seen, name, "candidates", line)
-        override = None
-        if cost:
-            override = _parse_float(cost, "candidates", line)
-        try:
-            asset = Asset(
-                id=name,
-                tier=TierClass.parse(tier),
-                adv_usd=_parse_float(adv, "candidates", line),
-                gaer_admissible=_parse_bool(gaer, "candidates", line),
-                exclusion=ExclusionCategory.parse(exclusion),
-                round_trip_cost_bps=override,
-            )
-        except ValidationError as e:
-            raise ValidationError(f"candidates row {line}: {e.args[0]}",
-                                  code=e.code, field=e.field) from None
+        try:  # each cell parsed once; no message is built unless a check fails
+            asset = Asset(name, tiers[tier.upper()], float(adv), _BOOLS[gaer.lower()],
+                          exclusions[exclusion.lower()], float(cost) if cost else None)
+        except (KeyError, ValueError):  # parse the row again, in order, to name its error
+            try:
+                override = _parse_float(cost, "candidates", line) if cost else None
+                asset = Asset(name, TierClass.parse(tier), _parse_float(adv, "candidates", line),
+                              _parse_bool(gaer, "candidates", line),
+                              ExclusionCategory.parse(exclusion), override)
+            except ValidationError as e:
+                if e.field == "candidates":  # a cell parser's error names its row already
+                    raise
+                raise ValidationError(f"candidates row {line}: {e}", e.code, e.field) from None
         assets.append(asset)
     return assets
 

@@ -72,7 +72,8 @@ def _is_finite(x: Any) -> bool:
 
 
 def _finite(x: float, name: str) -> None:
-    _require(_is_finite(x), f"{name} must be a finite number", "not_finite", name)
+    if not _is_finite(x):  # no message is built unless the check fails: loaders check per row
+        raise ValidationError(f"{name} must be a finite number", "not_finite", name)
 
 
 class TierClass(str, Enum):
@@ -84,12 +85,10 @@ class TierClass(str, Enum):
 
     @classmethod
     def parse(cls, text: str) -> "TierClass":
-        try:
-            return cls(text.strip().upper())
-        except ValueError:
-            raise ValidationError(
-                f"tier must be one of A, B, C (got {text!r})", "bad_tier", "tier"
-            ) from None
+        member = cls._value2member_map_.get(text.strip().upper())
+        if member is None:
+            raise ValidationError(f"tier must be one of A, B, C (got {text!r})", "bad_tier", "tier")
+        return member
 
 
 class ExclusionCategory(str, Enum):
@@ -103,16 +102,14 @@ class ExclusionCategory(str, Enum):
 
     @classmethod
     def parse(cls, text: str) -> "ExclusionCategory":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValidationError(
-                f"exclusion must be one of {valid} (got {text!r})", "bad_exclusion", "exclusion"
-            ) from None
+        member = cls._value2member_map_.get(text.strip().lower())
+        if member is None:
+            raise ValidationError(f"exclusion must be one of {', '.join(cls._value2member_map_)} "
+                                  f"(got {text!r})", "bad_exclusion", "exclusion")
+        return member
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Asset:
     """One candidate sleeve constituent with liquidity and admissibility data.
 
@@ -128,20 +125,24 @@ class Asset:
     round_trip_cost_bps: float | None = None
 
     def __post_init__(self):
-        _require(isinstance(self.id, str) and self.id != "", "id must be a nonempty string",
-                 "bad_id", "id")
-        _require(isinstance(self.tier, TierClass), "tier must be a TierClass", "bad_tier", "tier")
+        if not (isinstance(self.id, str) and self.id):
+            raise ValidationError("id must be a nonempty string", "bad_id", "id")
+        if not isinstance(self.tier, TierClass):
+            raise ValidationError("tier must be a TierClass", "bad_tier", "tier")
         _finite(self.adv_usd, "adv_usd")
-        _require(self.adv_usd > 0, "adv_usd must be positive", "adv_must_be_positive", "adv_usd")
-        _require(isinstance(self.gaer_admissible, bool), "gaer_admissible must be a boolean",
-                 "bad_flag", "gaer_admissible")
-        _require(isinstance(self.exclusion, ExclusionCategory), "exclusion must be an ExclusionCategory",
-                 "bad_exclusion", "exclusion")
+        if not self.adv_usd > 0:
+            raise ValidationError("adv_usd must be positive", "adv_must_be_positive", "adv_usd")
+        if not isinstance(self.gaer_admissible, bool):
+            raise ValidationError("gaer_admissible must be a boolean", "bad_flag",
+                                  "gaer_admissible")
+        if not isinstance(self.exclusion, ExclusionCategory):
+            raise ValidationError("exclusion must be an ExclusionCategory", "bad_exclusion",
+                                  "exclusion")
         if self.round_trip_cost_bps is not None:
             _finite(self.round_trip_cost_bps, "round_trip_cost_bps")
-            _require(self.round_trip_cost_bps >= 0,
-                     "round_trip_cost_bps must be nonnegative when present",
-                     "cost_must_be_nonnegative", "round_trip_cost_bps")
+            if not self.round_trip_cost_bps >= 0:
+                raise ValidationError("round_trip_cost_bps must be nonnegative when present",
+                                      "cost_must_be_nonnegative", "round_trip_cost_bps")
 
 
 @dataclass(frozen=True)
@@ -392,6 +393,15 @@ class LayerVerdict:
     bound: float | Unbounded | None = None
     usage: float | None = None
     detail: str | None = None
+
+    def __post_init__(self):
+        _require(isinstance(self.passed, bool), "passed must be a boolean", "bad_flag", "passed")
+        for name in ("margin", "normalized_margin", "bound", "usage"):
+            v = getattr(self, name)
+            ok = v is None or type(v) in (int, float) or (name == "bound" and v is UNBOUNDED)
+            _require(ok, f"{name} must be a number or null", "bad_number", name)
+        _require(self.detail is None or isinstance(self.detail, str),
+                 "detail must be a string or null", "bad_detail", "detail")
 
 
 @dataclass(frozen=True)

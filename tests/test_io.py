@@ -1,11 +1,17 @@
 """CSV ingestion and report emission."""
 
+import csv
+import io as _io
 import json
+import sys
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satfeas import (
+    Asset,
     CascadeInput,
     ExclusionCategory,
     RebalanceEvent,
@@ -93,6 +99,108 @@ class TestLoadCandidates:
         assert load_candidates(path) == assets
 
 
+OK_ROW = "A,A,5e6,,true,none\n"
+EXCLUSIONS = ("pure_play_early_stage, small_cap_specialist, regime_opaque_jurisdiction, "
+              "thematic_etf, none")
+
+#: (case, file body, error code, message); rows count the header as row 1 and
+#: ``{path}`` stands for the file's path. A row with two bad cells reports the
+#: first in this order: id, cost, tier, adv_usd, gaer_admissible, exclusion,
+#: then the range checks of ``Asset`` (adv_usd before the cost).
+LOAD_CANDIDATES_ERRORS = [
+    ("empty file", "", "bad_header", "candidates file {path} is empty"),
+    ("bad header", "id,tier,adv\nX,A,5\n", "bad_header",
+     "candidates file {path} must have header "
+     "'id,tier,adv_usd,round_trip_cost_bps,gaer_admissible,exclusion', got 'id,tier,adv'"),
+    ("field count", CANDIDATE_HEADER + OK_ROW + "B,A,5e6,,true\n", "bad_row",
+     "candidates row 3 has 5 fields, expected 6"),
+    ("field count before a bad value", CANDIDATE_HEADER + "B,D,x,y,maybe,z\nC,A\n", "bad_row",
+     "candidates row 3 has 2 fields, expected 6"),
+    ("blank rows are skipped but counted",
+     CANDIDATE_HEADER + "\n" + OK_ROW + " , ,,,,\n\nB,A,x,,true,none\n", "bad_number",
+     "candidates row 6: 'x' is not a number"),
+    ("empty id", CANDIDATE_HEADER + OK_ROW + ",A,5e6,,true,none\n", "bad_id",
+     "candidates row 3: id must be a nonempty string"),
+    ("empty id before a bad cost", CANDIDATE_HEADER + " ,A,5e6,x,true,none\n", "bad_id",
+     "candidates row 2: id must be a nonempty string"),
+    ("duplicate id", CANDIDATE_HEADER + OK_ROW + "A,B,1e6,,false,none\n", "duplicate_id",
+     "candidates row 3: duplicate id 'A'"),
+    ("duplicate id before a bad cost", CANDIDATE_HEADER + OK_ROW + "A,A,5e6,x,true,none\n",
+     "duplicate_id", "candidates row 3: duplicate id 'A'"),
+    ("bad cost", CANDIDATE_HEADER + "A,A,5e6,cheap,true,none\n", "bad_number",
+     "candidates row 2: 'cheap' is not a number"),
+    ("bad cost before a bad tier", CANDIDATE_HEADER + "A,D,5e6,cheap,true,none\n", "bad_number",
+     "candidates row 2: 'cheap' is not a number"),
+    ("bad tier", CANDIDATE_HEADER + "A,D,5e6,,true,none\n", "bad_tier",
+     "candidates row 2: tier must be one of A, B, C (got 'D')"),
+    ("bad tier before a bad adv_usd", CANDIDATE_HEADER + "A,AB,abc,,true,none\n", "bad_tier",
+     "candidates row 2: tier must be one of A, B, C (got 'AB')"),
+    ("bad adv_usd", CANDIDATE_HEADER + "A,A,abc,,true,none\n", "bad_number",
+     "candidates row 2: 'abc' is not a number"),
+    ("bad adv_usd before a bad flag", CANDIDATE_HEADER + "A,A,abc,,maybe,none\n", "bad_number",
+     "candidates row 2: 'abc' is not a number"),
+    ("bad flag", CANDIDATE_HEADER + "A,A,5e6,,yes,none\n", "bad_boolean",
+     "candidates row 2: expected true or false, got 'yes'"),
+    ("bad flag before a bad exclusion", CANDIDATE_HEADER + "A,A,5e6,,1,etf\n", "bad_boolean",
+     "candidates row 2: expected true or false, got '1'"),
+    ("bad exclusion", CANDIDATE_HEADER + "A,A,5e6,,true,etf\n", "bad_exclusion",
+     f"candidates row 2: exclusion must be one of {EXCLUSIONS} (got 'etf')"),
+    ("bad exclusion before a range check", CANDIDATE_HEADER + "A,A,-1,-1,true,etf\n",
+     "bad_exclusion", f"candidates row 2: exclusion must be one of {EXCLUSIONS} (got 'etf')"),
+    ("nan adv_usd", CANDIDATE_HEADER + "A,A,nan,,true,none\n", "not_finite",
+     "candidates row 2: adv_usd must be a finite number"),
+    ("infinite adv_usd before a negative cost", CANDIDATE_HEADER + "A,A,inf,-1,true,none\n",
+     "not_finite", "candidates row 2: adv_usd must be a finite number"),
+    ("zero adv_usd", CANDIDATE_HEADER + "A,A,0,,true,none\n", "adv_must_be_positive",
+     "candidates row 2: adv_usd must be positive"),
+    ("negative adv_usd before a nan cost", CANDIDATE_HEADER + "A,A,-5,nan,true,none\n",
+     "adv_must_be_positive", "candidates row 2: adv_usd must be positive"),
+    ("infinite cost", CANDIDATE_HEADER + "A,A,5e6,-inf,true,none\n", "not_finite",
+     "candidates row 2: round_trip_cost_bps must be a finite number"),
+    ("negative cost", CANDIDATE_HEADER + "A,A,5e6,-0.5,true,none\n", "cost_must_be_nonnegative",
+     "candidates row 2: round_trip_cost_bps must be nonnegative when present"),
+]
+
+
+@pytest.mark.parametrize("body,code,message",
+                         [case[1:] for case in LOAD_CANDIDATES_ERRORS],
+                         ids=[case[0] for case in LOAD_CANDIDATES_ERRORS])
+def test_load_candidates_error_table(tmp_path, body, code, message):
+    path = write(tmp_path, "u.csv", body)
+    with pytest.raises(ValidationError) as err:
+        load_candidates(path)
+    assert err.value.code == code
+    assert str(err.value) == message.format(path=path)
+
+
+_ASSET_IDS = st.text("ABCXYZabcxyz0123456789_.-", min_size=1, max_size=8)
+_ADVS = st.one_of(st.sampled_from([5e-324, 2.2e-310, 1e308, sys.float_info.max]),
+                  st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False))
+_COSTS = st.one_of(st.none(), st.just(0.0),
+                   st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+_ASSETS = st.lists(
+    st.builds(Asset, id=_ASSET_IDS, tier=st.sampled_from(TierClass), adv_usd=_ADVS,
+              gaer_admissible=st.booleans(), exclusion=st.sampled_from(ExclusionCategory),
+              round_trip_cost_bps=_COSTS),
+    max_size=12, unique_by=lambda a: a.id)
+_CASES = st.sampled_from([str.upper, str.lower, str.title, str.swapcase])
+
+
+@settings(max_examples=150, deadline=None)
+@given(assets=_ASSETS, cases=st.lists(st.tuples(_CASES, _CASES, _CASES), min_size=12,
+                                      max_size=12))
+def test_load_candidates_inverts_dump(tmp_path_factory, assets, cases):
+    """Every asset survives a dump and load; enum and flag cells in any case parse."""
+    rows = list(csv.reader(_io.StringIO(dump_candidates(assets))))
+    for row, (tier_case, flag_case, exclusion_case) in zip(rows[1:], cases):
+        row[1], row[4], row[5] = tier_case(row[1]), flag_case(row[4]), exclusion_case(row[5])
+    buf = _io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    path = tmp_path_factory.mktemp("dump") / "u.csv"
+    path.write_text(buf.getvalue())
+    assert load_candidates(path) == assets
+
+
 class TestOtherLoaders:
     def test_core_weights_normalized(self, tmp_path):
         path = write(tmp_path, "core.csv", "id,weight\nC1,0.6\nC2,0.4\n")
@@ -123,6 +231,17 @@ class TestOtherLoaders:
             loader(path)
         assert err.value.code == "not_finite"
         assert str(err.value) == f"{message} must be a finite number"
+
+    @pytest.mark.parametrize("loader,header,what", [
+        (load_core_weights, "id,weight", "core_weights"),
+        (load_proposal_trades, "id,delta_w", "proposal"),
+    ], ids=["core", "proposal"])
+    def test_empty_id_rejected_at_its_row(self, tmp_path, loader, header, what):
+        path = write(tmp_path, "f.csv", f"{header}\nC1,0.5\n,0.5\n")
+        with pytest.raises(ValidationError) as err:
+            loader(path)
+        assert err.value.code == "bad_id"
+        assert str(err.value) == f"{what} row 3: id must be a nonempty string"
 
     def test_proposal_loader(self, tmp_path):
         path = write(tmp_path, "p.csv", "id,delta_w\nA1,0.02\nA2,-0.01\n")
@@ -194,6 +313,8 @@ LOAD_EVENTS_ERRORS = [
     ("date repeated after another date",
      EVENT_HEADER + ROW_A + "2025-01-02,B,0.1,true,false\n2025-01-01,C,0.1,true,false\n",
      "events_out_of_order", "events row 4: dates must be strictly increasing"),
+    ("empty id", EVENT_HEADER + ROW_A + "2025-01-01, ,0.1,true,false\n", "bad_id",
+     "events row 3: id must be a nonempty string"),
     ("duplicate id within a date", EVENT_HEADER + ROW_A + "2025-01-01,A,0.2,true,false\n",
      "duplicate_id", "events row 3: duplicate id 'A'"),
     ("nan delta_w", EVENT_HEADER + ROW_A + "2025-01-01,B,nan,true,false\n", "not_finite",
@@ -302,6 +423,23 @@ PARSE_REPORT_ERRORS = [
      "report.layers.domain"),
     ("verdict key missing", _edit("report", "layers", "domain", "margin"), "missing_key",
      "report.layers.domain.margin"),
+    ("passed not a bool", _edit("report", "layers", "domain", "passed", value="no"),
+     "bad_flag", "passed"),
+    ("passed a number", _edit("report", "layers", "physical", "passed", value=1), "bad_flag",
+     "passed"),
+    ("margin a string", _edit("report", "layers", "domain", "margin", value="wide"),
+     "bad_number", "margin"),
+    ("margin unbounded", _edit("report", "layers", "economic", "margin", value="unbounded"),
+     "bad_number", "margin"),
+    ("normalized margin a bool",
+     _edit("report", "layers", "structural", "normalized_margin", value=True), "bad_number",
+     "normalized_margin"),
+    ("bound a string", _edit("report", "layers", "epistemic", "bound", value="3"), "bad_number",
+     "bound"),
+    ("usage a list", _edit("report", "layers", "physical", "usage", value=[0.1]), "bad_number",
+     "usage"),
+    ("detail a number", _edit("report", "layers", "domain", "detail", value=5), "bad_detail",
+     "detail"),
     ("bounds not an object", _edit("report", "derived_bounds", value=5), "not_an_object",
      "report.derived_bounds"),
     ("bounds key unknown", _edit("report", "derived_bounds", "k_max", value=3), "unknown_key",
