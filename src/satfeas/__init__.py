@@ -8,15 +8,7 @@ deterministic and non-predictive: no returns, factors, or forecasts enter
 anywhere.
 """
 
-from .cascade import (
-    REASON_GOVERNANCE,
-    REASON_IMPACT,
-    REASON_RESOLUTION,
-    CascadeInput,
-    compute_bounds,
-    filter_rebalance,
-    run_cascade,
-)
+from .cascade import CascadeInput, compute_bounds, filter_rebalance, run_cascade
 from .config import RunConfig, config_from_dict, load_config
 from .layers import (
     UNBOUNDED,
@@ -30,7 +22,6 @@ from .layers import (
     max_weight_impact,
     max_weight_participation,
     min_weight_change,
-    trade_admissible,
     weight_entropy,
 )
 from .model import (
@@ -53,7 +44,7 @@ from .model import (
     ValidationError,
 )
 from .replay import RebalanceEvent, ReplayStats, replay, replay_steps
-from .tiering import TierCounts, assign_tier_weights, eligibility_filter
+from .tiering import assign_tier_weights, eligibility_filter
 
 __version__ = "0.1.0"
 
@@ -70,9 +61,6 @@ __all__ = [
     "LAYERS",
     "LayerVerdict",
     "Portfolio",
-    "REASON_GOVERNANCE",
-    "REASON_IMPACT",
-    "REASON_RESOLUTION",
     "RebalanceEvent",
     "RebalanceProposal",
     "ReplayStats",
@@ -80,7 +68,6 @@ __all__ = [
     "SatelliteDesign",
     "StructuralParams",
     "TierClass",
-    "TierCounts",
     "UNBOUNDED",
     "Unbounded",
     "ValidationError",
@@ -103,6 +90,5 @@ __all__ = [
     "replay",
     "replay_steps",
     "run_cascade",
-    "trade_admissible",
     "weight_entropy",
 ]

@@ -36,7 +36,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .layers import (
     alpha_max_structural,
-    asset_dw_min,
     breadth_bound_econ,
     breadth_bound_entropy,
     effective_alpha,
@@ -304,7 +303,7 @@ def _economic_verdict(alpha: float, members: Sequence[tuple[Asset, float]],
 
     passed_w, native_w, norm_w, w_detail = True, None, None, None
     for asset, w in members:
-        dw_min = asset_dw_min(asset, params.econ)
+        dw_min = min_weight_change(params.econ, asset.round_trip_cost_bps)
         if w > 0:
             norm = (w - dw_min) / w if math.isfinite(dw_min) else -1.0
         else:
@@ -415,7 +414,7 @@ def filter_rebalance(
             suppressed.append(((name, dw), REASON_GOVERNANCE))
             continue
         asset = by_id[name]
-        if not abs(dw) >= asset_dw_min(asset, params.econ):
+        if not abs(dw) >= min_weight_change(params.econ, asset.round_trip_cost_bps):
             suppressed.append(((name, dw), REASON_RESOLUTION))
             continue
         impact = impact_cost(params.aum_usd * abs(dw), asset.adv_usd, params.impact)

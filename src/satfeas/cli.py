@@ -132,28 +132,25 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _run_and_emit(cfg: RunConfig, candidates, fmt: str,
-                  design: SatelliteDesign | None, core) -> int:
+def _load_design(path: str) -> SatelliteDesign:
+    with open(path, encoding="utf-8") as fh:
+        return SatelliteDesign.from_dict(json.load(fh))
+
+
+def _cascade(cfg: RunConfig, candidates, design: SatelliteDesign | None, core):
     core_weights = tuple(w for _, w in core) if core is not None else None
-    report, out_design = run_cascade(CascadeInput(
+    return run_cascade(CascadeInput(
         candidates=tuple(candidates), params=cfg.params, kappa_a=cfg.kappa_a,
         kappa_c=cfg.kappa_c, theme=cfg.theme, design=design, core_weights=core_weights))
-    _emit(emit_report(report, out_design, fmt))
+
+
+def _cmd_report(args) -> int:
+    """``design`` synthesizes a sleeve, ``check`` evaluates ``--design``; both print the report."""
+    cfg = load_config(args.config)
+    design = _load_design(args.design) if args.command == "check" else None
+    report, design = _cascade(cfg, _load_universe(cfg, args), design, _load_core(cfg, args))
+    _emit(emit_report(report, design, args.format))
     return 0 if report.admissible else 2
-
-
-def _cmd_design(args) -> int:
-    cfg = load_config(args.config)
-    return _run_and_emit(cfg, _load_universe(cfg, args), args.format, None,
-                         _load_core(cfg, args))
-
-
-def _cmd_check(args) -> int:
-    cfg = load_config(args.config)
-    with open(args.design, encoding="utf-8") as fh:
-        design = SatelliteDesign.from_dict(json.load(fh))
-    return _run_and_emit(cfg, _load_universe(cfg, args), args.format, design,
-                         _load_core(cfg, args))
 
 
 def _cmd_filter(args) -> int:
@@ -183,13 +180,9 @@ def _cmd_replay(args) -> int:
     events = load_events(args.events)
     core = _load_core(cfg, args)
     if args.design is not None:
-        with open(args.design, encoding="utf-8") as fh:
-            design = SatelliteDesign.from_dict(json.load(fh))
+        design = _load_design(args.design)
     else:
-        core_weights = tuple(w for _, w in core) if core is not None else None
-        _report, design = run_cascade(CascadeInput(
-            candidates=tuple(assets), params=cfg.params, kappa_a=cfg.kappa_a,
-            kappa_c=cfg.kappa_c, theme=cfg.theme, core_weights=core_weights))
+        _report, design = _cascade(cfg, assets, None, core)
     remainder = 1.0 - design.alpha
     if core is not None:
         # the core file may sum to one within a looser tolerance than a
@@ -219,8 +212,8 @@ def _cmd_replay(args) -> int:
 
 _COMMANDS = {
     "bounds": _cmd_bounds,
-    "design": _cmd_design,
-    "check": _cmd_check,
+    "design": _cmd_report,
+    "check": _cmd_report,
     "filter-rebalance": _cmd_filter,
     "replay": _cmd_replay,
 }

@@ -10,7 +10,7 @@ object is a valid config.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -50,14 +50,6 @@ class RunConfig:
     candidates_path: str | None = None
     core_weights_path: str | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        d = asdict(self.params)
-        d["theme"] = self.theme
-        d["tilts"] = {"kappa_a": self.kappa_a, "kappa_c": self.kappa_c}
-        d["candidates"] = self.candidates_path
-        d["core_weights"] = self.core_weights_path
-        return d
-
 
 def _number(value: Any, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -86,7 +78,8 @@ def _prefixed(e: ValidationError, name: str) -> ValidationError:
     return ValidationError(f"{name}.{e.args[0]}", code=e.code, field=f"{name}.{e.field}")
 
 
-def _build(data: Mapping[str, Any]) -> RunConfig:
+def config_from_dict(data: Mapping[str, Any]) -> RunConfig:
+    """Validate an in-memory config mapping (same schema as the file form)."""
     if not isinstance(data, Mapping):
         raise ValidationError("config root must be a JSON object", code="not_an_object",
                               field="config")
@@ -140,9 +133,4 @@ def load_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as e:
         raise ValidationError(f"config file {p} is not valid JSON: {e}",
                               code="config_parse_error", field="config") from None
-    return _build(data)
-
-
-def config_from_dict(data: Mapping[str, Any]) -> RunConfig:
-    """Validate an in-memory config mapping (same schema as the file form)."""
-    return _build(data)
+    return config_from_dict(data)

@@ -69,61 +69,49 @@ def max_weight_impact(asset: Asset, params: FeasibilityParams) -> float:
         power = (imp.impact_cap / imp.c) ** (1.0 / imp.delta)
     except OverflowError:
         power = math.inf
-    if power == math.inf:
+    envelope = params.aum_usd * tau
+    liquidity = asset.adv_usd / envelope if envelope > 0 else math.inf
+    if power == math.inf or liquidity == math.inf:
         log_raw = (math.log(asset.adv_usd) - math.log(params.aum_usd) - math.log(tau)
                    + (math.log(imp.impact_cap) - math.log(imp.c)) / imp.delta)
         return math.exp(min(log_raw, 0.0))
-    raw = asset.adv_usd / (params.aum_usd * tau) * power
+    raw = liquidity * power
     return min(max(raw, 0.0), 1.0)
 
 
 def max_weight_participation(asset: Asset, params: FeasibilityParams) -> float:
     """Weight cap implied by a participation limit ``Q/V <= phi``.
 
-    Returns ``phi * V / (A * tau)`` clamped to [0, 1]. Requires a configured
-    participation cap.
+    Returns ``phi * V / (A * tau)`` clamped to [0, 1], and 1 where ``A * tau``
+    underflows to zero. Requires a configured participation cap.
     """
     phi = params.impact.participation_cap
     if phi is None:
         raise ValidationError("participation cap is not configured",
                               code="participation_cap_not_configured",
                               field="impact.participation_cap")
-    raw = phi * asset.adv_usd / (params.aum_usd * params.turnover_fraction)
+    envelope = params.aum_usd * params.turnover_fraction
+    if envelope == 0:
+        return 1.0  # the envelope underflowed: no weight comes near the limit
+    raw = phi * asset.adv_usd / envelope
     return min(max(raw, 0.0), 1.0)
 
 
-def min_weight_change(econ: EconParams) -> float:
+def min_weight_change(econ: EconParams, cost_bps: float | None = None) -> float:
     """Smallest weight change whose portfolio effect clears round-trip friction.
 
-    Basis points cancel in ``eps / C_rt``, so the result is a pure fraction
-    of total portfolio value; zero when the effect threshold is zero.
+    ``eps / C_rt``, with ``cost_bps`` (an asset's round-trip-cost override)
+    in place of the sleeve's cost when given. Basis points cancel, so the
+    result is a pure fraction of total portfolio value. A zero cost gives 0
+    at a zero effect threshold and ``inf`` (no weight clears it) at a
+    positive one. This is the one action threshold: design verdicts, the
+    trade filter and the economic breadth bound all read it.
     """
-    return econ.min_effect_bps / econ.round_trip_cost_bps
-
-
-def asset_dw_min(asset: Asset, econ: EconParams) -> float:
-    """Cost-dominance threshold for one asset, using its cost override if any.
-
-    ``eps / C_rt`` with the asset's round-trip cost in place of the sleeve's
-    when present. A zero-cost override gives 0 at a zero effect threshold
-    and ``inf`` (no weight clears it) at a positive one.
-    """
-    crt = asset.round_trip_cost_bps
-    if crt is None:
-        crt = econ.round_trip_cost_bps
+    crt = econ.round_trip_cost_bps if cost_bps is None else cost_bps
     eps = econ.min_effect_bps
     if crt > 0:
         return eps / crt
     return 0.0 if eps == 0 else math.inf
-
-
-def trade_admissible(delta_w: float, econ: EconParams) -> bool:
-    """Whether a signed weight change clears the cost-dominance threshold.
-
-    Symmetric in direction (sells pay the same round trip as buys), and
-    admissible at exact equality with the threshold.
-    """
-    return abs(delta_w) >= min_weight_change(econ)
 
 
 def breadth_bound_econ(alpha: float, econ: EconParams) -> int | Unbounded:

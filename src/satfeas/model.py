@@ -286,11 +286,14 @@ def _check_weight_pairs(pairs: Iterable[tuple[str, float]], what: str) -> tuple[
         except (TypeError, ValueError):
             raise ValidationError(f"{what} entries must be (id, weight) pairs",
                                   "bad_weight_pair", what) from None
-        _require(isinstance(name, str) and name != "", f"{what} ids must be nonempty strings",
-                 "bad_id", what)
-        _finite(w, f"{what} weight for {name}")
-        _require(w >= 0, f"{what} weight for {name} must be nonnegative",
-                 "weight_must_be_nonnegative", what)
+        # messages are built only on failure: designs and cores can be long
+        if not (isinstance(name, str) and name != ""):
+            raise ValidationError(f"{what} ids must be nonempty strings", "bad_id", what)
+        if not _is_finite(w):
+            _finite(w, f"{what} weight for {name}")
+        if w < 0:
+            raise ValidationError(f"{what} weight for {name} must be nonnegative",
+                                  "weight_must_be_nonnegative", what)
         out.append((name, float(w)))
     check_unique_ids([name for name, _ in out], what)
     return tuple(out)

@@ -15,7 +15,15 @@ from datetime import date
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cascade import _asset_map, filter_rebalance
-from .model import Asset, FeasibilityParams, Portfolio, RebalanceProposal, ValidationError
+from .model import (
+    Asset,
+    FeasibilityParams,
+    Portfolio,
+    RebalanceProposal,
+    ValidationError,
+    _finite,
+    weight_sum,
+)
 
 
 @dataclass(frozen=True)
@@ -51,6 +59,8 @@ class ReplayStats:
             raise ValidationError(
                 "executed plus suppressed trade counts must equal proposed",
                 code="stats_inconsistent", field="trades_proposed")
+        _finite(self.gross_turnover_executed, "gross_turnover_executed")
+        _finite(self.max_participation_observed, "max_participation_observed")
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,8 @@ def replay_steps(
     kept as an exact integer multiple of 2**-1074, updated per executed
     trade and rounded once per event. Both it and ``fsum`` are the correctly
     rounded exact sum, so the result is the same float at a cost linear in
-    the trades rather than in the sleeve size.
+    the trades rather than in the sleeve size. Where ``fsum`` would raise,
+    the sum is an infinity past the float range and ``nan`` for inf - inf.
     """
     by_id = _asset_map(assets)
     previous: date | None = None
@@ -112,8 +123,14 @@ def replay_steps(
                 try:
                     exact += _fixed(new) - _fixed(old)
                 except (OverflowError, ValueError):
-                    exact = None  # a position is no longer finite: use fsum from here on
-        sleeve = math.fsum(sat.values()) if exact is None else exact / _FIXED_ONE
+                    exact = None  # a position is no longer finite: it sets the sum from here on
+        if exact is None:  # a position is inf or nan: the finite ones cannot move the sum
+            sleeve = sum(w for w in sat.values() if not math.isfinite(w))
+        else:
+            try:
+                sleeve = exact / _FIXED_ONE
+            except OverflowError:  # past the float range, as in weight_sum
+                sleeve = math.inf if exact > 0 else -math.inf
         total = core_total + cash + sleeve
         yield ReplayStep(event=event, executed=tuple(executed),
                          suppressed=tuple(suppressed), total_weight=total)
@@ -141,7 +158,7 @@ def replay(
         executed_n += len(step.executed)
         for _trade, reason in step.suppressed:
             by_reason[reason] = by_reason.get(reason, 0) + 1
-        turnover += math.fsum(abs(dw) for _, dw in step.executed)
+        turnover += weight_sum(abs(dw) for _, dw in step.executed)
         for name, dw in step.executed:
             participation = params.aum_usd * abs(dw) / by_id[name].adv_usd
             max_participation = max(max_participation, participation)

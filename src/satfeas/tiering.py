@@ -10,8 +10,7 @@ sleeve size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .model import (
     Asset,
@@ -19,41 +18,10 @@ from .model import (
     TierClass,
     ValidationError,
     check_kappas,
-    check_unique_ids,
 )
 
 #: Machine-readable rejection reason for domain-inadmissible assets.
 REASON_GAER = "gaer_inadmissible"
-
-
-@dataclass(frozen=True)
-class TierCounts:
-    """Constituent counts per tier; a weight assignment needs at least one name."""
-
-    k_a: int
-    k_b: int
-    k_c: int
-
-    def __post_init__(self):
-        for name in ("k_a", "k_b", "k_c"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 0):
-                raise ValidationError(f"{name} must be a nonnegative integer",
-                                      code="bad_tier_count", field=name)
-        if self.total < 1:
-            raise ValidationError("tier counts must total at least one name",
-                                  code="empty_sleeve", field="k_a")
-
-    @property
-    def total(self) -> int:
-        return self.k_a + self.k_b + self.k_c
-
-    @classmethod
-    def from_assets(cls, assets: Iterable[Asset]) -> "TierCounts":
-        counts = {TierClass.A: 0, TierClass.B: 0, TierClass.C: 0}
-        for a in assets:
-            counts[a.tier] += 1
-        return cls(counts[TierClass.A], counts[TierClass.B], counts[TierClass.C])
 
 
 def eligibility_reason(asset: Asset) -> str | None:
@@ -75,9 +43,8 @@ def eligibility_filter(
 
     Eligible means :func:`eligibility_reason` gives no reason. Input order
     is preserved on both sides, and filtering the eligible output again
-    returns it unchanged.
+    returns it unchanged. Ids are not checked here: ``CascadeInput`` does.
     """
-    check_unique_ids([a.id for a in candidates], "candidates")
     eligible: list[Asset] = []
     rejected: list[tuple[Asset, str]] = []
     for a in candidates:
@@ -100,7 +67,8 @@ def assign_tier_weights(
     Raw weights are ``(alpha / K) * kappa`` with kappa 1 for tier B,
     ``kappa_a >= 1`` for tier A, and ``kappa_c <= 1`` for tier C; a uniform
     rescale then restores ``sum(w) == alpha``, preserving intra-tier equality
-    and the per-name ordering A >= B >= C. Output follows input order.
+    and the per-name ordering A >= B >= C. Output follows input order; a
+    ``SatelliteDesign`` built from it checks that the ids are unique.
     """
     if not 0 < alpha <= 1:
         raise ValidationError("alpha must lie in (0,1]", code="alpha_out_of_range", field="alpha")
@@ -108,7 +76,6 @@ def assign_tier_weights(
         raise ValidationError("cannot assign weights to an empty sleeve",
                               code="empty_sleeve", field="assets")
     check_kappas(kappa_a, kappa_c)
-    check_unique_ids([a.id for a in assets], "assets")
 
     k = len(assets)
     tilt = {TierClass.A: kappa_a, TierClass.B: 1.0, TierClass.C: kappa_c}

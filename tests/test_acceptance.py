@@ -86,8 +86,6 @@ def test_criterion_2_epistemic_bound_oracle_equivalence():
 
 
 def test_criterion_3_economic_no_trade_region():
-    from satfeas import EconParams, trade_admissible
-
     rng = random.Random(31337)
     assets = {}
     for i in range(40):
@@ -115,8 +113,9 @@ def test_criterion_3_economic_no_trade_region():
         for name, dw in executed:
             crt = assets[name].round_trip_cost_bps or params.econ.round_trip_cost_bps
             assert abs(dw) * crt >= eps * (1 - 1e-12)
-            # no leakage: executed trades re-pass the primitive checks
-            assert trade_admissible(dw, EconParams(crt, eps))
+            # no leakage: an executed trade passes the filter on its own too
+            alone = RebalanceProposal(trades=((name, dw),), schedule_due=True)
+            assert filter_rebalance(alone, params, assets) == ([(name, dw)], [])
             assert impact_cost(params.aum_usd * abs(dw), assets[name].adv_usd,
                                params.impact) <= params.impact.impact_cap
             checked += 1

@@ -17,7 +17,6 @@ from satfeas import (
     filter_rebalance,
     impact_cost,
     run_cascade,
-    trade_admissible,
 )
 from satfeas.model import UNBOUNDED
 
@@ -156,6 +155,14 @@ class TestRunCascadeValidation:
             run_cascade(CascadeInput(candidates=inp.candidates, params=inp.params,
                                      design=design))
         assert err.value.code == "unknown_asset_id"
+
+    def test_duplicate_candidate_ids_rejected(self):
+        # checked once, on the way in: the filter and the weighting rule trust it
+        inp = ai_input()
+        with pytest.raises(ValidationError) as err:
+            CascadeInput(candidates=(make_asset(id="a"), make_asset(id="a")), params=inp.params)
+        assert (str(err.value), err.value.code) == ("duplicate id 'a' in candidates",
+                                                    "duplicate_id")
 
     def test_too_many_names_fail_epistemic(self):
         cands = tuple(make_asset(id=f"n{i}", tier=TierClass.B) for i in range(20))
@@ -306,9 +313,13 @@ class TestFilterRebalance:
             trades = tuple((f"a{i}", rng.uniform(-0.5, 0.5))
                            for i in rng.sample(range(20), rng.randint(1, 8)))
             proposal = RebalanceProposal(trades=trades, schedule_due=True)
-            executed, _ = filter_rebalance(proposal, params, assets)
+            executed, suppressed = filter_rebalance(proposal, params, assets)
+            econ = params.econ
+            for (_name, dw), reason in suppressed:
+                if reason == "below_action_resolution":
+                    assert abs(dw) * econ.round_trip_cost_bps < econ.min_effect_bps * (1 + 1e-12)
             for name, dw in executed:
-                assert trade_admissible(dw, params.econ)
+                assert abs(dw) * econ.round_trip_cost_bps >= econ.min_effect_bps * (1 - 1e-12)
                 impact = impact_cost(params.aum_usd * abs(dw), assets[name].adv_usd,
                                      params.impact)
                 assert impact <= params.impact.impact_cap

@@ -213,8 +213,61 @@ def write_config(tmp_path, doc):
     return str(path)
 
 
+def write_candidates_at_adv_1e12(tmp_path):
+    path = tmp_path / "candidates.csv"
+    path.write_text("id,tier,adv_usd,round_trip_cost_bps,gaer_admissible,exclusion\n"
+                    + "".join(f"{name},{name},1e12,,true,none\n" for name in "ABC"))
+    return str(path)
+
+
 class TestExtremeInputs:
     """Valid inputs at the edge of float range end in a report or a named error."""
+
+    @pytest.mark.parametrize("doc,cap", [
+        # aum * tau underflows to zero under adv / (aum * tau) and phi * adv / (aum * tau)
+        ({"aum_usd": 5e-324, "turnover_fraction": 0.5}, 1.0),
+        ({"aum_usd": 5e-324, "turnover_fraction": 0.5, "impact": {"participation_cap": 0.1}},
+         1.0),
+        # (1e-300) ** 100 underflows to 0 while adv / (aum * tau) overflows: inf * 0
+        ({"aum_usd": 1e-300, "impact": {"c": 1, "delta": 0.01, "impact_cap": 1e-300}}, 0.0),
+    ], ids=["envelope_underflow", "envelope_underflow_participation", "inf_times_zero"])
+    @pytest.mark.parametrize("command", ["bounds", "design", "check"])
+    def test_weight_caps_at_envelope_extremes(self, capsys, tmp_path, doc, cap, command):
+        design = tmp_path / "d.json"
+        design.write_text(json.dumps({"theme": "t", "alpha": 0.1, "constituents": [["A", 0.1]],
+                                      "kappa_a": 1.5, "kappa_c": 0.5}))
+        extra = ["--design", str(design)] if command == "check" else []
+        code, out, err = run(capsys, command, "--config", write_config(tmp_path, doc),
+                             "--candidates", write_candidates_at_adv_1e12(tmp_path),
+                             "--format", "json", *extra)
+        assert code in (0, 2) and err == ""
+        printed = json.loads(out)
+        json.dumps(printed, allow_nan=False)
+        bounds = printed if command == "bounds" else printed["report"]["derived_bounds"]
+        caps = [*bounds["weight_caps_impact"].values(),
+                *(bounds["weight_caps_participation"] or {}).values()]
+        assert len(caps) in (3, 6) and set(caps) == {cap}
+
+    @pytest.mark.parametrize("rows", [
+        # one date: the exact sleeve sum, 2e308, leaves the float range
+        ["2025-01-01,A,1e308", "2025-01-01,B,1e308"],
+        # two dates: the gross turnover adds up past the float range
+        ["2025-01-01,A,1e308", "2025-01-02,A,1e308"],
+        # positions reach inf and -inf, whose sum is nan
+        ["2025-01-01,A,1e308", "2025-01-01,B,-1e308", "2025-01-02,A,1e308",
+         "2025-01-02,B,-1e308"],
+    ], ids=["sleeve_sum_overflow", "turnover_overflow", "inf_minus_inf"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_replay_past_float_range_exits_one(self, capsys, tmp_path, rows, fmt):
+        events = tmp_path / "events.csv"
+        events.write_text("date,id,delta_w,schedule_due,structural_break\n"
+                          + "".join(f"{row},true,false\n" for row in rows))
+        code, out, err = run(capsys, "replay", "--config",
+                             write_config(tmp_path, {"aum_usd": 1e-300}),
+                             "--candidates", write_candidates_at_adv_1e12(tmp_path),
+                             "--events", str(events), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "error: gross_turnover_executed must be a finite number\n"
 
     @pytest.mark.parametrize("doc", [
         # the economic breadth bound alpha / dw_min overflows a float

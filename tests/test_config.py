@@ -1,6 +1,7 @@
 """Strict-schema config parsing."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -81,4 +82,8 @@ class TestLoadConfig:
             "candidates": "u.csv",
         }
         cfg = config_from_dict(data)
-        assert config_from_dict(cfg.to_dict()) == cfg
+        back = {**asdict(cfg.params), "theme": cfg.theme,
+                "tilts": {"kappa_a": cfg.kappa_a, "kappa_c": cfg.kappa_c},
+                "candidates": cfg.candidates_path, "core_weights": cfg.core_weights_path}
+        assert back == {**data, "core_weights": None}
+        assert config_from_dict(back) == cfg

@@ -11,6 +11,7 @@ from satfeas import (
     EconParams,
     EntropyParams,
     ImpactParams,
+    RebalanceProposal,
     StructuralParams,
     ValidationError,
     alpha_max_structural,
@@ -19,14 +20,13 @@ from satfeas import (
     effective_alpha,
     entropy_increment_approx,
     entropy_increment_exact,
+    filter_rebalance,
     impact_cost,
     max_weight_impact,
     max_weight_participation,
     min_weight_change,
-    trade_admissible,
     weight_entropy,
 )
-from satfeas.layers import asset_dw_min
 
 from conftest import make_asset, make_params
 
@@ -138,6 +138,13 @@ class TestWeightCaps:
         assert max_weight_impact(a1, bigger) <= max_weight_impact(a1, base)
 
 
+def _filter_one(trade, cost_bps=None):
+    """``filter_rebalance`` of one open-window trade on asset "a" at eps 5 bp, C_rt 50 bp."""
+    params = make_params(round_trip_cost_bps=50.0, min_effect_bps=5.0)
+    proposal = RebalanceProposal(trades=(trade,), schedule_due=True)
+    return filter_rebalance(proposal, params, [make_asset(id="a", round_trip_cost_bps=cost_bps)])
+
+
 class TestCostDominance:
     def test_threshold_hand_cases(self):
         assert min_weight_change(EconParams(50.0, 5.0)) == pytest.approx(0.1, abs=1e-15)
@@ -146,25 +153,33 @@ class TestCostDominance:
 
     def test_asset_threshold_uses_cost_override(self):
         econ = EconParams(50.0, 5.0)
-        assert asset_dw_min(make_asset(), econ) == min_weight_change(econ)
-        assert asset_dw_min(make_asset(round_trip_cost_bps=500.0), econ) == 0.01
+        assert min_weight_change(econ, None) == min_weight_change(econ) == 0.1
+        assert min_weight_change(econ, 500.0) == 0.01
         # a zero-cost override: nothing to clear at zero effect, nothing clears it otherwise
-        free = make_asset(round_trip_cost_bps=0.0)
-        assert asset_dw_min(free, EconParams(50.0, 0.0)) == 0.0
-        assert asset_dw_min(free, econ) == math.inf
+        assert min_weight_change(EconParams(50.0, 0.0), 0.0) == 0.0
+        assert min_weight_change(econ, 0.0) == math.inf
 
     def test_boundary_trade_is_admissible(self):
-        econ = EconParams(50.0, 5.0)
-        assert trade_admissible(0.1, econ)
-        assert trade_admissible(min_weight_change(econ), econ)
+        # the trade filter executes exactly the threshold, at the sleeve cost and
+        # at an asset's override, and suppresses one ulp toward zero
+        for cost_bps, threshold in ((None, 0.1), (500.0, 0.01)):
+            dw = min_weight_change(EconParams(50.0, 5.0), cost_bps)
+            assert dw == threshold
+            assert _filter_one(("a", dw), cost_bps) == ([("a", dw)], [])
+            below = ("a", math.nextafter(dw, 0.0))
+            assert _filter_one(below, cost_bps) == ([], [(below, "below_action_resolution")])
 
     def test_zero_trade_is_inadmissible_with_positive_threshold(self):
-        assert not trade_admissible(0.0, EconParams(50.0, 5.0))
+        # so is every trade on a zero-cost override (its threshold is inf)
+        for trade, cost_bps in ((("a", 0.0), None), (("a", 0.5), 0.0), (("a", -0.5), 0.0)):
+            assert _filter_one(trade, cost_bps) == ([], [(trade, "below_action_resolution")])
 
     def test_sells_use_magnitude(self):
-        econ = EconParams(50.0, 5.0)
-        assert not trade_admissible(-0.099, econ)
-        assert trade_admissible(-0.1, econ)
+        for cost_bps in (None, 500.0):
+            dw = min_weight_change(EconParams(50.0, 5.0), cost_bps)
+            assert _filter_one(("a", -dw), cost_bps) == ([("a", -dw)], [])
+            below = ("a", -math.nextafter(dw, 0.0))
+            assert _filter_one(below, cost_bps) == ([], [(below, "below_action_resolution")])
 
     @given(eps=st.floats(min_value=0.0, max_value=20.0),
            crt=st.floats(min_value=1.0, max_value=200.0),

@@ -1,5 +1,7 @@
 """Construction validation and serialization round-trips for the domain types."""
 
+import math
+
 import pytest
 
 from satfeas import (
@@ -108,6 +110,44 @@ class TestValidation:
         asset = make_asset()
         with pytest.raises(AttributeError):
             asset.adv_usd = 1.0
+
+
+#: (label, pairs, message, code, field) for a malformed weight-pair list;
+#: ``{what}`` is the field the pairs arrive in.
+WEIGHT_PAIR_ERRORS = [
+    ("not_iterable", 5, "{what} must be a list of (id, weight) pairs",
+     "bad_weight_pair", "{what}"),
+    ("bad_shape", (("a", 0.1, 0.2),), "{what} entries must be (id, weight) pairs",
+     "bad_weight_pair", "{what}"),
+    ("empty_id", (("", 0.1),), "{what} ids must be nonempty strings", "bad_id", "{what}"),
+    ("not_finite", (("a", math.nan),), "{what} weight for a must be a finite number",
+     "not_finite", "{what} weight for a"),
+    ("negative", (("a", -0.1),), "{what} weight for a must be nonnegative",
+     "weight_must_be_nonnegative", "{what}"),
+    ("duplicate", (("a", 0.05), ("a", 0.05)), "duplicate id 'a' in {what}",
+     "duplicate_id", "{what}"),
+]
+
+
+def _design_with(pairs):
+    return SatelliteDesign(theme="t", alpha=0.1, constituents=pairs)
+
+
+def _portfolio_with(pairs):
+    sat = SatelliteDesign(theme="t", alpha=0.1, constituents=(("s", 0.1),))
+    return Portfolio(core_weights=pairs, satellite=sat)
+
+
+@pytest.mark.parametrize("build,what", [(_design_with, "constituents"),
+                                        (_portfolio_with, "core_weights")],
+                         ids=["design", "portfolio"])
+@pytest.mark.parametrize("pairs,message,code,field", [case[1:] for case in WEIGHT_PAIR_ERRORS],
+                         ids=[case[0] for case in WEIGHT_PAIR_ERRORS])
+def test_weight_pair_errors(build, what, pairs, message, code, field):
+    with pytest.raises(ValidationError) as err:
+        build(pairs)
+    assert (str(err.value), err.value.code, err.value.field) == \
+        (message.format(what=what), code, field.format(what=what))
 
 
 class TestRoundTrips:

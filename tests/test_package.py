@@ -1,0 +1,33 @@
+"""Package surface: stdlib-only imports and an export list that resolves."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import satfeas
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Prints the top-level modules that importing the CLI loads, one per line.
+_IMPORT_CLI = """
+import sys
+before = set(sys.modules)
+import satfeas.cli
+print("\\n".join(sorted({name.split(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_cli_imports_only_the_standard_library():
+    # a fresh interpreter: this test process has pytest and hypothesis loaded
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    loaded = subprocess.run([sys.executable, "-c", _IMPORT_CLI], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "satfeas" in loaded
+    assert [m for m in loaded if m != "satfeas" and m not in sys.stdlib_module_names] == []
+
+
+def test_every_exported_name_resolves():
+    assert len(set(satfeas.__all__)) == len(satfeas.__all__)
+    assert [name for name in satfeas.__all__ if not hasattr(satfeas, name)] == []

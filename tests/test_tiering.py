@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from satfeas import (
     ExclusionCategory,
     TierClass,
-    TierCounts,
     ValidationError,
     assign_tier_weights,
     eligibility_filter,
@@ -51,31 +50,12 @@ class TestEligibilityFilter:
         assert [a.id for a in eligible] == ["x0", "x2", "x4"]
         assert [a.id for a, _ in rejected] == ["x1", "x3", "x5"]
 
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValidationError) as err:
-            eligibility_filter([make_asset(id="a"), make_asset(id="a")])
-        assert err.value.code == "duplicate_id"
-
     def test_idempotent(self):
         assets = [make_asset(id="a"), make_asset(id="b", gaer=False),
                   make_asset(id="c", exclusion=ExclusionCategory.THEMATIC_ETF)]
         eligible, _ = eligibility_filter(assets)
         again, rejected = eligibility_filter(eligible)
         assert again == eligible and rejected == []
-
-
-class TestTierCounts:
-    def test_from_assets(self):
-        assets = [make_asset(id="a", tier=TierClass.A),
-                  make_asset(id="b", tier=TierClass.B),
-                  make_asset(id="c", tier=TierClass.B)]
-        counts = TierCounts.from_assets(assets)
-        assert (counts.k_a, counts.k_b, counts.k_c) == (1, 2, 0)
-        assert counts.total == 3
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            TierCounts(0, 0, 0)
 
 
 def _sleeve(tiers):
