@@ -60,13 +60,14 @@ from .model import (
     Unbounded,
     ValidationError,
     check_kappas,
-    check_unique_ids,
+    entry_error,
 )
 from .tiering import assign_tier_weights, eligibility_filter, eligibility_reason
 
 REASON_GOVERNANCE = "governance_gate"
 REASON_RESOLUTION = "below_action_resolution"
 REASON_IMPACT = "impact_cap"
+REASON_PARTICIPATION = "participation_cap"
 
 #: Tie-break priority for equal normalized margins.
 _TIE_ORDER = ("economic", "structural", "epistemic", "physical", "domain")
@@ -95,11 +96,14 @@ class CascadeInput:
 
     def __post_init__(self):
         object.__setattr__(self, "candidates", tuple(self.candidates))
+        seen: set[str] = set()
         for a in self.candidates:
             if not isinstance(a, Asset):
                 raise ValidationError("candidates must be Asset instances",
                                       code="bad_candidate", field="candidates")
-        check_unique_ids([a.id for a in self.candidates], "candidates")
+            if a.id in seen:  # an Asset's id is a nonempty string; it must also be new
+                raise entry_error("candidates", len(seen), a.id, seen=seen)
+            seen.add(a.id)
         check_kappas(self.kappa_a, self.kappa_c)
         if self.design is not None and not isinstance(self.design, SatelliteDesign):
             raise ValidationError("design must be a SatelliteDesign", code="bad_design",
@@ -391,9 +395,10 @@ def filter_rebalance(
     With no governance window open (neither the schedule due nor a declared
     structural break) every trade is suppressed as ``governance_gate``.
     Otherwise each trade must clear the cost-dominance threshold (using the
-    asset's round-trip-cost override when present) and then the impact cap
-    at the traded notional ``A * |dw|``. Executed and suppressed trades
-    together are exactly the input, in order.
+    asset's round-trip-cost override when present), then the impact cap at
+    the traded notional ``A * |dw|``, then any participation cap on
+    ``A * |dw| / adv``; a trade exactly at a cap executes. Executed and
+    suppressed trades together are exactly the input, in order.
 
     Asset records must cover every traded id, current holdings included.
     A mapping of id to asset is read in place, never copied, so a caller
@@ -409,17 +414,21 @@ def filter_rebalance(
     executed: list[tuple[str, float]] = []
     suppressed: list[tuple[tuple[str, float], str]] = []
     window_open = proposal.schedule_due or proposal.structural_break
+    phi = params.impact.participation_cap
     for name, dw in proposal.trades:
         if not window_open:
-            suppressed.append(((name, dw), REASON_GOVERNANCE))
-            continue
-        asset = by_id[name]
-        if not abs(dw) >= min_weight_change(params.econ, asset.round_trip_cost_bps):
-            suppressed.append(((name, dw), REASON_RESOLUTION))
-            continue
-        impact = impact_cost(params.aum_usd * abs(dw), asset.adv_usd, params.impact)
-        if impact > params.impact.impact_cap:
-            suppressed.append(((name, dw), REASON_IMPACT))
-            continue
-        executed.append((name, dw))
+            reason = REASON_GOVERNANCE
+        else:
+            asset = by_id[name]
+            notional = params.aum_usd * abs(dw)
+            if not abs(dw) >= min_weight_change(params.econ, asset.round_trip_cost_bps):
+                reason = REASON_RESOLUTION
+            elif impact_cost(notional, asset.adv_usd, params.impact) > params.impact.impact_cap:
+                reason = REASON_IMPACT
+            elif phi is not None and notional / asset.adv_usd > phi:
+                reason = REASON_PARTICIPATION
+            else:
+                executed.append((name, dw))
+                continue
+        suppressed.append(((name, dw), reason))
     return executed, suppressed

@@ -51,11 +51,10 @@ def _build_parser() -> _Parser:
                      description="Feasibility gating for thematic satellite sleeves")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p, candidates=True):
+    def add_common(p):
         p.add_argument("--config", required=True, help="JSON config file")
-        if candidates:
-            p.add_argument("--candidates", help="candidate universe CSV "
-                                                "(overrides the config path)")
+        p.add_argument("--candidates", help="candidate universe CSV "
+                                            "(overrides the config path)")
         p.add_argument("--format", choices=("json", "text"), default="text",
                        help="output format (default: text)")
 
@@ -91,9 +90,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_universe(cfg: RunConfig, args) -> list:
-    path = getattr(args, "candidates", None) or cfg.candidates_path
+def _load_universe(cfg: RunConfig, args, required: bool = True) -> list | None:
+    path = args.candidates or cfg.candidates_path
     if path is None:
+        if not required:
+            return None
         raise ValidationError("no candidates file given (use --candidates or the "
                               "'candidates' config key)", code="candidates_missing",
                               field="candidates")
@@ -101,10 +102,8 @@ def _load_universe(cfg: RunConfig, args) -> list:
 
 
 def _load_core(cfg: RunConfig, args) -> list[tuple[str, float]] | None:
-    path = getattr(args, "core_weights", None) or cfg.core_weights_path
-    if path is None:
-        return None
-    return load_core_weights(path)
+    path = args.core_weights or cfg.core_weights_path
+    return None if path is None else load_core_weights(path)
 
 
 def _emit(data: bytes) -> None:
@@ -114,11 +113,7 @@ def _emit(data: bytes) -> None:
 
 def _cmd_bounds(args) -> int:
     cfg = load_config(args.config)
-    candidates = None
-    path = getattr(args, "candidates", None) or cfg.candidates_path
-    if path is not None:
-        candidates = load_candidates(path)
-    bounds = compute_bounds(cfg.params, candidates)
+    bounds = compute_bounds(cfg.params, _load_universe(cfg, args, required=False))
     if args.format == "json":
         _emit(json_bytes(to_json(bounds)))
     else:
@@ -182,7 +177,7 @@ def _cmd_replay(args) -> int:
     if args.design is not None:
         design = _load_design(args.design)
     else:
-        _report, design = _cascade(cfg, assets, None, core)
+        _report, design = _cascade(cfg, assets, None, None)  # no core: the report is unused
     remainder = 1.0 - design.alpha
     if core is not None:
         # the core file may sum to one within a looser tolerance than a
@@ -228,7 +223,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except ValidationError as e:
-        print(f"error: {e.args[0]}", file=sys.stderr)
+        print(f"error: {e}", file=sys.stderr)
         return 1
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -10,8 +10,8 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-import math
 from datetime import date
+from itertools import groupby
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -28,6 +28,8 @@ from .model import (
     Unbounded,
     ValidationError,
     _strict_keys,
+    check_pairs,
+    entry_error,
     from_json,
     to_json,
     weight_sum,
@@ -84,22 +86,9 @@ def _parse_float(text: str, what: str, line: int) -> float:
                               code="bad_number", field=what) from None
 
 
-def _parse_finite(text: str, what: str, line: int, column: str, name: str) -> float:
-    """``text`` as a finite float; nan and inf are rejected at their row."""
-    value = _parse_float(text, what, line)
-    if not math.isfinite(value):
-        raise ValidationError(f"{what} row {line}: {column} for {name} must be a finite number",
-                              code="not_finite", field=what)
-    return value
-
-
-def _check_new_id(seen: set[str], name: str, what: str, line: int) -> None:
-    """Record ``name`` in ``seen``, rejecting an empty id or one already there."""
-    if not name:
-        raise ValidationError(f"{what} row {line}: id must be a nonempty string", "bad_id", what)
-    if name in seen:
-        raise ValidationError(f"{what} row {line}: duplicate id {name!r}", "duplicate_id", what)
-    seen.add(name)
+def _at_row(e: ValidationError, what: str, lines: Sequence[int]) -> ValidationError:
+    """Entry error ``e`` of a list read from file ``what``, restated at the entry's row."""
+    return ValidationError(f"{what} row {lines[e.index]}: {e.args[0]}", e.code, what)
 
 
 _BOOLS = {"true": True, "false": False}
@@ -124,7 +113,9 @@ def load_candidates(path: str | Path) -> list[Asset]:
     tiers, exclusions = TierClass._value2member_map_, ExclusionCategory._value2member_map_
     for line, (name, tier, adv, cost, gaer, exclusion) in _read_rows(
             path, CANDIDATE_HEADER, "candidates"):
-        _check_new_id(seen, name, "candidates", line)
+        if not name or name in seen:  # the id comes first, before any cell is parsed
+            raise _at_row(entry_error("candidates", 0, name, seen=seen), "candidates", [line])
+        seen.add(name)
         try:  # each cell parsed once; no message is built unless a check fails
             asset = Asset(name, tiers[tier.upper()], float(adv), _BOOLS[gaer.lower()],
                           exclusions[exclusion.lower()], float(cost) if cost else None)
@@ -154,17 +145,21 @@ def dump_candidates(assets: Sequence[Asset]) -> str:
     return buf.getvalue()
 
 
+def _load_pairs(path: str | Path, header: list[str], what: str,
+                signed: bool = False) -> list[tuple[str, float]]:
+    """The (id, number) rows of a CSV: every cell parsed, then the list checked."""
+    rows = _read_rows(path, header, what)
+    pairs = [(name, _parse_float(text, what, line)) for line, (name, text) in rows]
+    try:
+        check_pairs(pairs, what, signed)
+    except ValidationError as e:
+        raise _at_row(e, what, [line for line, _ in rows]) from None
+    return pairs
+
+
 def load_core_weights(path: str | Path) -> list[tuple[str, float]]:
     """Read a core composition CSV, normalized to sum to one within NORMALIZED_SUM_TOL."""
-    out: list[tuple[str, float]] = []
-    seen: set[str] = set()
-    for line, (name, weight) in _read_rows(path, CORE_HEADER, "core_weights"):
-        _check_new_id(seen, name, "core_weights", line)
-        w = _parse_finite(weight, "core_weights", line, "weight", name)
-        if w < 0:
-            raise ValidationError(f"core_weights row {line}: weight must be nonnegative",
-                                  code="weight_must_be_nonnegative", field="core_weights")
-        out.append((name, w))
+    out = _load_pairs(path, CORE_HEADER, "core_weights")
     total = weight_sum(w for _, w in out)
     if abs(total - 1.0) > NORMALIZED_SUM_TOL:
         raise ValidationError(f"core weights sum to {total!r}, expected 1.0",
@@ -174,58 +169,46 @@ def load_core_weights(path: str | Path) -> list[tuple[str, float]]:
 
 def load_proposal_trades(path: str | Path) -> list[tuple[str, float]]:
     """Read a rebalance proposal CSV of per-asset weight changes."""
-    out: list[tuple[str, float]] = []
-    seen: set[str] = set()
-    for line, (name, dw) in _read_rows(path, PROPOSAL_HEADER, "proposal"):
-        _check_new_id(seen, name, "proposal", line)
-        out.append((name, _parse_finite(dw, "proposal", line, "delta_w", name)))
-    return out
+    return _load_pairs(path, PROPOSAL_HEADER, "proposal", signed=True)
 
 
 def load_events(path: str | Path) -> list[RebalanceEvent]:
     """Read an event-stream CSV, grouping consecutive rows by date.
 
     Governance flags must agree within a date group; dates must be strictly
-    increasing across groups. Each cell is parsed once.
+    increasing across groups. Each cell is parsed once, and each group's
+    trades are checked once, by its ``RebalanceProposal``.
     """
     events: list[RebalanceEvent] = []
-    group: list[tuple[str, float]] = []
-    seen: set[str] = set()  # the ids of the open group
-    # the open group: date text, first row, parsed date and flags, raw flag text
-    key = first = day = schedule_due = structural_break = flag_text = None
-
-    def flush() -> None:
-        proposal = RebalanceProposal(trades=tuple(group), schedule_due=schedule_due,
-                                     structural_break=structural_break)
+    for day_text, group in groupby(_read_rows(path, EVENT_HEADER, "events"),
+                                   key=lambda row: row[1][0]):
+        rows = list(group)
+        first, (_, _, _, due, brk) = rows[0]
+        try:
+            day = date.fromisoformat(day_text)
+        except ValueError:
+            raise ValidationError(f"events row {first}: bad date {day_text!r}",
+                                  code="bad_date", field="events") from None
         if events and day <= events[-1].date:
             raise ValidationError(f"events row {first}: dates must be strictly increasing",
                                   code="events_out_of_order", field="events")
+        schedule_due = _parse_bool(due, "events", first)
+        structural_break = _parse_bool(brk, "events", first)
+        trades = []
+        for line, (_, name, dw, row_due, row_brk) in rows:
+            if (row_due, row_brk) != (due, brk) and (
+                    _parse_bool(row_due, "events", line) != schedule_due
+                    or _parse_bool(row_brk, "events", line) != structural_break):
+                raise ValidationError(
+                    f"events row {line}: governance flags differ within date {day_text}",
+                    code="inconsistent_flags", field="events")
+            trades.append((name, _parse_float(dw, "events", line)))
+        try:
+            proposal = RebalanceProposal(trades=trades, schedule_due=schedule_due,
+                                         structural_break=structural_break)
+        except ValidationError as e:
+            raise _at_row(e, "events", [line for line, _ in rows]) from None
         events.append(RebalanceEvent(date=day, proposal=proposal))
-
-    for line, (day_text, name, dw, due, brk) in _read_rows(path, EVENT_HEADER, "events"):
-        if day_text != key:
-            if group:
-                flush()
-                group, seen = [], set()
-            key, first = day_text, line
-            try:
-                day = date.fromisoformat(day_text)
-            except ValueError:
-                raise ValidationError(f"events row {line}: bad date {day_text!r}",
-                                      code="bad_date", field="events") from None
-            schedule_due = _parse_bool(due, "events", line)
-            structural_break = _parse_bool(brk, "events", line)
-            flag_text = (due, brk)
-        elif (due, brk) != flag_text and (
-                _parse_bool(due, "events", line) != schedule_due
-                or _parse_bool(brk, "events", line) != structural_break):
-            raise ValidationError(
-                f"events row {line}: governance flags differ within date {key}",
-                code="inconsistent_flags", field="events")
-        _check_new_id(seen, name, "events", line)
-        group.append((name, _parse_finite(dw, "events", line, "delta_w", name)))
-    if group:
-        flush()
     return events
 
 

@@ -19,6 +19,7 @@ that each bound is the exact integer inverse of its forward constraint.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 from .model import (
@@ -36,6 +37,9 @@ from .model import (
 #: Practical ceiling for the breadth bounds: beyond any float and any
 #: portfolio, so larger closed-form values are reported as exactly this.
 BREADTH_CEILING = 10**300
+
+#: Smallest positive normal float; below it a float carries fewer significant bits.
+_MIN_NORMAL = sys.float_info.min
 
 
 def impact_cost(traded_notional_usd: float, adv_usd: float, params) -> float:
@@ -60,41 +64,51 @@ def max_weight_impact(asset: Asset, params: FeasibilityParams) -> float:
 
     Inverts the impact law at ``Q = A * w * tau``, giving
     ``w <= (V / (A * tau)) * (I_cap / c) ** (1/delta)``, clamped to [0, 1]
-    because the raw formula can exceed one at small portfolio scale. Where
-    the power overflows a float, the law is inverted in log space instead.
+    because the raw formula can exceed one at small portfolio scale. Where an
+    intermediate is not a normal float (it underflowed, lost precision to a
+    subnormal or overflowed), the law is inverted in log space instead.
     """
-    tau = params.turnover_fraction
     imp = params.impact
-    try:
-        power = (imp.impact_cap / imp.c) ** (1.0 / imp.delta)
-    except OverflowError:
-        power = math.inf
-    envelope = params.aum_usd * tau
-    liquidity = asset.adv_usd / envelope if envelope > 0 else math.inf
-    if power == math.inf or liquidity == math.inf:
-        log_raw = (math.log(asset.adv_usd) - math.log(params.aum_usd) - math.log(tau)
-                   + (math.log(imp.impact_cap) - math.log(imp.c)) / imp.delta)
-        return math.exp(min(log_raw, 0.0))
-    raw = liquidity * power
-    return min(max(raw, 0.0), 1.0)
+    ratio = imp.impact_cap / imp.c
+    envelope = params.aum_usd * params.turnover_fraction
+    if _MIN_NORMAL <= ratio < math.inf and _MIN_NORMAL <= envelope < math.inf:
+        try:
+            power = ratio ** (1.0 / imp.delta)
+        except OverflowError:
+            power = math.inf
+        liquidity = asset.adv_usd / envelope
+        raw = liquidity * power
+        if _MIN_NORMAL <= power < math.inf and _MIN_NORMAL <= liquidity < math.inf \
+                and raw >= _MIN_NORMAL:
+            return min(raw, 1.0)
+    # log(I_cap / c) from the rounded ratio where it is normal, as the direct path uses it
+    log_ratio = (math.log(ratio) if _MIN_NORMAL <= ratio < math.inf
+                 else math.log(imp.impact_cap) - math.log(imp.c))
+    return math.exp(min(math.fsum([math.log(asset.adv_usd), -math.log(params.aum_usd),
+                                   -math.log(params.turnover_fraction),
+                                   log_ratio / imp.delta]), 0.0))
 
 
 def max_weight_participation(asset: Asset, params: FeasibilityParams) -> float:
     """Weight cap implied by a participation limit ``Q/V <= phi``.
 
-    Returns ``phi * V / (A * tau)`` clamped to [0, 1], and 1 where ``A * tau``
-    underflows to zero. Requires a configured participation cap.
+    Returns ``phi * V / (A * tau)`` clamped to [0, 1], in log space where an
+    intermediate is not a normal float. Requires a configured participation cap.
     """
     phi = params.impact.participation_cap
     if phi is None:
         raise ValidationError("participation cap is not configured",
                               code="participation_cap_not_configured",
                               field="impact.participation_cap")
+    allowed = phi * asset.adv_usd
     envelope = params.aum_usd * params.turnover_fraction
-    if envelope == 0:
-        return 1.0  # the envelope underflowed: no weight comes near the limit
-    raw = phi * asset.adv_usd / envelope
-    return min(max(raw, 0.0), 1.0)
+    if _MIN_NORMAL <= allowed < math.inf and _MIN_NORMAL <= envelope < math.inf:
+        raw = allowed / envelope
+        if raw >= _MIN_NORMAL:
+            return min(raw, 1.0)
+    return math.exp(min(math.fsum([math.log(phi), math.log(asset.adv_usd),
+                                   -math.log(params.aum_usd),
+                                   -math.log(params.turnover_fraction)]), 0.0))
 
 
 def min_weight_change(econ: EconParams, cost_bps: float | None = None) -> float:

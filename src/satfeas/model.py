@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Container, Iterable, Mapping
 
 #: Absolute tolerance for equality-style weight invariants. All formulas in
 #: the engine are closed-form, so nothing looser is justified.
@@ -32,13 +32,19 @@ class ValidationError(ValueError):
     """An input violated a declared invariant.
 
     ``code`` is a stable machine-readable identifier; ``field`` names the
-    offending input when one can be singled out.
+    offending input when one can be singled out, and ``index`` its entry if it is a list.
     """
 
-    def __init__(self, message: str, code: str | None = None, field: str | None = None):
+    def __init__(self, message: str, code: str | None = None, field: str | None = None,
+                 index: int | None = None):
         super().__init__(message)
         self.code = code
         self.field = field
+        self.index = index
+
+    def __str__(self) -> str:
+        prefix = "" if self.index is None else f"{self.field} entry {self.index + 1}: "
+        return prefix + self.args[0]
 
 
 class Unbounded:
@@ -247,16 +253,6 @@ class FeasibilityParams:
                      f"{name} must be a {typ.__name__}", "bad_section", name)
 
 
-def check_unique_ids(ids: Sequence[str], what: str) -> None:
-    """Raise ``duplicate_id`` naming the first id that repeats in ``ids``."""
-    if len(set(ids)) == len(ids):
-        return
-    seen: set[str] = set()
-    for name in ids:
-        _require(name not in seen, f"duplicate id {name!r} in {what}", "duplicate_id", what)
-        seen.add(name)
-
-
 def check_kappas(kappa_a: float, kappa_c: float) -> None:
     """The tier tilt ranges: ``kappa_a >= 1`` and ``0 < kappa_c <= 1``."""
     _finite(kappa_a, "kappa_a")
@@ -273,29 +269,49 @@ def weight_sum(weights: Iterable[float]) -> float:
         return math.inf
 
 
-def _check_weight_pairs(pairs: Iterable[tuple[str, float]], what: str) -> tuple[tuple[str, float], ...]:
+def entry_error(what: str, index: int, name: Any, value: Any = 0.0, seen: Container = (),
+                signed: bool = False) -> ValidationError:
+    """The error of entry ``index`` of list ``what``, which breaks one of these rules, by the first:
+    a nonempty string id, not in ``seen``, a finite number, nonnegative unless ``signed``."""
+    column = "delta_w" if signed else "weight"
+    if not (isinstance(name, str) and name):
+        rule, code = "id must be a nonempty string", "bad_id"
+    elif name in seen:
+        rule, code = f"duplicate id {name!r}", "duplicate_id"
+    elif not _is_finite(value):
+        rule, code = f"{column} for {name} must be a finite number", "not_finite"
+    else:
+        rule, code = f"weight for {name} must be nonnegative", "weight_must_be_nonnegative"
+    return ValidationError(rule, code, what, index)
+
+
+def check_pairs(pairs: Iterable[tuple[str, float]], what: str,
+                signed: bool = False) -> tuple[tuple[str, float], ...]:
+    """The one validator of (id, number) lists: designs, cores and ``signed`` trades.
+
+    Returns the pairs with float numbers, or raises the :func:`entry_error` of
+    the first bad entry. A shape error has no ``index``.
+    """
+    column = "delta_w" if signed else "weight"
     try:
         items = iter(pairs)
     except TypeError:
-        raise ValidationError(f"{what} must be a list of (id, weight) pairs",
+        raise ValidationError(f"{what} must be a list of (id, {column}) pairs",
                               "bad_weight_pair", what) from None
-    out = []
+    out: list[tuple[str, float]] = []
+    seen: set[str] = set()
     for item in items:
         try:
             name, w = item
         except (TypeError, ValueError):
-            raise ValidationError(f"{what} entries must be (id, weight) pairs",
+            raise ValidationError(f"{what} entries must be (id, {column}) pairs",
                                   "bad_weight_pair", what) from None
-        # messages are built only on failure: designs and cores can be long
-        if not (isinstance(name, str) and name != ""):
-            raise ValidationError(f"{what} ids must be nonempty strings", "bad_id", what)
-        if not _is_finite(w):
-            _finite(w, f"{what} weight for {name}")
-        if w < 0:
-            raise ValidationError(f"{what} weight for {name} must be nonnegative",
-                                  "weight_must_be_nonnegative", what)
+        # inline, and no message unless a rule fails: designs, cores and proposals can be long
+        if not (isinstance(name, str) and name and name not in seen and _is_finite(w)
+                and (signed or w >= 0)):
+            raise entry_error(what, len(out), name, w, seen, signed)
+        seen.add(name)
         out.append((name, float(w)))
-    check_unique_ids([name for name, _ in out], what)
     return tuple(out)
 
 
@@ -313,8 +329,7 @@ class SatelliteDesign:
         _require(isinstance(self.theme, str), "theme must be a string", "bad_theme", "theme")
         _finite(self.alpha, "alpha")
         _require(0 <= self.alpha <= 1, "alpha must lie in [0,1]", "alpha_out_of_range", "alpha")
-        object.__setattr__(self, "constituents",
-                           _check_weight_pairs(self.constituents, "constituents"))
+        object.__setattr__(self, "constituents", check_pairs(self.constituents, "constituents"))
         check_kappas(self.kappa_a, self.kappa_c)
         total = weight_sum(w for _, w in self.constituents)
         _require(abs(total - self.alpha) <= WEIGHT_TOL,
@@ -338,8 +353,7 @@ class Portfolio:
     satellite: SatelliteDesign
 
     def __post_init__(self):
-        object.__setattr__(self, "core_weights",
-                           _check_weight_pairs(self.core_weights, "core_weights"))
+        object.__setattr__(self, "core_weights", check_pairs(self.core_weights, "core_weights"))
         _require(isinstance(self.satellite, SatelliteDesign), "satellite must be a SatelliteDesign",
                  "bad_satellite", "satellite")
         total = weight_sum(w for _, w in self.core_weights) + \
@@ -358,21 +372,7 @@ class RebalanceProposal:
     structural_break: bool = False
 
     def __post_init__(self):
-        out = []
-        for item in self.trades:
-            try:
-                name, dw = item
-            except (TypeError, ValueError):
-                raise ValidationError("trades must be (id, delta_w) pairs",
-                                      "bad_trade", "trades") from None
-            _require(isinstance(name, str) and name != "", "trade ids must be nonempty strings",
-                     "bad_id", "trades")
-            # per-trade messages are built only on failure: proposals can be long
-            if not _is_finite(dw):
-                _finite(dw, f"delta_w for {name}")
-            out.append((name, float(dw)))
-        check_unique_ids([name for name, _ in out], "trades")
-        object.__setattr__(self, "trades", tuple(out))
+        object.__setattr__(self, "trades", check_pairs(self.trades, "trades", signed=True))
         _require(isinstance(self.schedule_due, bool), "schedule_due must be a boolean",
                  "bad_flag", "schedule_due")
         _require(isinstance(self.structural_break, bool), "structural_break must be a boolean",

@@ -161,7 +161,7 @@ class TestRunCascadeValidation:
         inp = ai_input()
         with pytest.raises(ValidationError) as err:
             CascadeInput(candidates=(make_asset(id="a"), make_asset(id="a")), params=inp.params)
-        assert (str(err.value), err.value.code) == ("duplicate id 'a' in candidates",
+        assert (str(err.value), err.value.code) == ("candidates entry 2: duplicate id 'a'",
                                                     "duplicate_id")
 
     def test_too_many_names_fail_epistemic(self):

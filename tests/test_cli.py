@@ -162,6 +162,34 @@ class TestFilterAndReplay:
             "gross_turnover_executed              0.047\n"
             "max_participation_observed           0.0004\n")
 
+    def test_filter_rebalance_participation_cap(self, capsys, tmp_path):
+        # CHIP1 +0.02 clears dw_min and the impact cap; its participation
+        # 1e5 * 0.02 / 5e6 = 4e-4 is above the 1e-4 cap
+        cfg = json.loads((FIXTURES / "ai_config.json").read_text())
+        cfg["impact"]["participation_cap"] = 1e-4
+        proposal = tmp_path / "p.csv"
+        proposal.write_text("id,delta_w\nCHIP1,0.02\n")
+        code, out, err = run(capsys, "filter-rebalance", "--config", write_config(tmp_path, cfg),
+                             "--candidates", AI_CANDIDATES, "--proposal", str(proposal),
+                             "--schedule-due")
+        assert (code, err) == (0, "")
+        assert out == "executed 0 of 1 trades\n  suppress  CHIP1       +0.02  (participation_cap)\n"
+
+    def test_replay_without_design_skips_the_exact_entropy(self, capsys, monkeypatch,
+                                                             tmp_path):
+        # the synthesized design's report is discarded, so its diagnostic is never computed
+        def fail(*args):
+            raise AssertionError("exact entropy computed for a discarded report")
+
+        monkeypatch.setattr("satfeas.cascade.entropy_increment_exact", fail)
+        core = tmp_path / "core.csv"
+        core.write_text("id,weight\nC1,0.5\nC2,0.5\n")
+        code, _, err = run(capsys, "replay", "--config", AI_CONFIG,
+                           "--candidates", AI_CANDIDATES,
+                           "--events", str(FIXTURES / "ai_events.csv"),
+                           "--core-weights", str(core))
+        assert (code, err) == (0, "")
+
     def test_replay_core_within_load_tolerance(self, capsys, tmp_path):
         # the core loader accepts a sum within 1e-9 of one, a Portfolio only
         # within 1e-12: replay rescales the core instead of failing
@@ -247,6 +275,25 @@ class TestExtremeInputs:
         caps = [*bounds["weight_caps_impact"].values(),
                 *(bounds["weight_caps_participation"] or {}).values()]
         assert len(caps) in (3, 6) and set(caps) == {cap}
+
+    @pytest.mark.parametrize("doc,adv,key,law", [
+        # (1e-300) ** 2 underflows to zero; the law gives 1e12 / (1e-290 * 0.5) * 1e-600
+        ({"aum_usd": 1e-290, "impact": {"c": 1, "delta": 0.5, "impact_cap": 1e-300}}, "1e12",
+         "weight_caps_impact", 2e-298),
+        # phi * adv = 1e-400 underflows to zero; the law gives 1e-400 / 1e-310
+        ({"aum_usd": 1e-300, "turnover_fraction": 1e-10,
+          "impact": {"participation_cap": 1e-200}}, "1e-200", "weight_caps_participation",
+         1e-90),
+    ], ids=["impact_power_underflow", "participation_underflow"])
+    def test_weight_caps_past_an_underflow_are_their_law(self, capsys, tmp_path, doc, adv,
+                                                          key, law):
+        candidates = tmp_path / "candidates.csv"
+        candidates.write_text("id,tier,adv_usd,round_trip_cost_bps,gaer_admissible,exclusion\n"
+                              f"A,A,{adv},,true,none\n")
+        code, out, err = run(capsys, "bounds", "--config", write_config(tmp_path, doc),
+                             "--candidates", str(candidates), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)[key]["A"] == pytest.approx(law, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("rows", [
         # one date: the exact sleeve sum, 2e308, leaves the float range

@@ -335,6 +335,55 @@ def test_load_events_error_table(tmp_path, body, code, message):
     assert message in str(err.value)
 
 
+#: kind -> (loader, file name in messages, header); the fault -> the code it raises.
+_PAIR_FILES = {
+    "core": (load_core_weights, "core_weights", "id,weight"),
+    "proposal": (load_proposal_trades, "proposal", "id,delta_w"),
+    "events": (load_events, "events", EVENT_HEADER.strip()),
+}
+_FAULT_CODES = {"empty id": "bad_id", "duplicate": "duplicate_id", "nan": "not_finite",
+                "inf": "not_finite", "-inf": "not_finite", "negative": "weight_must_be_nonnegative",
+                "x1": "bad_number"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(_PAIR_FILES)), data=st.data())
+def test_one_fault_is_reported_at_its_row(tmp_path_factory, kind, data):
+    """A valid file with one bad cell fails with the fault's code, at the fault's row."""
+    loader, what, header = _PAIR_FILES[kind]
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                      if kind == "events" else st.integers(1, 8).map(lambda n: [n]))
+    entries = [(group, j) for group, size in enumerate(sizes) for j in range(size)]
+    at = data.draw(st.integers(0, len(entries) - 1))
+    faults = ["empty id", "nan", "inf", "-inf", "x1"]
+    faults += ["negative"] if kind == "core" else []
+    faults += ["duplicate"] if entries[at][1] > 0 else []  # an earlier id of its group
+    fault = data.draw(st.sampled_from(faults))
+    lines, rows = [header], []
+    for i, (group, j) in enumerate(entries):
+        if data.draw(st.booleans()):
+            lines.append("")  # a blank line is skipped but counted
+        name, value = f"N{j}", "0.1"
+        if i == at:
+            if fault == "empty id":
+                name = ""
+            elif fault == "duplicate":
+                name = f"N{data.draw(st.integers(0, j - 1))}"
+            else:
+                value = "-0.1" if fault == "negative" else fault
+        cells = [name, value]
+        if kind == "events":
+            cells = [f"2025-01-{group + 1:02d}", *cells, "true", "false"]
+        lines.append(",".join(cells))
+        rows.append(len(lines))
+    path = tmp_path_factory.mktemp("fault") / "f.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError) as err:
+        loader(path)
+    assert err.value.code == _FAULT_CODES[fault]
+    assert str(err.value).startswith(f"{what} row {rows[at]}: ")
+
+
 def test_load_events_ai_fixture_pinned():
     def ev(day, trades, due=False, brk=False):
         return RebalanceEvent(date=date.fromisoformat(day), proposal=RebalanceProposal(

@@ -1,6 +1,8 @@
 """Frozen examples and property tests for the closed-form bound functions."""
 
 import math
+import sys
+from decimal import Context, Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,24 @@ class TestImpactCost:
         assert impact_cost(q * bump, v, p) > impact_cost(q, v, p)
 
 
+#: Positive finite floats, subnormals included; the unit interval (0, 1]; and (0, 1).
+_POSITIVE = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+_OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+#: Decimal arithmetic far past float precision, for the exact value of a law.
+_EXACT = Context(prec=60)
+
+
+def _assert_is_law(weight_cap, log_law):
+    """``weight_cap`` is ``min(exp(log_law), 1)`` where that is a normal float, and is 0
+    only where it is below the smallest normal float."""
+    law = 1.0 if log_law >= 0 else float(log_law.exp(_EXACT))
+    if law >= sys.float_info.min:
+        assert abs(weight_cap - law) <= 1e-12 * law
+    assert weight_cap > 0 or law < sys.float_info.min
+
+
 class TestWeightCaps:
     def test_impact_cap_hand_case(self):
         params = make_params(aum_usd=1e5, turnover_fraction=0.5, impact_cap=0.01,
@@ -123,6 +143,16 @@ class TestWeightCaps:
             max_weight_participation(make_asset(), params)
         assert err.value.code == "participation_cap_not_configured"
 
+    def test_trade_exactly_at_the_participation_cap_executes(self):
+        # the cap is the trade's own participation A * |dw| / adv, then one ulp below it
+        trade, asset = ("a", -0.02), make_asset(id="a", adv_usd=5e6)
+        phi = 1e5 * abs(trade[1]) / asset.adv_usd
+        for cap, outcome in ((phi, ([trade], [])),
+                             (math.nextafter(phi, 0.0), ([], [(trade, "participation_cap")]))):
+            params = make_params(aum_usd=1e5, min_effect_bps=0.2, participation_cap=cap)
+            proposal = RebalanceProposal(trades=(trade,), schedule_due=True)
+            assert filter_rebalance(proposal, params, [asset]) == outcome
+
     @given(
         v=st.floats(min_value=1e5, max_value=1e9),
         scale=st.floats(min_value=1.1, max_value=10.0),
@@ -136,6 +166,30 @@ class TestWeightCaps:
         assert max_weight_impact(a2, base) >= max_weight_impact(a1, base)
         bigger = make_params(aum_usd=aum * scale, impact_cap=cap)
         assert max_weight_impact(a1, bigger) <= max_weight_impact(a1, base)
+
+    @given(aum=_POSITIVE, tau=_UNIT, c=_POSITIVE, delta=_OPEN_UNIT, cap=_POSITIVE,
+           phi=_UNIT, adv=_POSITIVE)
+    @settings(max_examples=400, deadline=None)
+    def test_caps_are_their_law_over_the_validated_domain(self, aum, tau, c, delta, cap,
+                                                          phi, adv):
+        """Each cap is its law, evaluated exactly in log space, within a relative 1e-12.
+
+        ``I_cap / c`` enters as the float the engine divides where that is
+        normal: the impact law depends on the ratio alone, and the engine rounds
+        it once, an error that ``1 / delta`` magnifies. Outside the normal range
+        the ratio is taken as ``ln I_cap - ln c``, exactly.
+        """
+        params = make_params(aum_usd=aum, turnover_fraction=tau, c=c, delta=delta,
+                             impact_cap=cap, participation_cap=phi)
+        asset = make_asset(adv_usd=adv)
+        ln = lambda x: Decimal(x).ln(_EXACT)  # noqa: E731
+        ratio = cap / c
+        log_ratio = (ln(ratio) if sys.float_info.min <= ratio < math.inf
+                     else _EXACT.subtract(ln(cap), ln(c)))
+        scale = _EXACT.subtract(ln(adv), _EXACT.add(ln(aum), ln(tau)))
+        _assert_is_law(max_weight_impact(asset, params),
+                       _EXACT.add(scale, _EXACT.divide(log_ratio, Decimal(delta))))
+        _assert_is_law(max_weight_participation(asset, params), _EXACT.add(scale, ln(phi)))
 
 
 def _filter_one(trade, cost_bps=None):

@@ -119,12 +119,13 @@ WEIGHT_PAIR_ERRORS = [
      "bad_weight_pair", "{what}"),
     ("bad_shape", (("a", 0.1, 0.2),), "{what} entries must be (id, weight) pairs",
      "bad_weight_pair", "{what}"),
-    ("empty_id", (("", 0.1),), "{what} ids must be nonempty strings", "bad_id", "{what}"),
-    ("not_finite", (("a", math.nan),), "{what} weight for a must be a finite number",
-     "not_finite", "{what} weight for a"),
-    ("negative", (("a", -0.1),), "{what} weight for a must be nonnegative",
+    ("empty_id", (("", 0.1),), "{what} entry 1: id must be a nonempty string", "bad_id",
+     "{what}"),
+    ("not_finite", (("a", math.nan),), "{what} entry 1: weight for a must be a finite number",
+     "not_finite", "{what}"),
+    ("negative", (("a", -0.1),), "{what} entry 1: weight for a must be nonnegative",
      "weight_must_be_nonnegative", "{what}"),
-    ("duplicate", (("a", 0.05), ("a", 0.05)), "duplicate id 'a' in {what}",
+    ("duplicate", (("a", 0.05), ("a", 0.05)), "{what} entry 2: duplicate id 'a'",
      "duplicate_id", "{what}"),
 ]
 
@@ -148,6 +149,30 @@ def test_weight_pair_errors(build, what, pairs, message, code, field):
         build(pairs)
     assert (str(err.value), err.value.code, err.value.field) == \
         (message.format(what=what), code, field.format(what=what))
+
+
+#: (label, trades, message, code): the same rules on a signed list, in entry order.
+TRADE_ERRORS = [
+    ("not_iterable", 5, "trades must be a list of (id, delta_w) pairs", "bad_weight_pair"),
+    ("bad_shape", (("a", 0.1, 0.2),), "trades entries must be (id, delta_w) pairs",
+     "bad_weight_pair"),
+    ("empty_id", (("a", 0.1), ("", 0.1)), "trades entry 2: id must be a nonempty string",
+     "bad_id"),
+    ("duplicate_before_nan", (("a", 0.1), ("a", math.nan)), "trades entry 2: duplicate id 'a'",
+     "duplicate_id"),
+    ("inf", (("a", -0.1), ("b", math.inf)),
+     "trades entry 2: delta_w for b must be a finite number", "not_finite"),
+    ("first_bad_entry_wins", (("a", math.nan), ("", 0.1)),
+     "trades entry 1: delta_w for a must be a finite number", "not_finite"),
+]
+
+
+@pytest.mark.parametrize("trades,message,code", [case[1:] for case in TRADE_ERRORS],
+                         ids=[case[0] for case in TRADE_ERRORS])
+def test_trade_errors(trades, message, code):
+    with pytest.raises(ValidationError) as err:
+        RebalanceProposal(trades=trades)
+    assert (str(err.value), err.value.code, err.value.field) == (message, code, "trades")
 
 
 class TestRoundTrips:

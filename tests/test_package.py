@@ -1,5 +1,6 @@
 """Package surface: stdlib-only imports and an export list that resolves."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -31,3 +32,15 @@ def test_cli_imports_only_the_standard_library():
 def test_every_exported_name_resolves():
     assert len(set(satfeas.__all__)) == len(satfeas.__all__)
     assert [name for name in satfeas.__all__ if not hasattr(satfeas, name)] == []
+
+
+#: Codes of the list-entry rules, whose one home is ``satfeas/model.py``.
+ENTRY_RULE_CODES = {"bad_id", "duplicate_id", "not_finite"}
+
+
+def test_entry_rule_codes_only_in_the_model():
+    # a loader restates a model error at its row; it never words the rule itself
+    homes = sorted({path.name for path in (SRC / "satfeas").glob("*.py")
+                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, ast.Constant) and node.value in ENTRY_RULE_CODES})
+    assert homes == ["model.py"]

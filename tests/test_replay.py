@@ -93,6 +93,18 @@ class TestReplay:
         # participations: 1e6*0.1/1e6 = 0.1 and 1e6*0.2/1e7 = 0.02
         assert stats.max_participation_observed == pytest.approx(0.1, abs=1e-12)
 
+    def test_participation_cap_suppresses_at_trade_time(self):
+        params = make_params(aum_usd=1e6, round_trip_cost_bps=50.0, min_effect_bps=0.0,
+                             impact_cap=0.05, participation_cap=0.05)
+        assets = [make_asset(id="a0", adv_usd=1e6), make_asset(id="a1", adv_usd=1e7)]
+        events = [event(date(2025, 6, 30), [("a0", 0.1), ("a1", -0.2)],
+                        schedule_due=True)]
+        stats = replay(events, params, make_portfolio(), assets)
+        # a0 participates at 0.1 > 0.05 and is suppressed; a1 at 0.02 executes
+        assert (stats.trades_executed, stats.trades_suppressed_by_reason) == \
+            (1, {"participation_cap": 1})
+        assert stats.max_participation_observed == pytest.approx(0.02, abs=1e-12)
+
     def test_weight_sum_conserved_across_events(self):
         rng = random.Random(11)
         assets = make_assets(8)
