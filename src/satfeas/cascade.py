@@ -163,7 +163,7 @@ def run_cascade(inp: CascadeInput) -> tuple[FeasibilityReport, SatelliteDesign]:
 
     if inp.design is not None:
         design = inp.design
-        unknown = [name for name in design.ids if name not in by_id]
+        unknown = [name for name, _ in design.constituents if name not in by_id]
         if unknown:
             raise ValidationError(f"design references unknown asset id {unknown[0]!r}",
                                   code="unknown_asset_id", field="design")

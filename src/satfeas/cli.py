@@ -11,29 +11,23 @@ Exit codes: 0 success (and admissible for check/design), 2 inadmissible,
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 from typing import Sequence
 
 from .cascade import CascadeInput, compute_bounds, filter_rebalance, run_cascade
 from .config import RunConfig, load_config
 from .io import (
-    bounds_lines,
+    emit_bounds,
+    emit_filter,
+    emit_replay,
     emit_report,
-    json_bytes,
     load_candidates,
     load_core_weights,
+    load_design,
     load_events,
     load_proposal_trades,
 )
-from .model import (
-    Portfolio,
-    RebalanceProposal,
-    SatelliteDesign,
-    ValidationError,
-    to_json,
-)
+from .model import Portfolio, SatelliteDesign, ValidationError
 from .replay import replay
 
 
@@ -63,14 +57,13 @@ def _build_parser() -> _Parser:
 
     p_design = sub.add_parser("design", help="synthesize a sleeve and evaluate it")
     add_common(p_design)
-    p_design.add_argument("--core-weights", help="normalized core CSV for the exact "
-                                                 "entropy diagnostic")
+    core_help = "normalized core CSV for the exact entropy diagnostic"
+    p_design.add_argument("--core-weights", help=core_help)
 
     p_check = sub.add_parser("check", help="evaluate a supplied sleeve design")
     add_common(p_check)
     p_check.add_argument("--design", required=True, help="design JSON file")
-    p_check.add_argument("--core-weights", help="normalized core CSV for the exact "
-                                                "entropy diagnostic")
+    p_check.add_argument("--core-weights", help=core_help)
 
     p_filter = sub.add_parser("filter-rebalance", help="apply the trade filter to a proposal")
     add_common(p_filter)
@@ -86,7 +79,6 @@ def _build_parser() -> _Parser:
                           help="event CSV (date,id,delta_w,schedule_due,structural_break)")
     p_replay.add_argument("--design", help="design JSON for the initial sleeve "
                                            "(default: synthesize)")
-    p_replay.add_argument("--core-weights", help="normalized core CSV for initial weights")
     return parser
 
 
@@ -101,108 +93,47 @@ def _load_universe(cfg: RunConfig, args, required: bool = True) -> list | None:
     return load_candidates(path)
 
 
-def _load_core(cfg: RunConfig, args) -> list[tuple[str, float]] | None:
-    path = args.core_weights or cfg.core_weights_path
-    return None if path is None else load_core_weights(path)
-
-
-def _emit(data: bytes) -> None:
-    sys.stdout.buffer.write(data)
-    sys.stdout.buffer.flush()
-
-
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple[int, bytes]:
     cfg = load_config(args.config)
     bounds = compute_bounds(cfg.params, _load_universe(cfg, args, required=False))
-    if args.format == "json":
-        _emit(json_bytes(to_json(bounds)))
-    else:
-        lines = bounds_lines(bounds)
-        if bounds.weight_caps_impact is not None:
-            lines.append("")
-            lines.append("per-asset impact caps")
-            for name in sorted(bounds.weight_caps_impact):
-                lines.append(f"{name:<22}{format(bounds.weight_caps_impact[name], '.10g')}")
-        _emit(("\n".join(lines) + "\n").encode())
-    return 0
+    return 0, emit_bounds(bounds, args.format)
 
 
-def _load_design(path: str) -> SatelliteDesign:
-    with open(path, encoding="utf-8") as fh:
-        return SatelliteDesign.from_dict(json.load(fh))
-
-
-def _cascade(cfg: RunConfig, candidates, design: SatelliteDesign | None, core):
-    core_weights = tuple(w for _, w in core) if core is not None else None
+def _cascade(cfg: RunConfig, candidates, design: SatelliteDesign | None, core_path=None):
+    core = None if core_path is None else tuple(w for _, w in load_core_weights(core_path))
     return run_cascade(CascadeInput(
         candidates=tuple(candidates), params=cfg.params, kappa_a=cfg.kappa_a,
-        kappa_c=cfg.kappa_c, theme=cfg.theme, design=design, core_weights=core_weights))
+        kappa_c=cfg.kappa_c, theme=cfg.theme, design=design, core_weights=core))
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> tuple[int, bytes]:
     """``design`` synthesizes a sleeve, ``check`` evaluates ``--design``; both print the report."""
     cfg = load_config(args.config)
-    design = _load_design(args.design) if args.command == "check" else None
-    report, design = _cascade(cfg, _load_universe(cfg, args), design, _load_core(cfg, args))
-    _emit(emit_report(report, design, args.format))
-    return 0 if report.admissible else 2
+    design = load_design(args.design) if args.command == "check" else None
+    report, design = _cascade(cfg, _load_universe(cfg, args), design,
+                              args.core_weights or cfg.core_weights_path)
+    return 0 if report.admissible else 2, emit_report(report, design, args.format)
 
 
-def _cmd_filter(args) -> int:
+def _cmd_filter(args) -> tuple[int, bytes]:
     cfg = load_config(args.config)
     assets = _load_universe(cfg, args)
-    trades = load_proposal_trades(args.proposal)
-    proposal = RebalanceProposal(trades=tuple(trades), schedule_due=args.schedule_due,
-                                 structural_break=args.structural_break)
-    executed, suppressed = filter_rebalance(proposal, cfg.params, assets)
-    if args.format == "json":
-        doc = {"executed": [[n, dw] for n, dw in executed],
-               "suppressed": [[n, dw, reason] for (n, dw), reason in suppressed]}
-        _emit(json_bytes(doc))
-    else:
-        lines = [f"executed {len(executed)} of {len(proposal.trades)} trades"]
-        for name, dw in executed:
-            lines.append(f"  execute   {name:<12}{format(dw, '+.10g')}")
-        for (name, dw), reason in suppressed:
-            lines.append(f"  suppress  {name:<12}{format(dw, '+.10g')}  ({reason})")
-        _emit(("\n".join(lines) + "\n").encode())
-    return 0
+    proposal = load_proposal_trades(args.proposal, args.schedule_due, args.structural_break)
+    return 0, emit_filter(*filter_rebalance(proposal, cfg.params, assets), args.format)
 
 
-def _cmd_replay(args) -> int:
+def _cmd_replay(args) -> tuple[int, bytes]:
+    # no statistic depends on how the core is composed: it is one name, and no file is read
     cfg = load_config(args.config)
     assets = _load_universe(cfg, args)
     events = load_events(args.events)
-    core = _load_core(cfg, args)
     if args.design is not None:
-        design = _load_design(args.design)
+        design = load_design(args.design)
     else:
-        _report, design = _cascade(cfg, assets, None, None)  # no core: the report is unused
-    remainder = 1.0 - design.alpha
-    if core is not None:
-        # the core file may sum to one within a looser tolerance than a
-        # Portfolio accepts; scaling by its own sum closes the gap
-        scale = remainder / math.fsum(w for _, w in core)
-        core_pairs = tuple((name, w * scale) for name, w in core)
-    else:
-        core_pairs = (("CORE", remainder),) if remainder > 0 else ()
-    portfolio = Portfolio(core_weights=core_pairs, satellite=design)
-    stats = replay(events, cfg.params, portfolio, assets)
-    d = to_json(stats)
-    if args.format == "json":
-        _emit(json_bytes(d))
-    else:
-        rows = [(key, str(d[key]))
-                for key in ("events_total", "trades_proposed", "trades_executed")]
-        rows += [(f"suppressed[{reason}]", str(count))
-                 for reason, count in sorted(d["trades_suppressed_by_reason"].items())]
-        rows += [(key, format(d[key], ".10g"))
-                 for key in ("gross_turnover_executed", "max_participation_observed")]
-        width = max(len(label) for label, _ in rows) + 2  # every value in one column
-        lines = ["replay statistics", "-----------------"]
-        lines += [label.ljust(width) + value for label, value in rows]
-        _emit(("\n".join(lines) + "\n").encode())
-    return 0
+        _report, design = _cascade(cfg, assets, None)  # no core: the report is unused
+    core = (("CORE", 1.0 - design.alpha),) if design.alpha < 1 else ()
+    stats = replay(events, cfg.params, Portfolio(core_weights=core, satellite=design), assets)
+    return 0, emit_replay(stats, args.format)
 
 
 _COMMANDS = {
@@ -221,13 +152,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _COMMANDS[args.command](args)
-    except ValidationError as e:
+        code, out = _COMMANDS[args.command](args)
+        sys.stdout.buffer.write(out)
+        sys.stdout.buffer.flush()
+    except (ValidationError, OSError) as e:  # OSError: the write to stdout
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    return code
 
 
 if __name__ == "__main__":

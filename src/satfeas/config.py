@@ -9,11 +9,11 @@ object is a valid config.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
+from .io import read_json
 from .model import (
     EconParams,
     EntropyParams,
@@ -54,7 +54,10 @@ class RunConfig:
 def _number(value: Any, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{key} must be a number", code="bad_type", field=key)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range: the model names it not_finite
+        return value
 
 
 def _section(data: Mapping[str, Any], name: str) -> dict[str, float | None]:
@@ -119,18 +122,5 @@ def config_from_dict(data: Mapping[str, Any]) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Read and validate a JSON config file.
-
-    Missing file, JSON parse failure, unknown keys, and invariant violations
-    are all reported as distinct, key-naming errors.
-    """
-    p = Path(path)
-    if not p.is_file():
-        raise ValidationError(f"config file not found: {p}", code="config_file_missing",
-                              field="config")
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"config file {p} is not valid JSON: {e}",
-                              code="config_parse_error", field="config") from None
-    return config_from_dict(data)
+    """Read and validate a JSON config file; each failure is a distinct, key-naming error."""
+    return config_from_dict(read_json(path, "config"))

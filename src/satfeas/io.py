@@ -1,8 +1,10 @@
-"""File formats: candidate/proposal/event CSVs and report emission.
+"""Files: the one reader of every input, the loaders, and every output format.
 
-All CSV schemas are strict (exact headers, row-numbered errors); reports
-serialize to stable-key-ordered JSON that round-trips, or to a fixed-width
-text table with layer rows in cascade order.
+No other module opens a file. A failed read is a named ``ValidationError``;
+CSV schemas are strict (exact headers, row-numbered errors); each loader
+returns the object the engine takes. Every output is stable-key-ordered
+JSON that round-trips, or text in which each value starts two columns past
+the longest label.
 """
 
 from __future__ import annotations
@@ -10,10 +12,11 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+from contextlib import contextmanager
 from datetime import date
 from itertools import groupby
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .model import (
     LAYERS,
@@ -34,13 +37,43 @@ from .model import (
     to_json,
     weight_sum,
 )
-from .replay import RebalanceEvent
+from .replay import RebalanceEvent, ReplayStats
 
 CANDIDATE_HEADER = ["id", "tier", "adv_usd", "round_trip_cost_bps",
                     "gaer_admissible", "exclusion"]
 PROPOSAL_HEADER = ["id", "delta_w"]
 EVENT_HEADER = ["date", "id", "delta_w", "schedule_due", "structural_break"]
 CORE_HEADER = ["id", "weight"]
+
+
+@contextmanager
+def _opened(p: Path, what: str) -> Iterator[TextIO]:
+    """Input file ``what`` as UTF-8 text; a missing file or a failed read is a named error."""
+    if not p.is_file():
+        raise ValidationError(f"{what} file not found: {p}", code="file_missing", field=what)
+    try:
+        with p.open(newline="", encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError, csv.Error, RecursionError) as e:
+        raise ValidationError(f"{what} file {p} cannot be read: {e}", code="unreadable_file",
+                              field=what) from None
+
+
+def read_json(path: str | Path, what: str) -> Any:
+    """The JSON document in input file ``what``; malformed JSON is ``bad_json``."""
+    p = Path(path)
+    with _opened(p, what) as fh:
+        text = fh.read()
+        try:
+            return json.loads(text)
+        except ValueError as e:  # malformed, or an integer past the digit limit
+            raise ValidationError(f"{what} file {p} is not valid JSON: {e}", code="bad_json",
+                                  field=what) from None
+
+
+def load_design(path: str | Path) -> SatelliteDesign:
+    """Read and validate a design JSON file."""
+    return SatelliteDesign.from_dict(read_json(path, "design"))
 
 
 def _read_rows(path: str | Path, header: list[str],
@@ -51,16 +84,12 @@ def _read_rows(path: str | Path, header: list[str],
     cell is parsed, so a malformed row is reported ahead of a bad value.
     """
     p = Path(path)
-    if not p.is_file():
-        raise ValidationError(f"{what} file not found: {p}", code="file_missing", field=what)
     width = len(header)
-    with p.open(newline="", encoding="utf-8") as fh:
+    with _opened(p, what) as fh:
         reader = csv.reader(fh)
-        try:
-            got = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{what} file {p} is empty", code="bad_header",
-                                  field=what) from None
+        got = next(reader, None)
+        if got is None:
+            raise ValidationError(f"{what} file {p} is empty", code="bad_header", field=what)
         if [h.strip() for h in got] != header:
             raise ValidationError(
                 f"{what} file {p} must have header {','.join(header)!r}, got {','.join(got)!r}",
@@ -87,7 +116,9 @@ def _parse_float(text: str, what: str, line: int) -> float:
 
 
 def _at_row(e: ValidationError, what: str, lines: Sequence[int]) -> ValidationError:
-    """Entry error ``e`` of a list read from file ``what``, restated at the entry's row."""
+    """Entry error ``e`` of a list read from file ``what`` restated at its row; others as is."""
+    if e.index is None:
+        return e
     return ValidationError(f"{what} row {lines[e.index]}: {e.args[0]}", e.code, what)
 
 
@@ -145,31 +176,32 @@ def dump_candidates(assets: Sequence[Asset]) -> str:
     return buf.getvalue()
 
 
-def _load_pairs(path: str | Path, header: list[str], what: str,
-                signed: bool = False) -> list[tuple[str, float]]:
-    """The (id, number) rows of a CSV: every cell parsed, then the list checked."""
+def _load_pairs(path: str | Path, header: list[str], what: str, build: Callable) -> Any:
+    """``build`` of the (id, number) rows of a CSV, every cell parsed first; errors at their row."""
     rows = _read_rows(path, header, what)
     pairs = [(name, _parse_float(text, what, line)) for line, (name, text) in rows]
     try:
-        check_pairs(pairs, what, signed)
+        return build(pairs)
     except ValidationError as e:
         raise _at_row(e, what, [line for line, _ in rows]) from None
-    return pairs
 
 
-def load_core_weights(path: str | Path) -> list[tuple[str, float]]:
+def load_core_weights(path: str | Path) -> tuple[tuple[str, float], ...]:
     """Read a core composition CSV, normalized to sum to one within NORMALIZED_SUM_TOL."""
-    out = _load_pairs(path, CORE_HEADER, "core_weights")
-    total = weight_sum(w for _, w in out)
+    core = _load_pairs(path, CORE_HEADER, "core_weights",
+                       lambda pairs: check_pairs(pairs, "core_weights"))
+    total = weight_sum(w for _, w in core)
     if abs(total - 1.0) > NORMALIZED_SUM_TOL:
         raise ValidationError(f"core weights sum to {total!r}, expected 1.0",
                               code="weights_not_normalized", field="core_weights")
-    return out
+    return core
 
 
-def load_proposal_trades(path: str | Path) -> list[tuple[str, float]]:
-    """Read a rebalance proposal CSV of per-asset weight changes."""
-    return _load_pairs(path, PROPOSAL_HEADER, "proposal", signed=True)
+def load_proposal_trades(path: str | Path, schedule_due: bool = False,
+                         structural_break: bool = False) -> RebalanceProposal:
+    """Read a rebalance proposal CSV of per-asset weight changes, with its governance flags."""
+    return _load_pairs(path, PROPOSAL_HEADER, "proposal",
+                       lambda pairs: RebalanceProposal(pairs, schedule_due, structural_break))
 
 
 def load_events(path: str | Path) -> list[RebalanceEvent]:
@@ -217,14 +249,65 @@ def json_bytes(doc: Any) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=2, default=to_json) + "\n").encode("utf-8")
 
 
+def _render(fmt: str, doc: Any, text: Callable[[], list[str]]) -> bytes:
+    """The one output switch: ``doc`` as JSON, or the ``text`` lines, any lone surrogate escaped."""
+    if fmt == "json":
+        return json_bytes(doc)
+    if fmt == "text":
+        return ("\n".join(text()) + "\n").encode("utf-8", "backslashreplace")
+    raise ValidationError(f"unknown report format {fmt!r}", code="bad_format", field="format")
+
+
 def emit_report(report: FeasibilityReport, design: SatelliteDesign,
                 fmt: str = "text") -> bytes:
     """Render a report plus its design as stable JSON or a fixed-width table."""
-    if fmt == "json":
-        return json_bytes({"design": to_json(design), "report": to_json(report)})
-    if fmt == "text":
-        return _render_text(report, design).encode("utf-8")
-    raise ValidationError(f"unknown report format {fmt!r}", code="bad_format", field="format")
+    return _render(fmt, {"design": to_json(design), "report": to_json(report)},
+                   lambda: _report_lines(report, design))
+
+
+def emit_bounds(bounds: DerivedBounds, fmt: str = "text") -> bytes:
+    """Render the closed-form bounds, with any per-asset impact caps."""
+    def text() -> list[str]:
+        caps = bounds.weight_caps_impact
+        if caps is None:
+            return _bounds_lines(bounds, _label_width(_BOUND_KEYS))
+        width = _label_width([*_BOUND_KEYS, *caps])  # one column for the bounds and the caps
+        return [*_bounds_lines(bounds, width), "", "per-asset impact caps",
+                *(name.ljust(width) + _cell(caps[name]) for name in sorted(caps))]
+
+    return _render(fmt, to_json(bounds), text)
+
+
+def emit_filter(executed: Sequence[tuple[str, float]],
+                suppressed: Sequence[tuple[tuple[str, float], str]], fmt: str = "text") -> bytes:
+    """Render a filtered proposal: the executed trades, then the suppressed ones with reasons."""
+    def text() -> list[str]:
+        names = [name for name, _ in executed] + [name for (name, _), _ in suppressed]
+        width = max([12, *(len(name) + 1 for name in names)])
+        lines = [f"executed {len(executed)} of {len(names)} trades"]
+        lines += [f"  execute   {name.ljust(width)}{dw:+.10g}" for name, dw in executed]
+        lines += [f"  suppress  {name.ljust(width)}{dw:+.10g}  ({reason})"
+                  for (name, dw), reason in suppressed]
+        return lines
+
+    return _render(fmt, {"executed": executed,  # pairs encode as JSON arrays as they are
+                         "suppressed": [[n, dw, reason] for (n, dw), reason in suppressed]}, text)
+
+
+def emit_replay(stats: ReplayStats, fmt: str = "text") -> bytes:
+    """Render replay statistics, suppression reasons in sorted order."""
+    def text() -> list[str]:
+        rows = [(key, str(getattr(stats, key)))
+                for key in ("events_total", "trades_proposed", "trades_executed")]
+        rows += [(f"suppressed[{reason}]", str(count))
+                 for reason, count in sorted(stats.trades_suppressed_by_reason.items())]
+        rows += [(key, format(getattr(stats, key), ".10g"))
+                 for key in ("gross_turnover_executed", "max_participation_observed")]
+        width = _label_width(label for label, _ in rows)
+        return ["replay statistics", "-----------------",
+                *(label.ljust(width) + value for label, value in rows)]
+
+    return _render(fmt, to_json(stats), text)
 
 
 def parse_report(data: bytes | str) -> tuple[FeasibilityReport, SatelliteDesign]:
@@ -248,6 +331,11 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
+def _label_width(labels: Iterable[str]) -> int:
+    """The column rule of label/value text: each value starts two columns past the longest label."""
+    return max(map(len, labels)) + 2
+
+
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
@@ -258,19 +346,17 @@ def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
-def bounds_lines(b: DerivedBounds) -> list[str]:
+_BOUND_KEYS = ("alpha_max_structural", "alpha_effective", "delta_w_min", "k_max_econ",
+               "k_max_entropy")
+
+
+def _bounds_lines(b: DerivedBounds, width: int) -> list[str]:
     """The titled text block of the closed-form bounds, per-asset caps aside."""
-    lines = ["derived bounds", "--------------"]
-    for key, value in (("alpha_max_structural", b.alpha_max_structural),
-                       ("alpha_effective", b.alpha_effective),
-                       ("delta_w_min", b.delta_w_min),
-                       ("k_max_econ", b.k_max_econ),
-                       ("k_max_entropy", b.k_max_entropy)):
-        lines.append(f"{key:<22}{_cell(value)}")
-    return lines
+    return ["derived bounds", "--------------",
+            *(key.ljust(width) + _cell(getattr(b, key)) for key in _BOUND_KEYS)]
 
 
-def _render_text(report: FeasibilityReport, design: SatelliteDesign) -> str:
+def _report_lines(report: FeasibilityReport, design: SatelliteDesign) -> list[str]:
     lines = ["satellite feasibility report",
              "============================",
              f"theme:          {design.theme}",
@@ -287,13 +373,12 @@ def _render_text(report: FeasibilityReport, design: SatelliteDesign) -> str:
                     rows)
 
     b = report.derived_bounds
-    lines += ["", *bounds_lines(b)]
+    lines += ["", *_bounds_lines(b, _label_width(_BOUND_KEYS))]
 
     if b.weight_caps_impact is not None:
-        cap_rows = []
-        for name in sorted(b.weight_caps_impact):
-            part = (b.weight_caps_participation or {}).get(name)
-            cap_rows.append([name, _cell(b.weight_caps_impact[name]), _cell(part)])
+        parts = b.weight_caps_participation or {}
+        cap_rows = [[name, _cell(cap), _cell(parts.get(name))]
+                    for name, cap in sorted(b.weight_caps_impact.items())]
         lines += ["", "per-asset weight caps", "---------------------"]
         lines += _table(["id", "impact", "participation"], cap_rows)
 
@@ -310,4 +395,4 @@ def _render_text(report: FeasibilityReport, design: SatelliteDesign) -> str:
     if report.notes:
         lines += ["", "notes", "-----"]
         lines += [f"- {note}" for note in report.notes]
-    return "\n".join(lines) + "\n"
+    return lines

@@ -19,7 +19,6 @@ that each bound is the exact integer inverse of its forward constraint.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Sequence
 
 from .model import (
@@ -32,14 +31,13 @@ from .model import (
     StructuralParams,
     Unbounded,
     ValidationError,
+    _MIN_NORMAL,
+    weight_sum,
 )
 
 #: Practical ceiling for the breadth bounds: beyond any float and any
 #: portfolio, so larger closed-form values are reported as exactly this.
 BREADTH_CEILING = 10**300
-
-#: Smallest positive normal float; below it a float carries fewer significant bits.
-_MIN_NORMAL = sys.float_info.min
 
 
 def impact_cost(traded_notional_usd: float, adv_usd: float, params) -> float:
@@ -177,14 +175,13 @@ def weight_entropy(weights: Sequence[float]) -> float:
     Zero weights contribute nothing (the ``0 * ln 0 = 0`` convention), so the
     function is continuous as any weight vanishes. Result lies in [0, ln N].
     """
-    total = math.fsum(weights)
-    if abs(total - 1.0) > NORMALIZED_SUM_TOL:
+    total = weight_sum(weights)
+    if not abs(total - 1.0) <= NORMALIZED_SUM_TOL:  # a nan weight makes a nan sum, which fails
         raise ValidationError(f"weights sum to {total!r}, expected 1.0",
                               code="weights_not_normalized", field="weights")
-    for w in weights:
-        if w < 0:
-            raise ValidationError("weights must be nonnegative",
-                                  code="weight_must_be_nonnegative", field="weights")
+    if min(weights) < 0:
+        raise ValidationError("weights must be nonnegative",
+                              code="weight_must_be_nonnegative", field="weights")
     return -math.fsum(w * math.log(w) for w in weights if w > 0) + 0.0
 
 

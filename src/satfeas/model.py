@@ -12,6 +12,7 @@ most once, inside the operation that mixes them with fractions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from typing import Any, Container, Iterable, Mapping
@@ -73,8 +74,15 @@ def _require(cond: bool, message: str, code: str, field_name: str) -> None:
         raise ValidationError(message, code=code, field=field_name)
 
 
+#: The smallest positive normal float (below it fewer significant bits) and the largest.
+_MIN_NORMAL, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
+
+
 def _is_finite(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    if isinstance(x, float):
+        return math.isfinite(x)
+    # an int is compared with the float range: math.isfinite raises on one past it
+    return isinstance(x, int) and not isinstance(x, bool) and -_FLOAT_MAX <= x <= _FLOAT_MAX
 
 
 def _finite(x: float, name: str) -> None:
@@ -262,11 +270,13 @@ def check_kappas(kappa_a: float, kappa_c: float) -> None:
 
 
 def weight_sum(weights: Iterable[float]) -> float:
-    """``math.fsum`` of nonnegative weights, ``inf`` where the sum leaves the float range."""
+    """``math.fsum`` of weights: ``inf`` past the float range, ``nan`` for ``inf - inf``."""
     try:
         return math.fsum(weights)
     except OverflowError:
         return math.inf
+    except ValueError:
+        return math.nan
 
 
 def entry_error(what: str, index: int, name: Any, value: Any = 0.0, seen: Container = (),
@@ -335,10 +345,6 @@ class SatelliteDesign:
         _require(abs(total - self.alpha) <= WEIGHT_TOL,
                  f"constituent weights sum to {total!r}, expected alpha={self.alpha!r}",
                  "weights_do_not_sum_to_alpha", "constituents")
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.constituents)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SatelliteDesign":

@@ -17,7 +17,9 @@ from .model import (
     ExclusionCategory,
     TierClass,
     ValidationError,
+    _MIN_NORMAL,
     check_kappas,
+    weight_sum,
 )
 
 #: Machine-readable rejection reason for domain-inadmissible assets.
@@ -81,5 +83,11 @@ def assign_tier_weights(
     tilt = {TierClass.A: kappa_a, TierClass.B: 1.0, TierClass.C: kappa_c}
     base = alpha / k
     raw = [base * tilt[a.tier] for a in assets]
-    scale = alpha / math.fsum(raw)
+    total = weight_sum(raw)
+    if not _MIN_NORMAL <= total < math.inf:
+        # the raw weights underflow (or overflow): weigh each tilt against the largest one
+        top = max(tilt[a.tier] for a in assets)
+        raw = [tilt[a.tier] / top for a in assets]
+        total = math.fsum(raw)
+    scale = alpha / total
     return [(a.id, r * scale) for a, r in zip(assets, raw)]

@@ -1,14 +1,19 @@
 """Command-line surface: subcommands, exit codes, stream discipline."""
 
+import contextlib
+import io as _io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satfeas import UNBOUNDED
 from satfeas.cli import main
 from satfeas.io import parse_report
 
-from conftest import FIXTURES
+from conftest import FIXTURES, GOLDEN
 
 
 AI_CONFIG = str(FIXTURES / "ai_config.json")
@@ -184,22 +189,12 @@ class TestFilterAndReplay:
         monkeypatch.setattr("satfeas.cascade.entropy_increment_exact", fail)
         core = tmp_path / "core.csv"
         core.write_text("id,weight\nC1,0.5\nC2,0.5\n")
-        code, _, err = run(capsys, "replay", "--config", AI_CONFIG,
+        cfg = json.loads((FIXTURES / "ai_config.json").read_text())
+        cfg["core_weights"] = str(core)
+        code, _, err = run(capsys, "replay", "--config", write_config(tmp_path, cfg),
                            "--candidates", AI_CANDIDATES,
-                           "--events", str(FIXTURES / "ai_events.csv"),
-                           "--core-weights", str(core))
+                           "--events", str(FIXTURES / "ai_events.csv"))
         assert (code, err) == (0, "")
-
-    def test_replay_core_within_load_tolerance(self, capsys, tmp_path):
-        # the core loader accepts a sum within 1e-9 of one, a Portfolio only
-        # within 1e-12: replay rescales the core instead of failing
-        core = tmp_path / "core.csv"
-        core.write_text("id,weight\nK1,0.5\nK2,0.5000000005\n")
-        argv = ("replay", "--config", AI_CONFIG, "--candidates", AI_CANDIDATES,
-                "--events", str(FIXTURES / "ai_events.csv"), "--format", "json")
-        code, out, err = run(capsys, *argv, "--core-weights", str(core))
-        assert code == 0 and err == ""
-        assert out == run(capsys, *argv)[1]
 
 
 class TestErrors:
@@ -395,3 +390,220 @@ class TestUnboundedEncoding:
         report, _design = parse_report(out)
         assert report.derived_bounds.k_max_econ is UNBOUNDED
         assert report.layer_verdicts["economic"].bound is UNBOUNDED
+
+
+def write_ai_inputs(tmp_path):
+    """Every input file of an AI-fixture invocation, by its flag, as paths in ``tmp_path``."""
+    design = json.loads((GOLDEN / "ai_report.json").read_text())["design"]
+    texts = {"config": (FIXTURES / "ai_config.json").read_text(),
+             "candidates": (FIXTURES / "ai_candidates.csv").read_text(),
+             "design": json.dumps(design, indent=2) + "\n",
+             "core-weights": "id,weight\nCORE1,0.7\nCORE2,0.3\n",
+             "proposal": (FIXTURES / "ai_proposal.csv").read_text(),
+             "events": (FIXTURES / "ai_events.csv").read_text()}
+    paths = {}
+    for flag, text in texts.items():
+        paths[flag] = tmp_path / f"{flag}.in"
+        paths[flag].write_text(text, encoding="utf-8")
+    return paths
+
+
+#: Subcommand -> the input files it reads, by flag.
+COMMAND_INPUTS = {
+    "bounds": ("config", "candidates"),
+    "design": ("config", "candidates", "core-weights"),
+    "check": ("config", "candidates", "design", "core-weights"),
+    "filter-rebalance": ("config", "candidates", "proposal"),
+    "replay": ("config", "candidates", "events", "design"),
+}
+
+#: Flag -> the file name in its error messages.
+FILE_NAMES = {"config": "config", "candidates": "candidates", "design": "design",
+              "core-weights": "core_weights", "proposal": "proposal", "events": "events"}
+
+
+def run_isolated(argv):
+    """``main(argv)`` with its own streams: (exit code, stdout bytes, stderr text)."""
+    out, err = _io.TextIOWrapper(_io.BytesIO(), encoding="utf-8"), _io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+def argv_for(command, paths, flags=()):
+    return [command, *(arg for flag in COMMAND_INPUTS[command]
+                       for arg in (f"--{flag}", str(paths[flag]))), *flags]
+
+
+class TestInputFiles:
+    """Every input file is read by one reader: a failed read is one named error line."""
+
+    @pytest.mark.parametrize("flag", sorted(FILE_NAMES))
+    @pytest.mark.parametrize("fault,message", [
+        ("missing", "{what} file not found: {p}"),
+        ("directory", "{what} file not found: {p}"),
+        ("not utf-8", "{what} file {p} cannot be read: 'utf-8' codec can't decode byte 0xff"),
+    ])
+    def test_a_failed_read_is_one_error_line(self, tmp_path, flag, fault, message):
+        paths = write_ai_inputs(tmp_path)
+        command = next(c for c, flags in COMMAND_INPUTS.items() if flag in flags)
+        p = paths[flag]
+        if fault == "missing":
+            p.unlink()
+        elif fault == "directory":
+            p.unlink()
+            p.mkdir()
+        else:
+            p.write_bytes(b"\xff" + p.read_bytes())
+        code, out, err = run_isolated(argv_for(command, paths))
+        assert (code, out) == (1, b"")
+        assert err.startswith("error: " + message.format(what=FILE_NAMES[flag], p=p))
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("flag", ["config", "design"])
+    def test_json_nested_too_deep(self, tmp_path, flag):
+        paths = write_ai_inputs(tmp_path)
+        paths[flag].write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_isolated(argv_for("check", paths))
+        assert (code, out) == (1, b"")
+        assert err == (f"error: {flag} file {paths[flag]} cannot be read: maximum recursion "
+                       "depth exceeded while decoding a JSON array from a unicode string\n")
+
+    @pytest.mark.parametrize("flag", ["candidates", "core-weights", "proposal", "events"])
+    def test_csv_cell_past_the_field_limit(self, tmp_path, flag):
+        paths = write_ai_inputs(tmp_path)
+        command = next(c for c, flags in COMMAND_INPUTS.items() if flag in flags)
+        header, row, *_ = paths[flag].read_text().splitlines()
+        paths[flag].write_text(f"{header}\n{'X' * 131_073}{row}\n")
+        code, out, err = run_isolated(argv_for(command, paths))
+        assert (code, out) == (1, b"")
+        assert err == (f"error: {FILE_NAMES[flag]} file {paths[flag]} cannot be read: "
+                       "field larger than field limit (131072)\n")
+
+    @pytest.mark.parametrize("flag", ["config", "design"])
+    def test_malformed_json(self, tmp_path, flag):
+        paths = write_ai_inputs(tmp_path)
+        paths[flag].write_text("{not json")
+        code, out, err = run_isolated(argv_for("check", paths))
+        assert (code, out) == (1, b"")
+        assert err.startswith(f"error: {flag} file {paths[flag]} is not valid JSON: ")
+
+    def test_surrogate_theme_prints_escaped(self, tmp_path):
+        code, out, err = run_isolated(["design", "--config", write_config(tmp_path, {
+            "theme": "\ud800"}), "--candidates", AI_CANDIDATES, "--format", "text"])
+        assert (code, err) == (0, "")
+        assert b"theme:          \\ud800\n" in out
+
+    @pytest.mark.parametrize("doc", [{"aum_usd": 10**400}, {"tilts": {"kappa_c": -10**400}}],
+                             ids=["aum_usd", "kappa_c"])
+    def test_config_integer_past_the_float_range(self, tmp_path, doc):
+        code, out, err = run_isolated(["bounds", "--config", write_config(tmp_path, doc)])
+        assert (code, out) == (1, b"")
+        assert err.endswith("must be a finite number\n")
+
+    def test_design_integer_past_the_float_range(self, tmp_path):
+        paths = write_ai_inputs(tmp_path)
+        design = json.loads(paths["design"].read_text())
+        paths["design"].write_text(json.dumps({**design, "kappa_a": 10**400}))
+        code, out, err = run_isolated(argv_for("check", paths))
+        assert (code, out, err) == (1, b"", "error: kappa_a must be a finite number\n")
+
+
+class TestTextColumns:
+    """Label/value text: each value starts two columns past the longest label."""
+
+    def test_bounds_long_cap_id_keeps_its_space(self, tmp_path):
+        name = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+        candidates = tmp_path / "u.csv"
+        candidates.write_text("id,tier,adv_usd,round_trip_cost_bps,gaer_admissible,exclusion\n"
+                              f"{name},A,1e6,,true,none\n")
+        code, out, err = run_isolated(["bounds", "--config", AI_CONFIG,
+                                       "--candidates", str(candidates)])
+        assert (code, err) == (0, "")
+        width = len(name) + 2
+        lines = out.decode().splitlines()
+        assert lines[2] == "alpha_max_structural".ljust(width) + "0.1"
+        assert lines[-2:] == ["per-asset impact caps", f"{name}  0.2"]
+
+    def test_bounds_of_an_empty_universe_prints_the_caps_header(self, tmp_path):
+        candidates = tmp_path / "u.csv"
+        candidates.write_text("id,tier,adv_usd,round_trip_cost_bps,gaer_admissible,exclusion\n")
+        code, out, err = run_isolated(["bounds", "--config", AI_CONFIG,
+                                       "--candidates", str(candidates)])
+        assert (code, err) == (0, "")
+        assert out.decode().splitlines()[-3:] == [
+            "k_max_entropy         14", "", "per-asset impact caps"]
+
+    def test_filter_long_id_keeps_its_space(self, tmp_path):
+        name = "ABCDEFGHIJKL"
+        candidates = tmp_path / "u.csv"
+        candidates.write_text("id,tier,adv_usd,round_trip_cost_bps,gaer_admissible,exclusion\n"
+                              f"{name},A,5e6,,true,none\nB,B,5e6,,true,none\n")
+        proposal = tmp_path / "p.csv"
+        proposal.write_text(f"id,delta_w\n{name},0.05\nB,0.001\n")
+        code, out, err = run_isolated(["filter-rebalance", "--config", AI_CONFIG,
+                                       "--candidates", str(candidates),
+                                       "--proposal", str(proposal), "--schedule-due"])
+        assert (code, err) == (0, "")
+        assert out.decode() == ("executed 1 of 2 trades\n"
+                                f"  execute   {name} +0.05\n"
+                                "  suppress  B            +0.001  (below_action_resolution)\n")
+
+
+#: Pieces of a replacement line: separators, quotes, NUL, non-ASCII and a JSON surrogate escape.
+_LINE_TOKENS = ['"', "'", ",", ":", "{", "}", "[", "]", "\x00", "\\", "\\ud800", "é", "日本",
+                "\U0001f600", " ", "-", "1e308", "5e-324", "nan", "0", "0.1", "true", "CHIP1",
+                "2025-06-30"]
+
+
+@st.composite
+def drawn_content(draw, valid: bytes):
+    """Bytes to put in place of a valid input file, or None for a directory."""
+    kind = draw(st.sampled_from(["bytes", "truncated", "line", "byte", "huge integer",
+                                 "long cell", "deep json", "directory"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=300))
+    if kind == "truncated":
+        return valid[:draw(st.integers(0, len(valid)))]
+    if kind == "line":
+        lines = valid.split(b"\n")
+        text = draw(st.one_of(st.lists(st.sampled_from(_LINE_TOKENS), max_size=12).map("".join),
+                              st.text(max_size=30)))
+        lines[draw(st.integers(0, len(lines) - 1))] = text.encode("utf-8")
+        return b"\n".join(lines)
+    if kind == "byte":
+        at = draw(st.integers(0, len(valid) - 1))
+        return valid[:at] + bytes([draw(st.integers(0, 255))]) + valid[at + 1:]
+    if kind == "huge integer":
+        numbers = list(re.finditer(rb"\d+(\.\d+)?([eE]-?\d+)?", valid))
+        m = draw(st.sampled_from(numbers))
+        return valid[:m.start()] + b"1" + b"0" * 399 + valid[m.end():]
+    if kind == "long cell":
+        at = draw(st.integers(0, len(valid)))
+        return valid[:at] + b"X" * 200_000 + valid[at:]
+    if kind == "deep json":
+        return b"[" * 100_000 + b"]" * 100_000
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(sorted(COMMAND_INPUTS)), data=st.data())
+def test_no_input_file_escapes_main(tmp_path_factory, command, data):
+    """One input file replaced by drawn content ends in a report or one named error line."""
+    paths = write_ai_inputs(tmp_path_factory.mktemp("fuzz"))
+    flag = data.draw(st.sampled_from(COMMAND_INPUTS[command]))
+    content = data.draw(drawn_content(paths[flag].read_bytes()))
+    if content is None:
+        paths[flag].unlink()
+        paths[flag].mkdir()
+    else:
+        paths[flag].write_bytes(content)
+    flags = ["--format", data.draw(st.sampled_from(["json", "text"]))]
+    flags += ["--schedule-due"] if command == "filter-rebalance" else []
+    code, out, err = run_isolated(argv_for(command, paths, flags))
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == b""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""

@@ -42,14 +42,14 @@ class TestLoadConfig:
     def test_missing_file_is_distinct_error(self, tmp_path):
         with pytest.raises(ValidationError) as err:
             load_config(tmp_path / "missing.json")
-        assert err.value.code == "config_file_missing"
+        assert err.value.code == "file_missing"
 
     def test_parse_error_is_distinct_error(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{not json")
         with pytest.raises(ValidationError) as err:
             load_config(path)
-        assert err.value.code == "config_parse_error"
+        assert err.value.code == "bad_json"
 
     def test_booleans_are_not_numbers(self):
         with pytest.raises(ValidationError) as err:
@@ -61,6 +61,16 @@ class TestLoadConfig:
             config_from_dict({"tilts": {"kappa_a": 0.5}})
         with pytest.raises(ValidationError, match="kappa_c"):
             config_from_dict({"tilts": {"kappa_c": 1.5}})
+
+    @pytest.mark.parametrize("data,message", [
+        ({"aum_usd": 10**400}, "aum_usd must be a finite number"),
+        ({"impact": {"c": -10**400}}, "impact.c must be a finite number"),
+        ({"tilts": {"kappa_a": 10**400}}, "tilts.kappa_a must be a finite number"),
+    ])
+    def test_integer_past_the_float_range_is_not_finite(self, data, message):
+        with pytest.raises(ValidationError) as err:
+            config_from_dict(data)
+        assert (err.value.code, str(err.value)) == ("not_finite", message)
 
     def test_paths_pass_through(self):
         cfg = config_from_dict({"candidates": "u.csv", "core_weights": "core.csv"})

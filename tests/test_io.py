@@ -204,7 +204,7 @@ def test_load_candidates_inverts_dump(tmp_path_factory, assets, cases):
 class TestOtherLoaders:
     def test_core_weights_normalized(self, tmp_path):
         path = write(tmp_path, "core.csv", "id,weight\nC1,0.6\nC2,0.4\n")
-        assert load_core_weights(path) == [("C1", 0.6), ("C2", 0.4)]
+        assert load_core_weights(path) == (("C1", 0.6), ("C2", 0.4))
 
     def test_core_weights_must_sum_to_one(self, tmp_path):
         path = write(tmp_path, "core.csv", "id,weight\nC1,0.6\nC2,0.3\n")
@@ -245,7 +245,16 @@ class TestOtherLoaders:
 
     def test_proposal_loader(self, tmp_path):
         path = write(tmp_path, "p.csv", "id,delta_w\nA1,0.02\nA2,-0.01\n")
-        assert load_proposal_trades(path) == [("A1", 0.02), ("A2", -0.01)]
+        assert load_proposal_trades(path).trades == (("A1", 0.02), ("A2", -0.01))
+
+    def test_proposal_loader_sets_the_flags(self, tmp_path):
+        path = write(tmp_path, "p.csv", "id,delta_w\nA1,0.02\n")
+        proposal = load_proposal_trades(path, schedule_due=True)
+        assert (proposal.schedule_due, proposal.structural_break) == (True, False)
+        with pytest.raises(ValidationError) as err:  # an error of no entry is not given a row
+            load_proposal_trades(path, structural_break="yes")
+        assert (str(err.value), err.value.field) == ("structural_break must be a boolean",
+                                                     "structural_break")
 
     def test_events_grouped_by_date(self, tmp_path):
         path = write(tmp_path, "e.csv",

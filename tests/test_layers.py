@@ -306,6 +306,17 @@ class TestEntropy:
             weight_entropy([0.5, 0.4])
         assert err.value.code == "weights_not_normalized"
 
+    @pytest.mark.parametrize("weights,total", [
+        ([math.nan], "nan"), ([0.5, math.nan, 0.5], "nan"), ([1e308, 1e308], "inf"),
+        ([math.inf, -math.inf], "nan")])
+    def test_non_finite_weights_rejected(self, weights, total):
+        with pytest.raises(ValidationError) as err:
+            weight_entropy(weights)
+        assert err.value.code == "weights_not_normalized"
+        assert str(err.value) == f"weights sum to {total}, expected 1.0"
+        with pytest.raises(ValidationError):
+            entropy_increment_exact(weights, 0.1, 2)
+
     def test_continuous_as_weight_vanishes(self):
         base = weight_entropy([0.5, 0.5])
         for tiny in (1e-9, 1e-12, 1e-15):

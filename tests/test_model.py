@@ -175,6 +175,18 @@ def test_trade_errors(trades, message, code):
     assert (str(err.value), err.value.code, err.value.field) == (message, code, "trades")
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SatelliteDesign(theme="t", alpha=10**400, constituents=()),
+    lambda: SatelliteDesign(theme="t", alpha=0.1, constituents=(("a", 0.1),), kappa_a=10**400),
+    lambda: SatelliteDesign(theme="t", alpha=0.1, constituents=(("a", -10**400),)),
+    lambda: RebalanceProposal(trades=(("a", 10**400),)),
+], ids=["alpha", "kappa_a", "weight", "trade"])
+def test_integer_past_the_float_range_is_not_finite(build):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert err.value.code == "not_finite"
+
+
 class TestRoundTrips:
     def test_design_dict_round_trip(self):
         design = SatelliteDesign(theme="ai", alpha=0.1,

@@ -44,3 +44,27 @@ def test_entry_rule_codes_only_in_the_model():
                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                     if isinstance(node, ast.Constant) and node.value in ENTRY_RULE_CODES})
     assert homes == ["model.py"]
+
+
+#: Calls that open, read or write a file.
+FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def _touches_files(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] in ("json", "csv") for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.level == 0 and (node.module or "").split(".")[0] in ("json", "csv")
+    if isinstance(node, ast.Call):
+        f = node.func
+        return (isinstance(f, ast.Name) and f.id == "open") or (
+            isinstance(f, ast.Attribute) and f.attr in FILE_CALLS)
+    return False
+
+
+def test_only_io_touches_files():
+    # io is the one home of file formats: every other module gets the objects it builds
+    homes = sorted({path.name for path in (SRC / "satfeas").glob("*.py")
+                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if _touches_files(node)})
+    assert homes == ["io.py"]

@@ -4,11 +4,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satfeas import (
     ExclusionCategory,
+    SatelliteDesign,
     TierClass,
     ValidationError,
     assign_tier_weights,
@@ -126,6 +127,26 @@ class TestAssignTierWeights:
             assert min(w_b) >= max(w_c)
         if TierClass.A in by_tier and TierClass.C in by_tier:
             assert min(w_a) >= max(w_c)
+
+    @given(
+        alpha=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        kappa_a=st.floats(min_value=1.0, allow_infinity=False),
+        kappa_c=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        tiers=st.lists(st.sampled_from(list(TierClass)), min_size=1, max_size=12),
+    )
+    @example(alpha=0.1, kappa_a=1.5, kappa_c=5e-324, tiers=[TierClass.C] * 2)  # sum underflows
+    @example(alpha=1.0, kappa_a=1.0, kappa_c=5e-324, tiers=[TierClass.C])  # sum is subnormal
+    @settings(max_examples=300)
+    def test_weights_over_the_validated_domain(self, alpha, kappa_a, kappa_c, tiers):
+        assets = _sleeve(tiers)
+        weights = assign_tier_weights(alpha, assets, kappa_a, kappa_c)
+        assert all(math.isfinite(w) and w >= 0 for _, w in weights)
+        by_tier = [[w for a, (_, w) in zip(assets, weights) if a.tier is tier]
+                   for tier in TierClass]
+        present = [ws for ws in by_tier if ws]  # in A, B, C order
+        assert all(min(hi) >= max(lo) for hi, lo in zip(present, present[1:]))
+        SatelliteDesign(theme="t", alpha=alpha, constituents=tuple(weights),
+                        kappa_a=kappa_a, kappa_c=kappa_c)
 
     def test_permutation_equivariance(self):
         rng = random.Random(7)
