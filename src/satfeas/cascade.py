@@ -9,7 +9,8 @@ validates a supplied one. It is a single-pass checker: when a bound is
 violated the report says so and suggests remediation, it never searches.
 
 Margins. Each layer verdict carries a native-unit margin and a normalized
-margin (bound - usage) / bound so layers with different units compare:
+margin (bound - usage) / bound so layers with different units compare.
+Every layer but domain takes both from ``_margin``, so both are finite:
 
 * domain -- usage is the eligible-name count against the candidate pool;
 * structural -- sleeve size against min(loss budget, policy cap);
@@ -48,8 +49,8 @@ from .layers import (
 )
 from .model import (
     LAYERS,
-    UNBOUNDED,
     WEIGHT_TOL,
+    _FLOAT_MAX,
     Asset,
     DerivedBounds,
     FeasibilityParams,
@@ -151,7 +152,7 @@ def run_cascade(inp: CascadeInput) -> tuple[FeasibilityReport, SatelliteDesign]:
     """
     params = inp.params
     eligible, _rejected = eligibility_filter(inp.candidates)
-    by_id = {a.id: a for a in inp.candidates}
+    by_id = _asset_map(inp.candidates)
     bounds = compute_bounds(params, inp.candidates)
     alpha_cap = bounds.alpha_effective
 
@@ -194,7 +195,7 @@ def run_cascade(inp: CascadeInput) -> tuple[FeasibilityReport, SatelliteDesign]:
         "domain": _domain_verdict(len(inp.candidates), len(eligible), ineligible,
                                   validating=inp.design is not None,
                                   n_members=len(members)),
-        "structural": _structural_verdict(alpha_eval, alpha_cap, params),
+        "structural": _structural_verdict(alpha_eval, bounds, params),
         "epistemic": _epistemic_verdict(alpha_eval, members, params, inp.core_weights),
         "economic": _economic_verdict(alpha_eval, members, params),
         "physical": _physical_verdict(members, bounds),
@@ -234,41 +235,38 @@ def _domain_verdict(n_candidates: int, n_eligible: int,
     )
 
 
-def _structural_verdict(alpha: float, alpha_cap: float,
-                        params: FeasibilityParams) -> LayerVerdict:
-    margin = alpha_cap - alpha
-    if alpha_cap > 0:
-        normalized = margin / alpha_cap
-    else:
-        normalized = 0.0 if alpha == 0 else -1.0
-    if alpha == 0:
-        detail = "empty sleeve (alpha = 0)"
-        passed = False
-    elif alpha > alpha_cap + WEIGHT_TOL:
-        detail = f"alpha {_fmt(alpha)} exceeds cap {_fmt(alpha_cap)}"
-        passed = False
-    else:
-        a_struct = alpha_max_structural(params.structural)
-        if a_struct <= params.structural.alpha_policy_max:
-            detail = f"loss budget caps alpha at {_fmt(alpha_cap)}"
-        else:
-            detail = f"policy caps alpha at {_fmt(alpha_cap)}"
-        passed = True
-    return LayerVerdict(passed=passed, margin=margin + 0.0,
-                        normalized_margin=normalized + 0.0,
-                        bound=alpha_cap, usage=alpha, detail=detail)
+def _margin(bound: float, need: float) -> tuple[float, float]:
+    """(native, normalized) margin of a usage ``need`` against a ``bound``.
 
-
-def _breadth_submargin(k: int, bound: int) -> tuple[bool, float, float]:
-    """(passed, native margin, normalized margin) for a count-vs-bound check.
-
-    With no names yet (k == 0) the layer must still be able to host one.
+    ``native = bound - need``. ``normalized = native / bound`` when
+    ``bound > 0``, clamped to ``-_FLOAT_MAX`` where the quotient overflows
+    (a subnormal bound); it cannot exceed 1. With no bound (``bound <= 0``)
+    normalized is 0.0 at zero need and -1.0 otherwise. An infinite need (a
+    ``dw_min`` from a zero or subnormal cost override) gives
+    ``(-bound, -1.0)``. Both values are finite and never ``-0.0``.
     """
-    need = max(k, 1)
+    if need == math.inf:
+        return 0.0 - bound, -1.0
     native = float(bound - need)
     if bound > 0:
-        return need <= bound, native, native / bound
-    return False, native, -1.0
+        return native, max(native / bound, -_FLOAT_MAX)
+    return native, 0.0 if need == 0 else -1.0
+
+
+def _structural_verdict(alpha: float, bounds: DerivedBounds,
+                        params: FeasibilityParams) -> LayerVerdict:
+    alpha_cap = bounds.alpha_effective
+    margin, normalized = _margin(alpha_cap, alpha)
+    if alpha == 0:
+        passed, detail = False, "empty sleeve (alpha = 0)"
+    elif alpha > alpha_cap + WEIGHT_TOL:
+        passed, detail = False, f"alpha {_fmt(alpha)} exceeds cap {_fmt(alpha_cap)}"
+    else:
+        by_loss = bounds.alpha_max_structural <= params.structural.alpha_policy_max
+        passed = True
+        detail = f"{'loss budget' if by_loss else 'policy'} caps alpha at {_fmt(alpha_cap)}"
+    return LayerVerdict(passed=passed, margin=margin, normalized_margin=normalized,
+                        bound=alpha_cap, usage=alpha, detail=detail)
 
 
 def _epistemic_verdict(alpha: float, members: Sequence[tuple[Asset, float]],
@@ -279,7 +277,7 @@ def _epistemic_verdict(alpha: float, members: Sequence[tuple[Asset, float]],
         return LayerVerdict(passed=True, margin=None, normalized_margin=None,
                             bound=0.0, usage=0.0, detail="empty sleeve")
     bound = breadth_bound_entropy(alpha, params.entropy)
-    passed, native, normalized = _breadth_submargin(k, bound)
+    native, normalized = _margin(bound, max(k, 1))  # an empty sleeve must still host a name
     detail = f"breadth {k} against entropy bound {bound}"
     if k >= 1:
         approx = entropy_increment_approx(alpha, k)
@@ -287,7 +285,7 @@ def _epistemic_verdict(alpha: float, members: Sequence[tuple[Asset, float]],
         if core_weights is not None and alpha < 1:
             exact = entropy_increment_exact(core_weights, alpha, k)
             detail += f", exact {_fmt(exact)}"
-    return LayerVerdict(passed=passed, margin=native, normalized_margin=normalized,
+    return LayerVerdict(passed=max(k, 1) <= bound, margin=native, normalized_margin=normalized,
                         bound=float(bound), usage=float(k), detail=detail)
 
 
@@ -299,38 +297,27 @@ def _economic_verdict(alpha: float, members: Sequence[tuple[Asset, float]],
                             bound=None, usage=0.0, detail="empty sleeve")
     bound = breadth_bound_econ(alpha, params.econ)
     if isinstance(bound, Unbounded):
-        passed_b, native_b, norm_b = True, None, None
+        passed, native, normalized = True, None, None
         detail = f"breadth {k}, unbounded (zero trade threshold)"
     else:
-        passed_b, native_b, norm_b = _breadth_submargin(k, bound)
+        passed = max(k, 1) <= bound
+        native, normalized = _margin(bound, max(k, 1))
         detail = f"breadth {k} against economic bound {bound}"
 
-    passed_w, native_w, norm_w, w_detail = True, None, None, None
+    tightest = None  # (normalized, native, id, dw_min) of the smallest weight margin
     for asset, w in members:
         dw_min = min_weight_change(params.econ, asset.round_trip_cost_bps)
-        if w > 0:
-            norm = (w - dw_min) / w if math.isfinite(dw_min) else -1.0
-        else:
-            norm = 0.0 if dw_min == 0 else -1.0
-        native = w - dw_min if math.isfinite(dw_min) else -w
-        if norm_w is None or norm < norm_w:
-            norm_w, native_w = norm, native
-            w_detail = f"smallest weight margin on {asset.id} (dw_min {_fmt(dw_min)})"
-        if not w + WEIGHT_TOL >= dw_min:
-            passed_w = False
-
-    candidates = [(n, m) for n, m in ((norm_b, native_b), (norm_w, native_w))
-                  if n is not None]
-    if not candidates:
-        normalized, native = None, None
-    else:
-        normalized, native = min(candidates, key=lambda t: t[0])
-        if (norm_w, native_w) == (normalized, native) and w_detail is not None:
-            detail += f"; {w_detail}"
-    return LayerVerdict(passed=passed_b and passed_w, margin=native,
-                        normalized_margin=normalized,
-                        bound=bound if not isinstance(bound, Unbounded) else UNBOUNDED,
-                        usage=float(k), detail=detail)
+        w_native, w_norm = _margin(w, dw_min)
+        if tightest is None or w_norm < tightest[0]:
+            tightest = (w_norm, w_native, asset.id, dw_min)
+        passed = passed and w + WEIGHT_TOL >= dw_min
+    # name the tightest member when its margin is below the breadth margin or identical to it
+    if tightest is not None and (normalized is None or tightest[0] < normalized
+                                 or tightest[:2] == (normalized, native)):
+        normalized, native, worst_id, dw_min = tightest
+        detail += f"; smallest weight margin on {worst_id} (dw_min {_fmt(dw_min)})"
+    return LayerVerdict(passed=passed, margin=native, normalized_margin=normalized,
+                        bound=bound, usage=float(k), detail=detail)
 
 
 def _physical_verdict(members: Sequence[tuple[Asset, float]],
@@ -340,26 +327,21 @@ def _physical_verdict(members: Sequence[tuple[Asset, float]],
                             bound=None, usage=None, detail="empty sleeve")
     caps_part = bounds.weight_caps_participation
     passed = True
-    worst: tuple[float, float, float, str] | None = None  # (norm, cap, weight, id)
+    worst = None  # (normalized, native, cap, weight, id) of the tightest cap
     for asset, w in members:
         cap = bounds.weight_caps_impact[asset.id]
         if caps_part is not None:
             cap = min(cap, caps_part[asset.id])
-        if cap > 0:
-            norm = (cap - w) / cap
-        else:
-            norm = -1.0  # the cap underflowed to zero: no position is admissible
-            passed = False
+        native, norm = _margin(cap, w)
         if worst is None or norm < worst[0]:
-            worst = (norm, cap, w, asset.id)
-        if w > cap + WEIGHT_TOL:
+            worst = (norm, native, cap, w, asset.id)
+        if cap <= 0 or w > cap + WEIGHT_TOL:  # a cap that underflowed to zero admits nothing
             passed = False
-    norm, cap, weight, worst_id = worst
+    norm, native, cap, weight, worst_id = worst
     detail = f"tightest cap {_fmt(cap)} on {worst_id}"
     if not passed:
         detail += "; remediation: reduce sleeve size, trim breadth, or swap in more liquid names"
-    return LayerVerdict(passed=passed, margin=cap - weight + 0.0,
-                        normalized_margin=norm + 0.0,
+    return LayerVerdict(passed=passed, margin=native, normalized_margin=norm,
                         bound=cap, usage=weight, detail=detail)
 
 

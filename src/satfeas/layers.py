@@ -38,6 +38,7 @@ from .model import (
 #: Practical ceiling for the breadth bounds: beyond any float and any
 #: portfolio, so larger closed-form values are reported as exactly this.
 BREADTH_CEILING = 10**300
+_LOG_CEILING = math.log(BREADTH_CEILING)
 
 
 def impact_cost(traded_notional_usd: float, adv_usd: float, params) -> float:
@@ -116,7 +117,9 @@ def min_weight_change(econ: EconParams, cost_bps: float | None = None) -> float:
     in place of the sleeve's cost when given. Basis points cancel, so the
     result is a pure fraction of total portfolio value. A zero cost gives 0
     at a zero effect threshold and ``inf`` (no weight clears it) at a
-    positive one. This is the one action threshold: design verdicts, the
+    positive one, as does an override so small that the quotient overflows.
+    The sleeve's own threshold is finite: ``EconParams`` rejects one that
+    overflows. This is the one action threshold: design verdicts, the
     trade filter and the economic breadth bound all read it.
     """
     crt = econ.round_trip_cost_bps if cost_bps is None else cost_bps
@@ -189,7 +192,8 @@ def entropy_increment_approx(alpha: float, k: int) -> float:
     """Entropy added by an equal-weight sleeve, ignoring core rescaling.
 
     ``-alpha * ln(alpha / K)`` for a sleeve of total weight ``alpha`` spread
-    over ``K`` names. Exactly zero for the whole portfolio in one name.
+    over ``K`` names, with ``ln(alpha) - ln(K)`` where ``alpha / K`` is not a
+    normal float. Exactly zero for the whole portfolio in one name.
     """
     if alpha == 0:
         raise ValidationError("an empty sleeve has no entropy increment; treat it as zero",
@@ -198,7 +202,9 @@ def entropy_increment_approx(alpha: float, k: int) -> float:
         raise ValidationError("alpha must lie in (0,1]", code="alpha_out_of_range", field="alpha")
     if not (isinstance(k, int) and k >= 1):
         raise ValidationError("k must be a positive integer", code="k_out_of_range", field="k")
-    return -alpha * math.log(alpha / k) + 0.0
+    share = alpha / k
+    log_share = math.log(share) if share >= _MIN_NORMAL else math.log(alpha) - math.log(k)
+    return -alpha * log_share + 0.0
 
 
 def entropy_increment_exact(core_weights: Sequence[float], alpha: float, k: int) -> float:
@@ -221,41 +227,31 @@ def entropy_increment_exact(core_weights: Sequence[float], alpha: float, k: int)
 def breadth_bound_entropy(alpha: float, entropy: EntropyParams) -> int:
     """Most names an entropy budget admits for a sleeve of size ``alpha``.
 
-    Closed form ``floor(alpha * exp(dH_max / alpha))``, then corrected so the
-    result is the exact largest integer K with
-    ``entropy_increment_approx(alpha, K) <= dH_max`` in float arithmetic
-    (the increment is monotone in K, so the boundary is well defined).
-    An empty sleeve admits no names; bounds above ``BREADTH_CEILING`` are
-    reported as the ceiling.
+    Starts from the closed form ``floor(alpha * exp(dH_max / alpha))`` and
+    searches with ``entropy_increment_approx`` itself, so the result is the
+    exact largest integer K with ``entropy_increment_approx(alpha, K) <=
+    dH_max`` in float arithmetic (the increment is monotone in K, so the
+    boundary is well defined). An empty sleeve admits no names; when
+    ``BREADTH_CEILING`` names are admissible, the bound is the ceiling.
     """
     if alpha == 0:
         return 0
     if not 0 < alpha <= 1:
         raise ValidationError("alpha must lie in [0,1]", code="alpha_out_of_range", field="alpha")
     dh = entropy.delta_h_max
-
-    def inc(k: int) -> float:
-        share = alpha / k
-        return -alpha * math.log(share) if share > 0 else math.inf
-
-    x = dh / alpha
-    try:
-        guess = alpha * math.exp(x)
-    except OverflowError:
+    log_guess = math.log(alpha) + dh / alpha  # the closed form in log space: exp may overflow
+    if log_guess >= _LOG_CEILING and entropy_increment_approx(alpha, BREADTH_CEILING) <= dh:
         return BREADTH_CEILING
-    if guess >= float(BREADTH_CEILING):
-        return BREADTH_CEILING
-    k = int(math.floor(guess))
-    if k < 0:
-        k = 0
-    hi = max(2 * k, 8)
-    while inc(hi) <= dh:
-        hi *= 2
-    lo = 0  # K = 0 is always admissible (no names, no increment)
+    k = int(math.exp(min(log_guess, _LOG_CEILING)))
+    # bracket the answer around the closed form: K = lo is admissible (0 always is), hi is not
+    lo = k if k >= 1 and entropy_increment_approx(alpha, k) <= dh else 0
+    hi = k + 1
+    while entropy_increment_approx(alpha, hi) <= dh:
+        lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if inc(mid) <= dh:
+        if entropy_increment_approx(alpha, mid) <= dh:
             lo = mid
         else:
             hi = mid
-    return lo
+    return min(lo, BREADTH_CEILING)

@@ -197,6 +197,9 @@ class EconParams:
         _finite(self.min_effect_bps, "min_effect_bps")
         _require(self.min_effect_bps >= 0, "min_effect_bps must be nonnegative",
                  "effect_must_be_nonnegative", "min_effect_bps")
+        _require(self.min_effect_bps / self.round_trip_cost_bps <= _FLOAT_MAX,
+                 "min_effect_bps / round_trip_cost_bps overflows the float range",
+                 "action_threshold_overflows", "min_effect_bps")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,21 @@ from satfeas import (
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _reject_constant(name):
+    pytest.fail(f"{name} in JSON output: reports must be strict JSON")
+
+
+def strict_json(text):
+    """``json.loads(text)``, failing the test on a NaN, Infinity or -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def check_cli_json(argv, out):
+    """A CLI run asked for ``--format json`` prints nothing or strict JSON."""
+    if out and "--format" in argv and argv[argv.index("--format") + 1] == "json":
+        strict_json(out)
 
 
 def make_params(

@@ -35,7 +35,7 @@ from satfeas.cli import main
 from satfeas.io import emit_report
 from satfeas.model import ImpactParams
 
-from conftest import FIXTURES, GOLDEN, make_asset, make_params
+from conftest import FIXTURES, GOLDEN, check_cli_json, make_asset, make_params
 
 
 def _pass(n: int, text: str) -> None:
@@ -45,6 +45,7 @@ def _pass(n: int, text: str) -> None:
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    check_cli_json(argv, captured.out)
     return code, captured.out, captured.err
 
 

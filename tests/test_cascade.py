@@ -1,16 +1,26 @@
 """Cascade composition, binding attribution, and the rebalance filter."""
 
+import dataclasses
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from satfeas import (
+    Asset,
     CascadeInput,
+    EconParams,
+    EntropyParams,
     ExclusionCategory,
+    FeasibilityParams,
+    ImpactParams,
     Portfolio,
     RebalanceProposal,
     SatelliteDesign,
+    StructuralParams,
     TierClass,
     ValidationError,
     compute_bounds,
@@ -18,9 +28,10 @@ from satfeas import (
     impact_cost,
     run_cascade,
 )
+from satfeas.io import emit_report, parse_report
 from satfeas.model import UNBOUNDED
 
-from conftest import make_asset, make_params
+from conftest import make_asset, make_params, strict_json
 
 
 def ai_input(eps=2.0, candidates=None, **overrides):
@@ -233,6 +244,100 @@ class TestMarginsAndDeterminism:
         assert bounds.weight_caps_impact is None
         again = compute_bounds(params, candidates=None)
         assert bounds == again
+
+
+_POSITIVE = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+_UNIT = st.floats(min_value=5e-324, max_value=1.0)
+_CLOSED_UNIT = st.floats(min_value=0.0, max_value=1.0)
+_NONNEGATIVE = st.floats(min_value=0.0, max_value=sys.float_info.max)
+
+
+@st.composite
+def cascade_inputs(draw):
+    """A CascadeInput anywhere in the validated domain, extreme floats included."""
+    lo, hi = sorted((draw(_CLOSED_UNIT), draw(_CLOSED_UNIT)))
+    cost, effect = draw(_POSITIVE), draw(_NONNEGATIVE)
+    assume(effect / cost <= sys.float_info.max)  # EconParams rejects a larger action threshold
+    params = FeasibilityParams(
+        aum_usd=draw(_POSITIVE), turnover_fraction=draw(_UNIT),
+        impact=ImpactParams(c=draw(_POSITIVE),
+                            delta=draw(st.floats(min_value=5e-324, max_value=1.0,
+                                                 exclude_max=True)),
+                            impact_cap=draw(_POSITIVE), participation_cap=draw(st.none() | _UNIT)),
+        econ=EconParams(round_trip_cost_bps=cost, min_effect_bps=effect),
+        structural=StructuralParams(loss_tolerance=draw(_CLOSED_UNIT), max_drawdown=draw(_UNIT),
+                                    alpha_policy_min=lo, alpha_policy_max=hi),
+        entropy=EntropyParams(delta_h_max=draw(_NONNEGATIVE)))
+    candidates = tuple(
+        Asset(id=f"N{i}", tier=draw(st.sampled_from(TierClass)), adv_usd=draw(_POSITIVE),
+              gaer_admissible=draw(st.just(True) | st.booleans()),
+              exclusion=draw(st.just(ExclusionCategory.NONE) | st.sampled_from(ExclusionCategory)),
+              round_trip_cost_bps=draw(st.none() | _NONNEGATIVE))
+        for i in range(draw(st.integers(min_value=1, max_value=4))))
+    kappa_a, kappa_c = draw(st.floats(min_value=1.0, max_value=sys.float_info.max)), draw(_UNIT)
+    design = None
+    if draw(st.booleans()):
+        names = draw(st.lists(st.sampled_from([a.id for a in candidates]), unique=True))
+        weights = [draw(st.floats(min_value=0.0, max_value=1.0 / len(candidates)))
+                   for _ in names]
+        design = SatelliteDesign(theme="t", alpha=min(math.fsum(weights), 1.0),
+                                 constituents=tuple(zip(names, weights)),
+                                 kappa_a=kappa_a, kappa_c=kappa_c)
+    return CascadeInput(candidates=candidates, params=params, kappa_a=kappa_a, kappa_c=kappa_c,
+                        design=design, core_weights=draw(st.none() | st.just((0.6, 0.4))))
+
+
+def checking(pairs, alpha=0.1, **overrides):
+    """``ai_input`` at the AI fixture's effect threshold, validating a design of ``pairs``."""
+    return dataclasses.replace(ai_input(eps=0.2, **overrides), design=SatelliteDesign(
+        theme="t", alpha=alpha, constituents=pairs))
+
+
+class TestVerdictDomain:
+    # a subnormal physical cap: T1's impact cap is 1e-310
+    @example(inp=ai_input(eps=0.2, candidates=(make_asset(id="T1", adv_usd=5e-304),)))
+    # a subnormal structural cap: the loss budget allows 1e-323
+    @example(inp=checking((("N0", 0.1),), loss_tolerance=5e-324, alpha_policy_min=0.0))
+    # a subnormal weight against the economic threshold 0.008
+    @example(inp=checking((("N0", 0.1), ("N1", 5e-324))))
+    # a subnormal sleeve: alpha / K underflows in the entropy increment
+    @example(inp=checking((("N0", 5e-324), ("N1", 0.0)), alpha=5e-324))
+    @given(inp=cascade_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_margin_is_finite_and_reports_are_strict_json(self, inp):
+        report, design = run_cascade(inp)
+        for verdict in report.layer_verdicts.values():
+            for margin in (verdict.margin, verdict.normalized_margin):
+                assert margin is None or (isinstance(margin, float) and math.isfinite(margin)
+                                          and (margin != 0 or math.copysign(1.0, margin) > 0))
+            assert verdict.normalized_margin is None or verdict.normalized_margin <= 1.0
+        data = emit_report(report, design, "json")
+        strict_json(data)
+        assert parse_report(data) == (report, design)
+
+    def test_zero_weight_at_a_zero_cap_fails_with_zero_margin(self):
+        # (0.01 / 0.1) ** 1000 underflows: the cap is exactly zero and admits nothing
+        inp = checking((("N0", 0.0),), alpha=0.0, c=0.1, delta=0.001, impact_cap=0.01)
+        physical = run_cascade(inp)[0].layer_verdicts["physical"]
+        assert (physical.passed, physical.bound, physical.margin,
+                physical.normalized_margin) == (False, 0.0, 0.0, 0.0)
+
+    def test_zero_weight_against_an_infinite_threshold_has_positive_zero_margin(self):
+        # a zero cost override makes Z's dw_min infinite
+        free = make_asset(id="Z", round_trip_cost_bps=0.0)
+        inp = checking((("N0", 0.1), ("Z", 0.0)), candidates=(make_asset(id="N0"), free))
+        economic = run_cascade(inp)[0].layer_verdicts["economic"]
+        assert (economic.passed, economic.normalized_margin) == (False, -1.0)
+        assert math.copysign(1.0, economic.margin) == 1.0 and economic.margin == 0.0
+        assert "Z (dw_min inf)" in economic.detail
+
+    def test_member_exactly_at_its_cap_passes_physical(self):
+        thin = make_asset(id="thin", adv_usd=1e4)
+        cap = compute_bounds(make_params(), [thin]).weight_caps_impact["thin"]
+        inp = checking((("thin", cap),), alpha=cap, candidates=(thin,))
+        physical = run_cascade(inp)[0].layer_verdicts["physical"]
+        assert (physical.passed, physical.bound, physical.usage) == (True, cap, cap)
+        assert (physical.margin, physical.normalized_margin) == (0.0, 0.0)
 
 
 class TestFilterRebalance:

@@ -4,6 +4,7 @@ import contextlib
 import io as _io
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from satfeas import UNBOUNDED
 from satfeas.cli import main
 from satfeas.io import parse_report
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, check_cli_json
 
 
 AI_CONFIG = str(FIXTURES / "ai_config.json")
@@ -25,6 +26,7 @@ DEF_CANDIDATES = str(FIXTURES / "defense_candidates.csv")
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    check_cli_json(argv, captured.out)
     return code, captured.out, captured.err
 
 
@@ -324,6 +326,61 @@ class TestExtremeInputs:
         assert code in (0, 2)
         assert "Traceback" not in err
         json.loads(out, parse_constant=pytest.fail)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("command", ["bounds", "design", "check", "filter-rebalance",
+                                         "replay"])
+    def test_overflowing_action_threshold_exits_one(self, capsys, tmp_path, command, fmt):
+        paths = write_ai_inputs(tmp_path)
+        paths["config"].write_text(json.dumps(
+            {"econ": {"round_trip_cost_bps": 5e-324, "min_effect_bps": 1}}))
+        code, out, err = run(capsys, *argv_for(command, paths, ("--format", fmt)))
+        assert (code, out) == (1, "")
+        assert err == "error: econ.min_effect_bps / round_trip_cost_bps overflows the float range\n"
+
+    @pytest.mark.parametrize("doc,universe,constituents,layer", [
+        # T1's impact cap is 1e-310, so (cap - w) / cap overflows
+        ({}, "T1,A,5e-304,,true,none\n", None, "physical"),
+        # the loss budget caps alpha at 1e-323
+        ({"structural": {"loss_tolerance": 5e-324, "max_drawdown": 0.5,
+                         "alpha_policy_min": 0.0, "alpha_policy_max": 0.15}},
+         None, [["CHIP1", 0.1]], "structural"),
+        # FAB1 weighs 5e-324 against its dw_min of 0.008
+        ({}, None, [["CHIP1", 0.1], ["FAB1", 5e-324]], "economic"),
+    ], ids=["physical", "structural", "economic"])
+    def test_margins_against_a_subnormal_stay_finite(self, capsys, tmp_path, doc, universe,
+                                                      constituents, layer):
+        config = {**json.loads((FIXTURES / "ai_config.json").read_text()), **doc}
+        argv = ["--config", write_config(tmp_path, config), "--format", "json"]
+        if universe is None:
+            argv += ["--candidates", AI_CANDIDATES]
+        else:
+            (tmp_path / "u.csv").write_text(
+                "id,tier,adv_usd,round_trip_cost_bps,gaer_admissible,exclusion\n" + universe)
+            argv += ["--candidates", str(tmp_path / "u.csv")]
+        if constituents is not None:
+            (tmp_path / "d.json").write_text(json.dumps(
+                {"theme": "t", "alpha": 0.1, "constituents": constituents,
+                 "kappa_a": 1.0, "kappa_c": 1.0}))
+            argv += ["--design", str(tmp_path / "d.json")]
+        code, out, err = run(capsys, "design" if constituents is None else "check", *argv)
+        assert (code, err) == (2, "")
+        verdict = json.loads(out)["report"]["layers"][layer]
+        assert verdict["passed"] is False
+        assert verdict["normalized_margin"] == -sys.float_info.max
+
+    def test_subnormal_sleeve_reports_its_entropy_increment(self, capsys, tmp_path):
+        # alpha / K = 5e-324 / 2 underflows to zero; the increment is taken in log space
+        design = tmp_path / "d.json"
+        design.write_text(json.dumps({"theme": "t", "alpha": 5e-324,
+                                      "constituents": [["CHIP1", 5e-324], ["FAB1", 0.0]],
+                                      "kappa_a": 1.0, "kappa_c": 1.0}))
+        code, out, err = run(capsys, "check", "--config", AI_CONFIG, "--candidates",
+                             AI_CANDIDATES, "--design", str(design), "--format", "json")
+        assert (code, err) == (2, "")
+        epistemic = json.loads(out)["report"]["layers"]["epistemic"]
+        assert epistemic["passed"] is True
+        assert "; increment approx 3.68" in epistemic["detail"]  # 5e-324 * ln(2 / 5e-324)
 
     def test_zero_impact_cap_fails_physical_layer(self, capsys, tmp_path):
         # (0.01 / 0.1) ** 1000 underflows: every weight cap is exactly zero

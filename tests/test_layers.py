@@ -5,7 +5,7 @@ import sys
 from decimal import Context, Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satfeas import (
@@ -29,6 +29,8 @@ from satfeas import (
     min_weight_change,
     weight_entropy,
 )
+
+from satfeas.layers import BREADTH_CEILING
 
 from conftest import make_asset, make_params
 
@@ -388,6 +390,20 @@ class TestBreadthEntropy:
     def test_astronomical_budget_does_not_crash(self):
         k = breadth_bound_entropy(0.01, EntropyParams(2.0))
         assert k > 10**80  # ~ 0.01 * e^200
+
+    # a subnormal sleeve: alpha / K underflows to zero at every K
+    @example(alpha=5e-324, delta_h_max=1.0)
+    # exp(dH / alpha) = exp(800) overflows while the bound is about e^109
+    @example(alpha=1e-300, delta_h_max=8e-298)
+    @given(alpha=st.floats(min_value=5e-324, max_value=1.0),
+           delta_h_max=st.floats(min_value=0.0, max_value=1e308))
+    @settings(max_examples=300)
+    def test_bound_is_the_inverse_of_the_increment(self, alpha, delta_h_max):
+        k = breadth_bound_entropy(alpha, EntropyParams(delta_h_max))
+        if k >= 1:
+            assert entropy_increment_approx(alpha, k) <= delta_h_max
+        if k < BREADTH_CEILING:
+            assert entropy_increment_approx(alpha, k + 1) > delta_h_max
 
     @given(alpha=st.floats(min_value=0.01, max_value=1.0),
            dh=st.floats(min_value=0.0, max_value=1.5),

@@ -1,6 +1,7 @@
 """Construction validation and serialization round-trips for the domain types."""
 
 import math
+import sys
 
 import pytest
 
@@ -47,6 +48,15 @@ class TestValidation:
     def test_econ_rejects_zero_cost(self):
         with pytest.raises(ValidationError, match="round_trip_cost_bps"):
             EconParams(round_trip_cost_bps=0.0)
+
+    def test_econ_rejects_an_overflowing_action_threshold(self):
+        # eps / C_rt = 1 / 5e-324 leaves the float range: no finite sleeve threshold
+        with pytest.raises(ValidationError) as err:
+            EconParams(round_trip_cost_bps=5e-324, min_effect_bps=1.0)
+        assert (err.value.code, err.value.field) == ("action_threshold_overflows",
+                                                     "min_effect_bps")
+        assert EconParams(round_trip_cost_bps=5e-324, min_effect_bps=0.0).min_effect_bps == 0.0
+        EconParams(round_trip_cost_bps=1.0, min_effect_bps=sys.float_info.max)
 
     def test_structural_allows_zero_loss_tolerance(self):
         p = StructuralParams(loss_tolerance=0.0, max_drawdown=0.5)
