@@ -35,7 +35,6 @@ from .model import (
     FeasibilityReport,
     ImpactParams,
     LayerVerdict,
-    Portfolio,
     RebalanceProposal,
     SatelliteDesign,
     StructuralParams,
@@ -60,7 +59,6 @@ __all__ = [
     "ImpactParams",
     "LAYERS",
     "LayerVerdict",
-    "Portfolio",
     "RebalanceEvent",
     "RebalanceProposal",
     "ReplayStats",

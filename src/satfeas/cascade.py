@@ -164,12 +164,8 @@ def run_cascade(inp: CascadeInput) -> tuple[FeasibilityReport, SatelliteDesign]:
 
     if inp.design is not None:
         design = inp.design
-        unknown = [name for name, _ in design.constituents if name not in by_id]
-        if unknown:
-            raise ValidationError(f"design references unknown asset id {unknown[0]!r}",
-                                  code="unknown_asset_id", field="design")
         alpha_eval = design.alpha
-        members = [(by_id[name], w) for name, w in design.constituents]
+        members = _members(design, by_id)
         ineligible = [(asset, reason) for asset, _w in members
                       if (reason := eligibility_reason(asset)) is not None]
     else:
@@ -367,6 +363,16 @@ def _asset_map(assets: Iterable[Asset] | Mapping[str, Asset]) -> Mapping[str, As
     return {a.id: a for a in assets}
 
 
+def _members(design: SatelliteDesign,
+             by_id: Mapping[str, Asset]) -> list[tuple[Asset, float]]:
+    """The design's (asset, weight) pairs; a constituent id not in ``by_id`` is an error."""
+    try:
+        return [(by_id[name], w) for name, w in design.constituents]
+    except KeyError as e:
+        raise ValidationError(f"design references unknown asset id {e.args[0]!r}",
+                              code="unknown_asset_id", field="design") from None
+
+
 def filter_rebalance(
     proposal: RebalanceProposal,
     params: FeasibilityParams,
@@ -382,7 +388,7 @@ def filter_rebalance(
     ``A * |dw| / adv``; a trade exactly at a cap executes. Executed and
     suppressed trades together are exactly the input, in order.
 
-    Asset records must cover every traded id, current holdings included.
+    Asset records must cover every traded id.
     A mapping of id to asset is read in place, never copied, so a caller
     that filters many proposals (``replay``) builds it once and the cost
     of a call is linear in its trades, not in the universe.

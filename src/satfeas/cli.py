@@ -27,7 +27,7 @@ from .io import (
     load_events,
     load_proposal_trades,
 )
-from .model import Portfolio, SatelliteDesign, ValidationError
+from .model import SatelliteDesign, ValidationError
 from .replay import replay
 
 
@@ -123,7 +123,6 @@ def _cmd_filter(args) -> tuple[int, bytes]:
 
 
 def _cmd_replay(args) -> tuple[int, bytes]:
-    # no statistic depends on how the core is composed: it is one name, and no file is read
     cfg = load_config(args.config)
     assets = _load_universe(cfg, args)
     events = load_events(args.events)
@@ -131,8 +130,7 @@ def _cmd_replay(args) -> tuple[int, bytes]:
         design = load_design(args.design)
     else:
         _report, design = _cascade(cfg, assets, None)  # no core: the report is unused
-    core = (("CORE", 1.0 - design.alpha),) if design.alpha < 1 else ()
-    stats = replay(events, cfg.params, Portfolio(core_weights=core, satellite=design), assets)
+    stats = replay(events, cfg.params, design, assets)
     return 0, emit_replay(stats, args.format)
 
 

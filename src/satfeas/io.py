@@ -10,7 +10,6 @@ the longest label.
 from __future__ import annotations
 
 import csv
-import io as _io
 import json
 from contextlib import contextmanager
 from datetime import date
@@ -162,18 +161,6 @@ def load_candidates(path: str | Path) -> list[Asset]:
                 raise ValidationError(f"candidates row {line}: {e}", e.code, e.field) from None
         assets.append(asset)
     return assets
-
-
-def dump_candidates(assets: Sequence[Asset]) -> str:
-    """Write assets back to the candidate CSV format (round-trip safe)."""
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CANDIDATE_HEADER)
-    for a in assets:
-        override = "" if a.round_trip_cost_bps is None else repr(a.round_trip_cost_bps)
-        writer.writerow([a.id, a.tier.value, repr(a.adv_usd), override,
-                         "true" if a.gaer_admissible else "false", a.exclusion.value])
-    return buf.getvalue()
 
 
 def _load_pairs(path: str | Path, header: list[str], what: str, build: Callable) -> Any:

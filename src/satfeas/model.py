@@ -355,24 +355,6 @@ class SatelliteDesign:
 
 
 @dataclass(frozen=True)
-class Portfolio:
-    """Core weights plus a satellite design; total weights sum to one."""
-
-    core_weights: tuple[tuple[str, float], ...]
-    satellite: SatelliteDesign
-
-    def __post_init__(self):
-        object.__setattr__(self, "core_weights", check_pairs(self.core_weights, "core_weights"))
-        _require(isinstance(self.satellite, SatelliteDesign), "satellite must be a SatelliteDesign",
-                 "bad_satellite", "satellite")
-        total = weight_sum(w for _, w in self.core_weights) + \
-            weight_sum(w for _, w in self.satellite.constituents)
-        _require(abs(total - 1.0) <= WEIGHT_TOL,
-                 f"portfolio weights sum to {total!r}, expected 1.0",
-                 "weights_do_not_sum_to_one", "core_weights")
-
-
-@dataclass(frozen=True)
 class RebalanceProposal:
     """Per-asset weight changes plus the governance context they arrive in."""
 

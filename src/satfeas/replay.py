@@ -1,10 +1,10 @@
 """Deterministic replay of dated rebalance proposals through the trade filter.
 
-Each event runs the governance-gated filter; executed trades update the
-satellite weights with an offsetting implicit cash bucket in the core, so
-total portfolio weight is conserved. There are no price dynamics: weights
-move only when trades execute. Replays over the same inputs produce
-identical statistics.
+Replay starts from a satellite design: the sleeve is the whole state, since
+no trade decision or statistic depends on the core. Each event runs the
+governance-gated filter, and executed trades move the sleeve weights.
+There are no price dynamics: weights move only when trades execute.
+Replays over the same inputs produce identical statistics.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .cascade import _asset_map, filter_rebalance
+from .cascade import _asset_map, _members, filter_rebalance
 from .model import (
     Asset,
     FeasibilityParams,
-    Portfolio,
     RebalanceProposal,
+    SatelliteDesign,
     ValidationError,
     _finite,
     weight_sum,
@@ -65,12 +65,12 @@ class ReplayStats:
 
 @dataclass(frozen=True)
 class ReplayStep:
-    """State after one event: what ran, what was suppressed, and the weight sum."""
+    """State after one event: what ran, what was suppressed, and the sleeve size."""
 
     event: RebalanceEvent
     executed: tuple[tuple[str, float], ...]
     suppressed: tuple[tuple[tuple[str, float], str], ...]
-    total_weight: float
+    sleeve_alpha: float
 
 
 #: 1.0 in the fixed point of the exact sleeve sum, whose unit is 2**-1074,
@@ -87,27 +87,26 @@ def _fixed(x: float) -> int:
 def replay_steps(
     events: Sequence[RebalanceEvent],
     params: FeasibilityParams,
-    initial: Portfolio,
+    initial: SatelliteDesign,
     assets: Iterable[Asset] | Mapping[str, Asset],
 ) -> Iterator[ReplayStep]:
-    """Drive the filter event by event, yielding per-event outcomes.
+    """Drive the filter event by event from the ``initial`` design, yielding per-event outcomes.
 
-    Satellite weights are updated with executed trades only; the offsetting
-    cash adjustment keeps the total portfolio weight at one.
+    Every constituent of ``initial`` must be in ``assets``. Sleeve weights
+    move with executed trades only.
 
-    ``total_weight`` is ``core + cash + fsum(sleeve)``. The sleeve sum is
-    kept as an exact integer multiple of 2**-1074, updated per executed
-    trade and rounded once per event. Both it and ``fsum`` are the correctly
-    rounded exact sum, so the result is the same float at a cost linear in
-    the trades rather than in the sleeve size. Where ``fsum`` would raise,
-    the sum is an infinity past the float range and ``nan`` for inf - inf.
+    ``sleeve_alpha`` is the sleeve sum ``fsum(sleeve)``, kept as an exact
+    integer multiple of 2**-1074, updated per executed trade and rounded
+    once per event. Both it and ``fsum`` are the correctly rounded exact
+    sum, so the result is the same float at a cost linear in the trades
+    rather than in the sleeve size. Where ``fsum`` would raise, the sum is
+    an infinity past the float range and ``nan`` for inf - inf.
     """
     by_id = _asset_map(assets)
+    _members(initial, by_id)  # raises on a held id the universe lacks
     previous: date | None = None
-    sat = {name: w for name, w in initial.satellite.constituents}
+    sat = dict(initial.constituents)
     exact: int | None = sum(_fixed(w) for w in sat.values())
-    core_total = math.fsum(w for _, w in initial.core_weights)
-    cash = 0.0
     for event in events:
         if previous is not None and event.date <= previous:
             raise ValidationError(
@@ -118,7 +117,6 @@ def replay_steps(
         for name, dw in executed:
             old = sat.get(name, 0.0)
             sat[name] = new = old + dw
-            cash -= dw
             if exact is not None:
                 try:
                     exact += _fixed(new) - _fixed(old)
@@ -131,15 +129,14 @@ def replay_steps(
                 sleeve = exact / _FIXED_ONE
             except OverflowError:  # past the float range, as in weight_sum
                 sleeve = math.inf if exact > 0 else -math.inf
-        total = core_total + cash + sleeve
         yield ReplayStep(event=event, executed=tuple(executed),
-                         suppressed=tuple(suppressed), total_weight=total)
+                         suppressed=tuple(suppressed), sleeve_alpha=sleeve)
 
 
 def replay(
     events: Sequence[RebalanceEvent],
     params: FeasibilityParams,
-    initial: Portfolio,
+    initial: SatelliteDesign,
     assets: Iterable[Asset] | Mapping[str, Asset],
 ) -> ReplayStats:
     """Aggregate an event stream into suppression statistics.

@@ -16,7 +16,6 @@ from satfeas import (
     CascadeInput,
     EntropyParams,
     ExclusionCategory,
-    Portfolio,
     RebalanceEvent,
     RebalanceProposal,
     SatelliteDesign,
@@ -276,8 +275,7 @@ def test_criterion_9_governance_gate():
     from datetime import date, timedelta
 
     assets = [make_asset(id=f"a{i}", adv_usd=rng.uniform(1e5, 1e9)) for i in range(12)]
-    sat = SatelliteDesign(theme="t", alpha=0.1, constituents=(("a0", 0.1),))
-    portfolio = Portfolio(core_weights=(("CORE", 0.9),), satellite=sat)
+    design = SatelliteDesign(theme="t", alpha=0.1, constituents=(("a0", 0.1),))
     total_trades = 0
     for _ in range(100):
         day = date(2025, 1, 1) + timedelta(days=rng.randint(0, 30))
@@ -289,7 +287,7 @@ def test_criterion_9_governance_gate():
                 trades=trades, schedule_due=False, structural_break=False)))
             day += timedelta(days=rng.randint(1, 60))
         params = make_params(min_effect_bps=rng.uniform(0.0, 10.0))
-        stats = replay(events, params, portfolio, assets)
+        stats = replay(events, params, design, assets)
         assert stats.trades_executed == 0
         assert stats.gross_turnover_executed == 0.0
         suppressed = stats.trades_suppressed_by_reason

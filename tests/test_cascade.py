@@ -17,7 +17,6 @@ from satfeas import (
     ExclusionCategory,
     FeasibilityParams,
     ImpactParams,
-    Portfolio,
     RebalanceProposal,
     SatelliteDesign,
     StructuralParams,

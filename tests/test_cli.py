@@ -3,7 +3,10 @@
 import contextlib
 import io as _io
 import json
+import math
+import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -12,9 +15,9 @@ from hypothesis import strategies as st
 
 from satfeas import UNBOUNDED
 from satfeas.cli import main
-from satfeas.io import parse_report
+from satfeas.io import emit_report, parse_report
 
-from conftest import FIXTURES, GOLDEN, check_cli_json
+from conftest import FIXTURES, GOLDEN, check_cli_json, strict_json
 
 
 AI_CONFIG = str(FIXTURES / "ai_config.json")
@@ -181,6 +184,18 @@ class TestFilterAndReplay:
                              "--schedule-due")
         assert (code, err) == (0, "")
         assert out == "executed 0 of 1 trades\n  suppress  CHIP1       +0.02  (participation_cap)\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_replay_of_a_design_with_an_unknown_id_exits_one(self, capsys, tmp_path, fmt):
+        design = tmp_path / "d.json"
+        design.write_text(json.dumps({"theme": "t", "alpha": 0.1, "constituents": [["GHOST", 0.1]],
+                                      "kappa_a": 1.0, "kappa_c": 1.0}))
+        code, out, err = run(capsys, "replay", "--config", AI_CONFIG,
+                             "--candidates", AI_CANDIDATES,
+                             "--events", str(FIXTURES / "ai_events.csv"),
+                             "--design", str(design), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "error: design references unknown asset id 'GHOST'\n"
 
     def test_replay_without_design_skips_the_exact_entropy(self, capsys, monkeypatch,
                                                              tmp_path):
@@ -664,3 +679,92 @@ def test_no_input_file_escapes_main(tmp_path_factory, command, data):
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     else:
         assert err == ""
+
+
+def _within(lo, hi, open_lo=False, open_hi=False):
+    """A number in the interval from ``lo`` to ``hi``: an end, the float next to an open end,
+    5e-324 or 1e308 where they lie inside, or any float between."""
+    ends = [math.nextafter(lo, hi) if open_lo else lo, math.nextafter(hi, lo) if open_hi else hi]
+    edges = sorted({x for x in (*ends, 5e-324, 1e308) if ends[0] <= x <= ends[1]})
+    return st.one_of(st.sampled_from(edges),
+                     st.floats(lo, hi, exclude_min=open_lo, exclude_max=open_hi))
+
+
+_POSITIVE = _within(0.0, sys.float_info.max, open_lo=True)
+_UNIT = _within(0.0, 1.0)
+
+#: Configs whose every value lies in its validated range (the action threshold may overflow).
+CONFIGS = st.fixed_dictionaries({
+    "aum_usd": _POSITIVE,
+    "turnover_fraction": _within(0.0, 1.0, open_lo=True),
+    "theme": st.just("ai-infrastructure"),
+    "impact": st.fixed_dictionaries({
+        "c": _POSITIVE, "delta": _within(0.0, 1.0, open_lo=True, open_hi=True),
+        "impact_cap": _POSITIVE,
+        "participation_cap": st.one_of(st.none(), _within(0.0, 1.0, open_lo=True))}),
+    "econ": st.fixed_dictionaries({"round_trip_cost_bps": _POSITIVE,
+                                   "min_effect_bps": _within(0.0, sys.float_info.max)}),
+    "structural": st.tuples(_UNIT, _within(0.0, 1.0, open_lo=True), _UNIT, _UNIT).map(
+        lambda v: {"loss_tolerance": v[0], "max_drawdown": v[1],
+                   "alpha_policy_min": min(v[2:]), "alpha_policy_max": max(v[2:])}),
+    "entropy": st.fixed_dictionaries({"delta_h_max": _within(0.0, sys.float_info.max)}),
+    "tilts": st.fixed_dictionaries({"kappa_a": _within(1.0, sys.float_info.max),
+                                    "kappa_c": _within(0.0, 1.0, open_lo=True)}),
+})
+
+
+def _sized_layers(report_json):
+    """Pass or fail of every layer but domain, which counts candidates only when synthesizing."""
+    layers = json.loads(report_json)["report"]["layers"]
+    return {name: verdict["passed"] for name, verdict in layers.items() if name != "domain"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=CONFIGS)
+def test_every_command_on_a_valid_config(tmp_path_factory, config):
+    """Any config in the validated domain, through all five subcommands on the AI fixture."""
+    paths = write_ai_inputs(tmp_path_factory.mktemp("config"))
+    paths["config"].write_text(json.dumps(config))
+    outcomes = {}
+    for command in COMMAND_INPUTS:
+        for fmt in ("json", "text"):
+            flags = ("--format", fmt, *(("--schedule-due",) if command == "filter-rebalance"
+                                        else ()))
+            argv = argv_for(command, paths, flags)
+            code, out, err = outcomes[command, fmt] = run_isolated(argv)
+            assert run_isolated(argv) == (code, out, err)
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert out == b"" and err.startswith("error: ") and err.count("\n") == 1
+                assert err.endswith("\n")
+                continue
+            assert err == ""
+            if fmt == "json":
+                strict_json(out)
+                if command in ("design", "check"):
+                    assert emit_report(*parse_report(out), "json") == out
+    code, out, _ = outcomes["design", "json"]
+    if code != 1:
+        design = json.loads(out)["design"]
+        paths["design"].write_text(json.dumps(design))
+        check_code, check_out, err = run_isolated(argv_for("check", paths, ("--format", "json")))
+        assert (check_code, err) == (code, "")
+        if design["constituents"]:
+            assert _sized_layers(check_out) == _sized_layers(out)
+        else:  # nothing was built: design attributes why, check fails the empty placeholder
+            assert code == 2 and not _sized_layers(check_out)["structural"]
+
+
+def test_config_error_is_the_same_under_any_hash_seed(tmp_path):
+    """Two config errors at once: the one printed does not depend on set or dict order."""
+    config = write_config(tmp_path, {"impact": {"c": -1, "delta": 2}})
+    src = str(FIXTURES.parent / "src")
+    printed = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", "from satfeas.cli import main; "
+                               "raise SystemExit(main())", "bounds", "--config", config],
+                              env=env, capture_output=True, text=True)
+        printed.append((proc.returncode, proc.stdout, proc.stderr))
+    assert printed[0] == printed[1] == (1, "", "error: impact.c must be positive\n")

@@ -21,7 +21,6 @@ from satfeas import (
     run_cascade,
 )
 from satfeas.io import (
-    dump_candidates,
     emit_report,
     load_candidates,
     load_core_weights,
@@ -40,6 +39,18 @@ def write(tmp_path, name, text):
 
 
 CANDIDATE_HEADER = "id,tier,adv_usd,round_trip_cost_bps,gaer_admissible,exclusion\n"
+
+
+def dump_candidates(assets):
+    """Assets as candidate CSV, each number by its ``repr``: the text the loader inverts."""
+    buf = _io.StringIO()
+    buf.write(CANDIDATE_HEADER)
+    writer = csv.writer(buf, lineterminator="\n")
+    for a in assets:
+        override = "" if a.round_trip_cost_bps is None else repr(a.round_trip_cost_bps)
+        writer.writerow([a.id, a.tier.value, repr(a.adv_usd), override,
+                         "true" if a.gaer_admissible else "false", a.exclusion.value])
+    return buf.getvalue()
 
 
 class TestLoadCandidates:

@@ -11,14 +11,13 @@ from satfeas import (
     ExclusionCategory,
     FeasibilityParams,
     ImpactParams,
-    Portfolio,
     RebalanceProposal,
     SatelliteDesign,
     StructuralParams,
     TierClass,
     ValidationError,
 )
-from satfeas.model import to_json
+from satfeas.model import check_pairs, to_json
 
 from conftest import make_asset, make_params
 
@@ -105,13 +104,6 @@ class TestValidation:
         with pytest.raises(ValidationError):
             SatelliteDesign(theme="t", alpha=0.1, constituents=(("a", 0.1),), kappa_c=0.0)
 
-    def test_portfolio_total_must_be_one(self):
-        sat = SatelliteDesign(theme="t", alpha=0.1, constituents=(("a", 0.1),))
-        with pytest.raises(ValidationError) as err:
-            Portfolio(core_weights=(("core", 0.8),), satellite=sat)
-        assert err.value.code == "weights_do_not_sum_to_one"
-        Portfolio(core_weights=(("core", 0.9),), satellite=sat)
-
     def test_proposal_rejects_duplicate_trades(self):
         with pytest.raises(ValidationError):
             RebalanceProposal(trades=(("a", 0.1), ("a", -0.1)))
@@ -144,14 +136,10 @@ def _design_with(pairs):
     return SatelliteDesign(theme="t", alpha=0.1, constituents=pairs)
 
 
-def _portfolio_with(pairs):
-    sat = SatelliteDesign(theme="t", alpha=0.1, constituents=(("s", 0.1),))
-    return Portfolio(core_weights=pairs, satellite=sat)
-
-
 @pytest.mark.parametrize("build,what", [(_design_with, "constituents"),
-                                        (_portfolio_with, "core_weights")],
-                         ids=["design", "portfolio"])
+                                        (lambda pairs: check_pairs(pairs, "core_weights"),
+                                         "core_weights")],
+                         ids=["design", "core_weights"])
 @pytest.mark.parametrize("pairs,message,code,field", [case[1:] for case in WEIGHT_PAIR_ERRORS],
                          ids=[case[0] for case in WEIGHT_PAIR_ERRORS])
 def test_weight_pair_errors(build, what, pairs, message, code, field):

@@ -29,6 +29,25 @@ def test_cli_imports_only_the_standard_library():
     assert [m for m in loaded if m != "satfeas" and m not in sys.stdlib_module_names] == []
 
 
+#: The public surface: adding or removing an export is an edit to this list.
+PUBLIC_NAMES = [
+    "Asset", "CascadeInput", "DerivedBounds", "EconParams", "EntropyParams",
+    "ExclusionCategory", "FeasibilityParams", "FeasibilityReport", "ImpactParams", "LAYERS",
+    "LayerVerdict", "RebalanceEvent", "RebalanceProposal", "ReplayStats", "RunConfig",
+    "SatelliteDesign", "StructuralParams", "TierClass", "UNBOUNDED", "Unbounded",
+    "ValidationError", "alpha_max_structural", "assign_tier_weights", "breadth_bound_econ",
+    "breadth_bound_entropy", "compute_bounds", "config_from_dict", "effective_alpha",
+    "eligibility_filter", "entropy_increment_approx", "entropy_increment_exact",
+    "filter_rebalance", "impact_cost", "load_config", "max_weight_impact",
+    "max_weight_participation", "min_weight_change", "replay", "replay_steps", "run_cascade",
+    "weight_entropy",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(satfeas.__all__) == PUBLIC_NAMES
+
+
 def test_every_exported_name_resolves():
     assert len(set(satfeas.__all__)) == len(satfeas.__all__)
     assert [name for name in satfeas.__all__ if not hasattr(satfeas, name)] == []

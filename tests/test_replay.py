@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satfeas import (
-    Portfolio,
     RebalanceEvent,
     RebalanceProposal,
     ReplayStats,
@@ -19,14 +18,14 @@ from satfeas import (
     replay,
     replay_steps,
 )
+from satfeas.model import weight_sum
 
 from conftest import make_asset, make_params
 
 
-def make_portfolio(alpha=0.1):
-    sat = SatelliteDesign(theme="t", alpha=alpha,
-                          constituents=(("a0", alpha / 2), ("a1", alpha / 2)))
-    return Portfolio(core_weights=(("CORE", 1.0 - alpha),), satellite=sat)
+def make_design(alpha=0.1):
+    return SatelliteDesign(theme="t", alpha=alpha,
+                           constituents=(("a0", alpha / 2), ("a1", alpha / 2)))
 
 
 def make_assets(n=6, adv=1e9):
@@ -45,7 +44,7 @@ class TestReplay:
         days = [date(2025, 3, 31), date(2025, 6, 30), date(2025, 9, 30),
                 date(2025, 12, 31)]
         events = [event(d, [("a0", 0.05), ("a1", -0.02)]) for d in days]
-        stats = replay(events, make_params(), make_portfolio(), make_assets())
+        stats = replay(events, make_params(), make_design(), make_assets())
         assert stats.events_total == 4
         assert stats.trades_proposed == 8
         assert stats.trades_executed == 0
@@ -58,13 +57,13 @@ class TestReplay:
         events = [event(date(2025, 6, 30),
                         [("a0", 0.12), ("a1", 0.05), ("a2", -0.11)],
                         schedule_due=True)]
-        stats = replay(events, params, make_portfolio(), make_assets())
+        stats = replay(events, params, make_design(), make_assets())
         assert stats.trades_executed == 2
         assert stats.trades_suppressed_by_reason == {"below_action_resolution": 1}
         assert stats.gross_turnover_executed == pytest.approx(0.23, abs=1e-12)
 
     def test_empty_stream_all_zero(self):
-        stats = replay([], make_params(), make_portfolio(), make_assets())
+        stats = replay([], make_params(), make_design(), make_assets())
         assert stats == ReplayStats(events_total=0, trades_proposed=0, trades_executed=0,
                                     trades_suppressed_by_reason={},
                                     gross_turnover_executed=0.0,
@@ -74,13 +73,20 @@ class TestReplay:
         events = [event(date(2025, 6, 30), [("a0", 0.01)]),
                   event(date(2025, 3, 31), [("a1", 0.01)])]
         with pytest.raises(ValidationError) as err:
-            replay(events, make_params(), make_portfolio(), make_assets())
+            replay(events, make_params(), make_design(), make_assets())
         assert err.value.code == "events_out_of_order"
+
+    def test_unknown_design_id_rejected(self):
+        design = SatelliteDesign(theme="t", alpha=0.1, constituents=(("GHOST", 0.1),))
+        with pytest.raises(ValidationError) as err:
+            replay([], make_params(), design, make_assets())
+        assert (str(err.value), err.value.code, err.value.field) == \
+            ("design references unknown asset id 'GHOST'", "unknown_asset_id", "design")
 
     def test_unknown_trade_id_rejected(self):
         events = [event(date(2025, 6, 30), [("ghost", 0.01)])]
         with pytest.raises(ValidationError) as err:
-            replay(events, make_params(), make_portfolio(), make_assets())
+            replay(events, make_params(), make_design(), make_assets())
         assert err.value.code == "unknown_asset_id"
 
     def test_max_participation_observed(self):
@@ -89,7 +95,7 @@ class TestReplay:
         assets = [make_asset(id="a0", adv_usd=1e6), make_asset(id="a1", adv_usd=1e7)]
         events = [event(date(2025, 6, 30), [("a0", 0.1), ("a1", -0.2)],
                         schedule_due=True)]
-        stats = replay(events, params, make_portfolio(), assets)
+        stats = replay(events, params, make_design(), assets)
         # participations: 1e6*0.1/1e6 = 0.1 and 1e6*0.2/1e7 = 0.02
         assert stats.max_participation_observed == pytest.approx(0.1, abs=1e-12)
 
@@ -99,7 +105,7 @@ class TestReplay:
         assets = [make_asset(id="a0", adv_usd=1e6), make_asset(id="a1", adv_usd=1e7)]
         events = [event(date(2025, 6, 30), [("a0", 0.1), ("a1", -0.2)],
                         schedule_due=True)]
-        stats = replay(events, params, make_portfolio(), assets)
+        stats = replay(events, params, make_design(), assets)
         # a0 participates at 0.1 > 0.05 and is suppressed; a1 at 0.02 executes
         assert (stats.trades_executed, stats.trades_suppressed_by_reason) == \
             (1, {"participation_cap": 1})
@@ -117,8 +123,12 @@ class TestReplay:
                                 structural_break=rng.random() < 0.2))
             day += timedelta(days=rng.randint(1, 30))
         params = make_params(round_trip_cost_bps=50.0, min_effect_bps=1.0)
-        for step in replay_steps(events, params, make_portfolio(), assets):
-            assert abs(step.total_weight - 1.0) <= 1e-9
+        initial = make_design()
+        executed = []
+        for step in replay_steps(events, params, initial, assets):
+            executed += [dw for _, dw in step.executed]
+            assert abs(step.sleeve_alpha - (initial.alpha + math.fsum(executed))) <= 1e-9
+        assert executed  # some trades ran, so the sleeve moved
 
     def test_suppression_monotone_in_effect_threshold(self):
         rng = random.Random(23)
@@ -133,7 +143,7 @@ class TestReplay:
         counts = []
         for eps in (0.0, 1.0, 2.0, 5.0, 10.0, 20.0):
             params = make_params(round_trip_cost_bps=50.0, min_effect_bps=eps)
-            stats = replay(events, params, make_portfolio(), assets)
+            stats = replay(events, params, make_design(), assets)
             counts.append(stats.trades_suppressed_by_reason.get(
                 "below_action_resolution", 0))
         assert counts == sorted(counts)
@@ -146,8 +156,8 @@ class TestReplay:
                         schedule_due=True)
                   for i in range(10)]
         params = make_params(min_effect_bps=1.0)
-        first = replay(events, params, make_portfolio(), assets)
-        second = replay(events, params, make_portfolio(), assets)
+        first = replay(events, params, make_design(), assets)
+        second = replay(events, params, make_design(), assets)
         assert first == second
 
     def test_stats_invariant_enforced(self):
@@ -172,7 +182,7 @@ STREAM = st.lists(st.tuples(st.booleans(),
 def build_events(stream, initial):
     """Events of ``stream``; a whole-position sell is sized as if every
     trade in an open window executes."""
-    sat = dict(initial.satellite.constituents)
+    sat = dict(initial.constituents)
     events = []
     for i, (window_open, trades) in enumerate(stream):
         proposal = []
@@ -193,14 +203,12 @@ def build_events(stream, initial):
 class TestReplayProperties:
     @given(stream=STREAM)
     @settings(max_examples=100, deadline=None)
-    def test_total_weight_bit_equal_to_fsum_of_sleeve(self, stream):
+    def test_sleeve_alpha_bit_equal_to_weight_sum_of_sleeve(self, stream):
         # nothing binds: min_effect 0 and ADV so deep no impact reaches the cap
         params = make_params(min_effect_bps=0.0)
-        initial = make_portfolio()
+        initial = make_design()
         events = build_events(stream, initial)
-        core_total = math.fsum(w for _, w in initial.core_weights)
-        sat = dict(initial.satellite.constituents)
-        cash = 0.0
+        sat = dict(initial.constituents)
         steps = list(replay_steps(events, params, initial, make_assets(10, adv=1e12)))
         assert len(steps) == len(events)
         for step in steps:
@@ -208,9 +216,7 @@ class TestReplayProperties:
             assert len(step.executed) == (len(proposal.trades) if proposal.schedule_due else 0)
             for name, dw in step.executed:
                 sat[name] = sat.get(name, 0.0) + dw
-                cash -= dw
-            expected = core_total + cash + math.fsum(sat.values())
-            assert step.total_weight.hex() == expected.hex()
+            assert step.sleeve_alpha.hex() == weight_sum(sat.values()).hex()
 
     @given(stream=STREAM)
     @settings(max_examples=60, deadline=None)
@@ -221,7 +227,7 @@ class TestReplayProperties:
         assets = [make_asset(id=name, adv_usd=10.0 ** (6 + i % 4),
                              round_trip_cost_bps=100.0 if i % 3 == 0 else None)
                   for i, name in enumerate(POOL)]
-        initial = make_portfolio()
+        initial = make_design()
         events = build_events(stream, initial)
         proposed = executed = 0
         by_reason: dict[str, int] = {}
@@ -242,22 +248,18 @@ class TestReplayProperties:
                             max_participation_observed=max_participation)
         assert replay(events, params, initial, assets) == naive
 
-    def test_overflowing_position_keeps_the_fsum_total(self):
+    def test_overflowing_position_keeps_the_weight_sum(self):
         # a near-zero impact law lets 1e308 trades execute: the position
-        # overflows to inf on the second event and the total follows fsum
+        # overflows to inf on the second event and the sleeve sum follows it
         params = make_params(aum_usd=1.0, c=1e-10, min_effect_bps=0.0)
         assets = [make_asset(id="a0", adv_usd=1e308), make_asset(id="a1", adv_usd=1e308)]
-        initial = make_portfolio()
+        initial = make_design()
         events = [event(date(2025, 1, d), [("a0", 1e308)], schedule_due=True)
                   for d in (1, 2, 3)]
-        core_total = math.fsum(w for _, w in initial.core_weights)
-        sat = dict(initial.satellite.constituents)
-        cash = 0.0
-        totals = []
+        sat = dict(initial.constituents)
+        sums = []
         for step in replay_steps(events, params, initial, assets):
             sat["a0"] += 1e308
-            cash -= 1e308
-            totals.append(step.total_weight)
-            expected = core_total + cash + math.fsum(sat.values())
-            assert step.total_weight.hex() == expected.hex()
-        assert totals[0] == 0.0 and math.isnan(totals[1])
+            sums.append(step.sleeve_alpha)
+            assert step.sleeve_alpha.hex() == weight_sum(sat.values()).hex()
+        assert sums == [1e308, math.inf, math.inf]
