@@ -2,17 +2,20 @@
 
 A sleeve proposal passes through five layers in a fixed order: domain
 eligibility, structural sizing, epistemic breadth, economic action
-resolution, and physical impact validation. The cascade either synthesizes
-a design (sizing the sleeve from the policy inputs and taking the first K
-eligible candidates in input order, since no predictive ranking exists) or
-validates a supplied one. It is a single-pass checker: when a bound is
-violated the report says so and suggests remediation, it never searches.
+resolution, and physical impact validation. Admissibility is a property of
+the allocation: when no design is supplied the cascade synthesizes one
+(sizing the sleeve from the policy inputs and taking the first K eligible
+candidates in input order, since no predictive ranking exists), then checks
+it by the one path a supplied design takes. It is a single-pass checker:
+when a bound is violated the report says so and suggests remediation, it
+never searches.
 
 Margins. Each layer verdict carries a native-unit margin and a normalized
 margin (bound - usage) / bound so layers with different units compare.
 Every layer but domain takes both from ``_margin``, so both are finite:
 
 * domain -- usage is the eligible-name count against the candidate pool;
+  it fails on an ineligible member or a pool with no eligible name;
 * structural -- sleeve size against min(loss budget, policy cap);
 * epistemic -- constituent count against the entropy breadth bound;
 * economic -- the tighter of the breadth bound and the smallest
@@ -25,8 +28,8 @@ passing layers the smallest normalized margin; exact ties resolve in the
 order economic, structural, epistemic, physical, domain, matching the
 binding regime typical of small portfolios.
 
-Synthesized designs re-validate to the same verdicts: evaluation is a pure
-function of (candidates, parameters, design).
+Evaluation is a pure function of (candidates, parameters, design), so
+checking a synthesized design returns the report that synthesis printed.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from .model import (
     check_kappas,
     entry_error,
 )
-from .tiering import assign_tier_weights, eligibility_filter, eligibility_reason
+from .tiering import assign_tier_weights, eligibility_filter
 
 REASON_GOVERNANCE = "governance_gate"
 REASON_RESOLUTION = "below_action_resolution"
@@ -82,8 +85,9 @@ def _fmt(x: float) -> str:
 class CascadeInput:
     """Everything one cascade evaluation needs.
 
-    When ``design`` is absent the cascade synthesizes one; ``core_weights``
-    (a normalized core composition) is optional and only feeds the exact
+    When ``design`` is absent the cascade synthesizes one, then evaluates it
+    as it would the same design supplied here; ``core_weights`` (a
+    normalized core composition) is optional and only feeds the exact
     entropy-increment diagnostic.
     """
 
@@ -140,92 +144,80 @@ def compute_bounds(params: FeasibilityParams,
 
 
 def run_cascade(inp: CascadeInput) -> tuple[FeasibilityReport, SatelliteDesign]:
-    """Evaluate (or synthesize) a sleeve design through all five layers.
+    """Evaluate ``inp.design``, or the one :func:`_synthesize` builds, through all five layers.
 
-    Synthesis sets the sleeve size to min(policy cap, loss budget), breadth
-    to the tightest of the entropy bound, the economic bound, and the
-    eligible-candidate count, then applies the tier weighting rule. A
-    supplied design is validated against the same bounds instead; its
-    weights are taken as given (feasibility is checked, weighting style is
-    not). If nothing feasible can be built, the returned design is an empty
-    sleeve and the report attributes the failure.
+    Both take one path: the sleeve size is the design's alpha, its weights
+    are taken as given (feasibility is checked, weighting style is not), and
+    the verdicts are a pure function of (candidates, parameters, design), so
+    re-evaluating a synthesized design returns the same report.
     """
     params = inp.params
-    eligible, _rejected = eligibility_filter(inp.candidates)
-    by_id = _asset_map(inp.candidates)
+    eligible, rejected = eligibility_filter(inp.candidates)
     bounds = compute_bounds(params, inp.candidates)
-    alpha_cap = bounds.alpha_effective
+    design = inp.design if inp.design is not None else _synthesize(inp, eligible, bounds)
+    members = _members(design, _asset_map(inp.candidates))
+    reasons = {asset.id: reason for asset, reason in rejected}
+    ineligible = [(asset, reasons[asset.id]) for asset, _w in members if asset.id in reasons]
 
     notes: list[str] = []
-    pol_min = params.structural.alpha_policy_min
+    alpha_cap, pol_min = bounds.alpha_effective, params.structural.alpha_policy_min
     if alpha_cap < pol_min - WEIGHT_TOL:
         notes.append(f"alpha_effective {_fmt(alpha_cap)} falls below "
                      f"alpha_policy_min {_fmt(pol_min)}")
 
-    if inp.design is not None:
-        design = inp.design
-        alpha_eval = design.alpha
-        members = _members(design, by_id)
-        ineligible = [(asset, reason) for asset, _w in members
-                      if (reason := eligibility_reason(asset)) is not None]
-    else:
-        alpha_eval = alpha_cap
-        k_limit = len(eligible)
-        for b in (bounds.k_max_entropy, bounds.k_max_econ):
-            if not isinstance(b, Unbounded):
-                k_limit = min(k_limit, b)
-        if eligible and alpha_eval > 0 and k_limit >= 1:
-            chosen = eligible[:k_limit]
-            weighted = assign_tier_weights(alpha_eval, chosen, inp.kappa_a, inp.kappa_c)
-            design = SatelliteDesign(theme=inp.theme, alpha=alpha_eval,
-                                     constituents=tuple(weighted),
-                                     kappa_a=inp.kappa_a, kappa_c=inp.kappa_c)
-            members = list(zip(chosen, (w for _, w in weighted)))
-        else:
-            design = SatelliteDesign(theme=inp.theme, alpha=0.0, constituents=(),
-                                     kappa_a=inp.kappa_a, kappa_c=inp.kappa_c)
-            members = []
-        ineligible = []
-
+    alpha = design.alpha
     verdicts = {
-        "domain": _domain_verdict(len(inp.candidates), len(eligible), ineligible,
-                                  validating=inp.design is not None,
-                                  n_members=len(members)),
-        "structural": _structural_verdict(alpha_eval, bounds, params),
-        "epistemic": _epistemic_verdict(alpha_eval, members, params, inp.core_weights),
-        "economic": _economic_verdict(alpha_eval, members, params),
+        "domain": _domain_verdict(len(inp.candidates), len(eligible), ineligible, len(members)),
+        "structural": _structural_verdict(alpha, bounds, params),
+        "epistemic": _epistemic_verdict(alpha, members, params, inp.core_weights),
+        "economic": _economic_verdict(alpha, members, params),
         "physical": _physical_verdict(members, bounds),
     }
-    binding = _binding_layer(verdicts)
     report = FeasibilityReport(
         admissible=all(v.passed for v in verdicts.values()),
         layer_verdicts=verdicts,
         derived_bounds=bounds,
-        binding_layer=binding,
+        binding_layer=_binding_layer(verdicts),
         notes=tuple(notes),
     )
     return report, design
 
 
+def _synthesize(inp: CascadeInput, eligible: Sequence[Asset],
+                bounds: DerivedBounds) -> SatelliteDesign:
+    """The first K eligible candidates in input order, sized at ``alpha_effective``.
+
+    K is the tightest breadth bound but at least one: where a bound admits
+    no name, the one-name sleeve is built and that bound's layer fails it.
+    The tier rule weights the names. The sleeve is empty only when no
+    candidate is eligible or ``alpha_effective`` is 0.
+    """
+    alpha, constituents = bounds.alpha_effective, ()
+    if eligible and alpha > 0:
+        k = min(len(eligible), *(b for b in (bounds.k_max_entropy, bounds.k_max_econ)
+                                 if not isinstance(b, Unbounded)))
+        constituents = tuple(assign_tier_weights(alpha, eligible[:max(k, 1)],
+                                                 inp.kappa_a, inp.kappa_c))
+    return SatelliteDesign(theme=inp.theme, alpha=alpha if constituents else 0.0,
+                           constituents=constituents, kappa_a=inp.kappa_a, kappa_c=inp.kappa_c)
+
+
 def _domain_verdict(n_candidates: int, n_eligible: int,
-                    ineligible: list[tuple[Asset, str]], validating: bool,
-                    n_members: int) -> LayerVerdict:
-    if validating and ineligible:
+                    ineligible: list[tuple[Asset, str]], n_members: int) -> LayerVerdict:
+    if ineligible:
         asset, reason = ineligible[0]
         n_bad = len(ineligible)
         return LayerVerdict(
             passed=False,
             margin=float(-n_bad),
-            normalized_margin=-n_bad / max(n_members, 1),
+            normalized_margin=-n_bad / n_members,
             bound=float(n_candidates), usage=float(n_eligible),
             detail=f"{n_bad} ineligible constituent(s); first: {asset.id} ({reason})",
         )
-    passed = n_eligible >= 1 if not validating else True
-    denom = max(n_candidates, 1)
     return LayerVerdict(
-        passed=passed,
+        passed=n_eligible >= 1,
         margin=float(n_eligible - 1),
-        normalized_margin=(n_eligible - 1) / denom if n_candidates else -1.0,
+        normalized_margin=(n_eligible - 1) / n_candidates if n_candidates else -1.0,
         bound=float(n_candidates), usage=float(n_eligible),
         detail=f"eligible {n_eligible} of {n_candidates} candidates",
     )
@@ -345,15 +337,12 @@ def _binding_layer(verdicts: Mapping[str, LayerVerdict]) -> str:
     for name in LAYERS:
         if not verdicts[name].passed:
             return name
-    best_name: str | None = None
-    best: float | None = None
+    best, best_name = math.inf, ""  # domain always has a normalized margin, so one is found
     for name in _TIE_ORDER:
         m = verdicts[name].normalized_margin
-        if m is None:
-            continue
-        if best is None or m < best - WEIGHT_TOL:
+        if m is not None and m < best - WEIGHT_TOL:
             best, best_name = m, name
-    return best_name if best_name is not None else "structural"
+    return best_name
 
 
 def _asset_map(assets: Iterable[Asset] | Mapping[str, Asset]) -> Mapping[str, Asset]:

@@ -253,16 +253,8 @@ def emit_report(report: FeasibilityReport, design: SatelliteDesign,
 
 
 def emit_bounds(bounds: DerivedBounds, fmt: str = "text") -> bytes:
-    """Render the closed-form bounds, with any per-asset impact caps."""
-    def text() -> list[str]:
-        caps = bounds.weight_caps_impact
-        if caps is None:
-            return _bounds_lines(bounds, _label_width(_BOUND_KEYS))
-        width = _label_width([*_BOUND_KEYS, *caps])  # one column for the bounds and the caps
-        return [*_bounds_lines(bounds, width), "", "per-asset impact caps",
-                *(name.ljust(width) + _cell(caps[name]) for name in sorted(caps))]
-
-    return _render(fmt, to_json(bounds), text)
+    """Render the closed-form bounds, with any per-asset weight caps."""
+    return _render(fmt, to_json(bounds), lambda: _bounds_lines(bounds))
 
 
 def emit_filter(executed: Sequence[tuple[str, float]],
@@ -337,10 +329,18 @@ _BOUND_KEYS = ("alpha_max_structural", "alpha_effective", "delta_w_min", "k_max_
                "k_max_entropy")
 
 
-def _bounds_lines(b: DerivedBounds, width: int) -> list[str]:
-    """The titled text block of the closed-form bounds, per-asset caps aside."""
-    return ["derived bounds", "--------------",
-            *(key.ljust(width) + _cell(getattr(b, key)) for key in _BOUND_KEYS)]
+def _bounds_lines(b: DerivedBounds) -> list[str]:
+    """The titled text block of the closed-form bounds, then any per-asset weight caps table."""
+    width = _label_width(_BOUND_KEYS)
+    lines = ["derived bounds", "--------------",
+             *(key.ljust(width) + _cell(getattr(b, key)) for key in _BOUND_KEYS)]
+    if b.weight_caps_impact is not None:
+        parts = b.weight_caps_participation or {}
+        cap_rows = [[name, _cell(cap), _cell(parts.get(name))]
+                    for name, cap in sorted(b.weight_caps_impact.items())]
+        lines += ["", "per-asset weight caps", "---------------------"]
+        lines += _table(["id", "impact", "participation"], cap_rows)
+    return lines
 
 
 def _report_lines(report: FeasibilityReport, design: SatelliteDesign) -> list[str]:
@@ -359,17 +359,7 @@ def _report_lines(report: FeasibilityReport, design: SatelliteDesign) -> list[st
     lines += _table(["layer", "verdict", "margin", "normalized", "bound", "usage", "detail"],
                     rows)
 
-    b = report.derived_bounds
-    lines += ["", *_bounds_lines(b, _label_width(_BOUND_KEYS))]
-
-    if b.weight_caps_impact is not None:
-        parts = b.weight_caps_participation or {}
-        cap_rows = [[name, _cell(cap), _cell(parts.get(name))]
-                    for name, cap in sorted(b.weight_caps_impact.items())]
-        lines += ["", "per-asset weight caps", "---------------------"]
-        lines += _table(["id", "impact", "participation"], cap_rows)
-
-    lines += ["", "design",
+    lines += ["", *_bounds_lines(report.derived_bounds), "", "design",
               "------",
               f"alpha: {_cell(design.alpha)}  kappa_a: {_cell(design.kappa_a)}  "
               f"kappa_c: {_cell(design.kappa_c)}"]

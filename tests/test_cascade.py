@@ -1,6 +1,7 @@
 """Cascade composition, binding attribution, and the rebalance filter."""
 
 import dataclasses
+import json
 import math
 import random
 import sys
@@ -23,14 +24,15 @@ from satfeas import (
     TierClass,
     ValidationError,
     compute_bounds,
+    config_from_dict,
     filter_rebalance,
     impact_cost,
     run_cascade,
 )
-from satfeas.io import emit_report, parse_report
+from satfeas.io import emit_report, load_candidates, parse_report
 from satfeas.model import UNBOUNDED
 
-from conftest import make_asset, make_params, strict_json
+from conftest import FIXTURES, make_asset, make_params, strict_json
 
 
 def ai_input(eps=2.0, candidates=None, **overrides):
@@ -70,13 +72,16 @@ class TestRunCascadeSynthesis:
         assert not report.admissible
         assert report.binding_layer == "domain"
         assert design.alpha == 0.0 and design.constituents == ()
+        # the empty sleeve is what is evaluated, so sizing fails too
+        assert report.layer_verdicts["structural"].detail == "empty sleeve (alpha = 0)"
 
     def test_all_rejected_candidates_fail_domain(self):
         bad = (make_asset(id="a", gaer=False),
                make_asset(id="b", exclusion=ExclusionCategory.THEMATIC_ETF))
-        report, _ = run_cascade(CascadeInput(candidates=bad, params=make_params()))
+        report, design = run_cascade(CascadeInput(candidates=bad, params=make_params()))
         assert not report.admissible
         assert report.binding_layer == "domain"
+        assert design.constituents == () and not report.layer_verdicts["structural"].passed
 
     def test_zero_effective_alpha_fails_structural(self):
         report, design = run_cascade(ai_input(loss_tolerance=0.0))
@@ -85,15 +90,22 @@ class TestRunCascadeSynthesis:
         assert design.alpha == 0.0
 
     def test_zero_entropy_budget_fails_epistemic(self):
-        report, _ = run_cascade(ai_input(eps=0.2, delta_h_max=0.0))
+        # the entropy bound admits no name: the one-name sleeve is built and fails it
+        report, design = run_cascade(ai_input(eps=0.2, delta_h_max=0.0))
         assert not report.admissible
         assert report.binding_layer == "epistemic"
+        assert design.constituents == (("N0", design.alpha),)
+        epistemic = report.layer_verdicts["epistemic"]
+        assert (epistemic.bound, epistemic.usage) == (0.0, 1.0)
 
     def test_sleeve_below_action_resolution_fails_economic(self):
         # dw_min = 15/25 = 0.6 > alpha = 0.1: not even one name fits
-        report, _ = run_cascade(ai_input(eps=15.0))
+        report, design = run_cascade(ai_input(eps=15.0))
         assert not report.admissible
         assert report.binding_layer == "economic"
+        assert [name for name, _ in design.constituents] == ["N0"]
+        economic = report.layer_verdicts["economic"]
+        assert (economic.bound, economic.usage) == (0, 1.0)
 
     def test_selection_takes_first_k_in_input_order(self):
         report, design = run_cascade(ai_input(eps=0.5))  # dw_min 0.02, K_econ 5
@@ -290,6 +302,35 @@ def checking(pairs, alpha=0.1, **overrides):
     """``ai_input`` at the AI fixture's effect threshold, validating a design of ``pairs``."""
     return dataclasses.replace(ai_input(eps=0.2, **overrides), design=SatelliteDesign(
         theme="t", alpha=alpha, constituents=pairs))
+
+
+class TestDesignThenCheck:
+    """Evaluating the design that synthesis returns reproduces its report."""
+
+    def test_failed_synthesis_checks_to_the_same_report(self):
+        # the AI fixture with delta_h_max 0: the entropy bound admits no name, so the
+        # one-name sleeve is built, and checking it prints the same report
+        cfg = config_from_dict({**json.loads((FIXTURES / "ai_config.json").read_text()),
+                                "entropy": {"delta_h_max": 0}})
+        inp = CascadeInput(candidates=tuple(load_candidates(FIXTURES / "ai_candidates.csv")),
+                           params=cfg.params, kappa_a=cfg.kappa_a, kappa_c=cfg.kappa_c,
+                           theme=cfg.theme)
+        report, design = run_cascade(inp)
+        assert (report.admissible, report.binding_layer) == (False, "epistemic")
+        assert report.layer_verdicts["structural"].passed
+        assert design.constituents == (("CHIP1", design.alpha),)
+        checked = run_cascade(dataclasses.replace(inp, design=design))
+        assert emit_report(*checked, "json") == emit_report(report, design, "json")
+
+    @example(inp=ai_input(eps=0.2, delta_h_max=0.0))
+    @example(inp=ai_input(eps=15.0))
+    @example(inp=ai_input(loss_tolerance=0.0))
+    @example(inp=CascadeInput(candidates=(), params=make_params()))
+    @given(inp=cascade_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_evaluating_the_returned_design_is_a_fixed_point(self, inp):
+        report, design = run_cascade(inp)
+        assert run_cascade(dataclasses.replace(inp, design=design)) == (report, design)
 
 
 class TestVerdictDomain:
