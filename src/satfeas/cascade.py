@@ -35,8 +35,8 @@ checking a synthesized design returns the report that synthesis printed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 from .layers import (
     alpha_max_structural,
@@ -388,24 +388,24 @@ def filter_rebalance(
             raise ValidationError(f"unknown asset id {name!r} in proposal",
                                   code="unknown_asset_id", field="trades")
 
+    if not (proposal.schedule_due or proposal.structural_break):
+        return [], [(trade, REASON_GOVERNANCE) for trade in proposal.trades]
     executed: list[tuple[str, float]] = []
     suppressed: list[tuple[tuple[str, float], str]] = []
-    window_open = proposal.schedule_due or proposal.structural_break
-    phi = params.impact.participation_cap
-    for name, dw in proposal.trades:
-        if not window_open:
-            reason = REASON_GOVERNANCE
+    econ, impact, aum = params.econ, params.impact, params.aum_usd
+    phi = impact.participation_cap
+    for trade in proposal.trades:
+        name, dw = trade
+        asset = by_id[name]
+        notional = aum * abs(dw)
+        if not abs(dw) >= min_weight_change(econ, asset.round_trip_cost_bps):
+            reason = REASON_RESOLUTION
+        elif impact_cost(notional, asset.adv_usd, impact) > impact.impact_cap:
+            reason = REASON_IMPACT
+        elif phi is not None and notional / asset.adv_usd > phi:
+            reason = REASON_PARTICIPATION
         else:
-            asset = by_id[name]
-            notional = params.aum_usd * abs(dw)
-            if not abs(dw) >= min_weight_change(params.econ, asset.round_trip_cost_bps):
-                reason = REASON_RESOLUTION
-            elif impact_cost(notional, asset.adv_usd, params.impact) > params.impact.impact_cap:
-                reason = REASON_IMPACT
-            elif phi is not None and notional / asset.adv_usd > phi:
-                reason = REASON_PARTICIPATION
-            else:
-                executed.append((name, dw))
-                continue
-        suppressed.append(((name, dw), reason))
+            executed.append(trade)
+            continue
+        suppressed.append((trade, reason))
     return executed, suppressed

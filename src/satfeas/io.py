@@ -76,11 +76,13 @@ def load_design(path: str | Path) -> SatelliteDesign:
 
 
 def _read_rows(path: str | Path, header: list[str],
-               what: str) -> list[tuple[int, tuple[str, ...]]]:
-    """Every nonblank data row as ``(row number, stripped cells)``.
+               what: str) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Each nonblank data row as ``(row number, stripped cells)``, as the file is read.
 
-    The whole file is checked for its header and field counts before any
-    cell is parsed, so a malformed row is reported ahead of a bad value.
+    The header is checked before the first row is yielded, and each row's
+    field count as it is read. A loader that fails on a cell passes the rest
+    to :func:`_drained`, so a later malformed row or unreadable byte is
+    still reported ahead of a bad value.
     """
     p = Path(path)
     width = len(header)
@@ -93,8 +95,7 @@ def _read_rows(path: str | Path, header: list[str],
             raise ValidationError(
                 f"{what} file {p} must have header {','.join(header)!r}, got {','.join(got)!r}",
                 code="bad_header", field=what)
-        rows = []
-        append, strip = rows.append, str.strip
+        strip = str.strip
         for lineno, row in enumerate(reader, start=2):
             cells = tuple(map(strip, row))
             if not any(cells):
@@ -102,8 +103,14 @@ def _read_rows(path: str | Path, header: list[str],
             if len(cells) != width:
                 raise ValidationError(f"{what} row {lineno} has {len(cells)} fields, "
                                       f"expected {width}", code="bad_row", field=what)
-            append((lineno, cells))
-        return rows
+            yield lineno, cells
+
+
+def _drained(rows: Iterator, e: ValidationError) -> ValidationError:
+    """``e``, once the rest of ``rows`` is read: a malformed row or unreadable byte there wins."""
+    for _ in rows:
+        pass
+    return e
 
 
 def _parse_float(text: str, what: str, line: int) -> float:
@@ -141,36 +148,46 @@ def load_candidates(path: str | Path) -> list[Asset]:
     assets: list[Asset] = []
     seen: set[str] = set()
     tiers, exclusions = TierClass._value2member_map_, ExclusionCategory._value2member_map_
-    for line, (name, tier, adv, cost, gaer, exclusion) in _read_rows(
-            path, CANDIDATE_HEADER, "candidates"):
-        if not name or name in seen:  # the id comes first, before any cell is parsed
-            raise _at_row(entry_error("candidates", 0, name, seen=seen), "candidates", [line])
-        seen.add(name)
-        try:  # each cell parsed once; no message is built unless a check fails
-            asset = Asset(name, tiers[tier.upper()], float(adv), _BOOLS[gaer.lower()],
-                          exclusions[exclusion.lower()], float(cost) if cost else None)
-        except (KeyError, ValueError):  # parse the row again, in order, to name its error
-            try:
-                override = _parse_float(cost, "candidates", line) if cost else None
-                asset = Asset(name, TierClass.parse(tier), _parse_float(adv, "candidates", line),
-                              _parse_bool(gaer, "candidates", line),
-                              ExclusionCategory.parse(exclusion), override)
-            except ValidationError as e:
-                if e.field == "candidates":  # a cell parser's error names its row already
-                    raise
-                raise ValidationError(f"candidates row {line}: {e}", e.code, e.field) from None
-        assets.append(asset)
+    rows = _read_rows(path, CANDIDATE_HEADER, "candidates")
+    try:
+        for line, (name, tier, adv, cost, gaer, exclusion) in rows:
+            if not name or name in seen:  # the id comes first, before any cell is parsed
+                raise _at_row(entry_error("candidates", 0, name, seen=seen), "candidates",
+                              [line])
+            seen.add(name)
+            try:  # each cell parsed once; no message is built unless a check fails
+                asset = Asset(name, tiers[tier.upper()], float(adv), _BOOLS[gaer.lower()],
+                              exclusions[exclusion.lower()], float(cost) if cost else None)
+            except (KeyError, ValueError):  # parse the row again, in order, to name its error
+                try:
+                    override = _parse_float(cost, "candidates", line) if cost else None
+                    asset = Asset(name, TierClass.parse(tier),
+                                  _parse_float(adv, "candidates", line),
+                                  _parse_bool(gaer, "candidates", line),
+                                  ExclusionCategory.parse(exclusion), override)
+                except ValidationError as e:
+                    if e.field == "candidates":  # a cell parser's error names its row already
+                        raise
+                    raise ValidationError(f"candidates row {line}: {e}", e.code,
+                                          e.field) from None
+            assets.append(asset)
+    except ValidationError as e:
+        raise _drained(rows, e) from None
     return assets
 
 
 def _load_pairs(path: str | Path, header: list[str], what: str, build: Callable) -> Any:
-    """``build`` of the (id, number) rows of a CSV, every cell parsed first; errors at their row."""
+    """``build`` of the (id, number) rows of a CSV, each number parsed before ``build`` checks
+    an id; errors at their row."""
     rows = _read_rows(path, header, what)
-    pairs = [(name, _parse_float(text, what, line)) for line, (name, text) in rows]
+    pairs, lines = [], []
     try:
+        for line, (name, text) in rows:
+            pairs.append((name, _parse_float(text, what, line)))
+            lines.append(line)
         return build(pairs)
     except ValidationError as e:
-        raise _at_row(e, what, [line for line, _ in rows]) from None
+        raise _at_row(_drained(rows, e), what, lines) from None
 
 
 def load_core_weights(path: str | Path) -> tuple[tuple[str, float], ...]:
@@ -192,42 +209,50 @@ def load_proposal_trades(path: str | Path, schedule_due: bool = False,
 
 
 def load_events(path: str | Path) -> list[RebalanceEvent]:
-    """Read an event-stream CSV, grouping consecutive rows by date.
+    """Read an event-stream CSV in one pass, one event per run of rows with one date.
 
-    Governance flags must agree within a date group; dates must be strictly
-    increasing across groups. Each cell is parsed once, and each group's
-    trades are checked once, by its ``RebalanceProposal``.
+    Governance flags must agree within a date; dates must be strictly
+    increasing. Rows are grouped as they are read, never copied; each cell
+    is parsed once, and a date's trades are checked once, by its
+    ``RebalanceProposal``.
     """
     events: list[RebalanceEvent] = []
-    for day_text, group in groupby(_read_rows(path, EVENT_HEADER, "events"),
-                                   key=lambda row: row[1][0]):
-        rows = list(group)
-        first, (_, _, _, due, brk) = rows[0]
-        try:
-            day = date.fromisoformat(day_text)
-        except ValueError:
-            raise ValidationError(f"events row {first}: bad date {day_text!r}",
-                                  code="bad_date", field="events") from None
-        if events and day <= events[-1].date:
-            raise ValidationError(f"events row {first}: dates must be strictly increasing",
-                                  code="events_out_of_order", field="events")
-        schedule_due = _parse_bool(due, "events", first)
-        structural_break = _parse_bool(brk, "events", first)
-        trades = []
-        for line, (_, name, dw, row_due, row_brk) in rows:
-            if (row_due, row_brk) != (due, brk) and (
-                    _parse_bool(row_due, "events", line) != schedule_due
-                    or _parse_bool(row_brk, "events", line) != structural_break):
-                raise ValidationError(
-                    f"events row {line}: governance flags differ within date {day_text}",
-                    code="inconsistent_flags", field="events")
-            trades.append((name, _parse_float(dw, "events", line)))
-        try:
-            proposal = RebalanceProposal(trades=trades, schedule_due=schedule_due,
-                                         structural_break=structural_break)
-        except ValidationError as e:
-            raise _at_row(e, "events", [line for line, _ in rows]) from None
-        events.append(RebalanceEvent(date=day, proposal=proposal))
+    rows = _read_rows(path, EVENT_HEADER, "events")
+    try:
+        for day_text, group in groupby(rows, key=lambda row: row[1][0]):
+            trades, lines = [], []
+            for line, (_, name, dw, due, brk) in group:
+                if not lines:  # the date's first row sets its date and flags
+                    try:
+                        day = date.fromisoformat(day_text)
+                    except ValueError:
+                        raise ValidationError(f"events row {line}: bad date {day_text!r}",
+                                              code="bad_date", field="events") from None
+                    if events and day <= events[-1].date:
+                        raise ValidationError(f"events row {line}: dates must be strictly "
+                                              "increasing", code="events_out_of_order",
+                                              field="events")
+                    flags = (due, brk)
+                    schedule_due = _parse_bool(due, "events", line)
+                    structural_break = _parse_bool(brk, "events", line)
+                elif (due, brk) != flags and (
+                        _parse_bool(due, "events", line) != schedule_due
+                        or _parse_bool(brk, "events", line) != structural_break):
+                    raise ValidationError(
+                        f"events row {line}: governance flags differ within date {day_text}",
+                        code="inconsistent_flags", field="events")
+                try:
+                    trades.append((name, float(dw)))
+                except ValueError:
+                    _parse_float(dw, "events", line)  # words the error
+                lines.append(line)
+            try:
+                proposal = RebalanceProposal(trades, schedule_due, structural_break)
+            except ValidationError as e:
+                raise _at_row(e, "events", lines) from None
+            events.append(RebalanceEvent(day, proposal))
+    except ValidationError as e:
+        raise _drained(rows, e) from None
     return events
 
 

@@ -4,6 +4,7 @@ import csv
 import io as _io
 import json
 import sys
+import tracemalloc
 from datetime import date
 
 import pytest
@@ -355,28 +356,40 @@ def test_load_events_error_table(tmp_path, body, code, message):
     assert message in str(err.value)
 
 
-#: kind -> (loader, file name in messages, header); the fault -> the code it raises.
-_PAIR_FILES = {
-    "core": (load_core_weights, "core_weights", "id,weight"),
-    "proposal": (load_proposal_trades, "proposal", "id,delta_w"),
-    "events": (load_events, "events", EVENT_HEADER.strip()),
+#: kind -> (loader, file name in messages, header, a valid row: ``{id}``, ``{value}`` and
+#: ``{date}`` filled in per row); the fault -> the code it raises.
+_FAULT_FILES = {
+    "candidates": (load_candidates, "candidates", CANDIDATE_HEADER.strip(),
+                   "{id},A,{value},,true,none"),
+    "core": (load_core_weights, "core_weights", "id,weight", "{id},{value}"),
+    "proposal": (load_proposal_trades, "proposal", "id,delta_w", "{id},{value}"),
+    "events": (load_events, "events", EVENT_HEADER.strip(), "{date},{id},{value},true,false"),
 }
 _FAULT_CODES = {"empty id": "bad_id", "duplicate": "duplicate_id", "nan": "not_finite",
                 "inf": "not_finite", "-inf": "not_finite", "negative": "weight_must_be_nonnegative",
-                "x1": "bad_number"}
+                "x1": "bad_number", "bad tier": "bad_tier", "zero adv": "adv_must_be_positive",
+                "negative cost": "cost_must_be_nonnegative", "bad flag": "bad_boolean",
+                "bad exclusion": "bad_exclusion"}
+#: the faults of one candidate cell, by name: (cell index, its text).
+_CANDIDATE_CELL_FAULTS = {"bad tier": (1, "D"), "zero adv": (2, "0"), "negative cost": (3, "-1"),
+                          "bad flag": (4, "maybe"), "bad exclusion": (5, "etf")}
+#: blank rows, skipped but counted, that push what follows past the reader's first chunk
+_PADDING = [" " * 200] * 60
 
 
 @settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(sorted(_PAIR_FILES)), data=st.data())
+@given(kind=st.sampled_from(sorted(_FAULT_FILES)), data=st.data())
 def test_one_fault_is_reported_at_its_row(tmp_path_factory, kind, data):
-    """A valid file with one bad cell fails with the fault's code, at the fault's row."""
-    loader, what, header = _PAIR_FILES[kind]
+    """A valid file with one bad cell fails with the fault's code, at the fault's row; a
+    malformed row or an unreadable byte later in the file is reported instead."""
+    loader, what, header, template = _FAULT_FILES[kind]
     sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
                       if kind == "events" else st.integers(1, 8).map(lambda n: [n]))
     entries = [(group, j) for group, size in enumerate(sizes) for j in range(size)]
     at = data.draw(st.integers(0, len(entries) - 1))
     faults = ["empty id", "nan", "inf", "-inf", "x1"]
     faults += ["negative"] if kind == "core" else []
+    faults += sorted(_CANDIDATE_CELL_FAULTS) if kind == "candidates" else []
     faults += ["duplicate"] if entries[at][1] > 0 else []  # an earlier id of its group
     fault = data.draw(st.sampled_from(faults))
     lines, rows = [header], []
@@ -389,19 +402,66 @@ def test_one_fault_is_reported_at_its_row(tmp_path_factory, kind, data):
                 name = ""
             elif fault == "duplicate":
                 name = f"N{data.draw(st.integers(0, j - 1))}"
-            else:
+            elif fault not in _CANDIDATE_CELL_FAULTS:
                 value = "-0.1" if fault == "negative" else fault
-        cells = [name, value]
-        if kind == "events":
-            cells = [f"2025-01-{group + 1:02d}", *cells, "true", "false"]
+        cells = template.format(date=f"2025-01-{group + 1:02d}", id=name, value=value).split(",")
+        if i == at and fault in _CANDIDATE_CELL_FAULTS:
+            index, text = _CANDIDATE_CELL_FAULTS[fault]
+            cells[index] = text
         lines.append(",".join(cells))
         rows.append(len(lines))
+    later = data.draw(st.sampled_from([None, "short row", "bad bytes"]))
+    body = "\n".join(lines + (_PADDING if later else [])) + "\n"
     path = tmp_path_factory.mktemp("fault") / "f.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(body.encode() + {None: b"", "short row": b"Z\n", "bad bytes": b"Z\xff\n"}[
+        later])
     with pytest.raises(ValidationError) as err:
         loader(path)
-    assert err.value.code == _FAULT_CODES[fault]
-    assert str(err.value).startswith(f"{what} row {rows[at]}: ")
+    if later == "short row":
+        width = header.count(",") + 1
+        assert (err.value.code, str(err.value)) == (
+            "bad_row", f"{what} row {len(lines) + len(_PADDING) + 1} has 1 fields, "
+                       f"expected {width}")
+    elif later == "bad bytes":
+        assert err.value.code == "unreadable_file"
+    else:
+        assert err.value.code == _FAULT_CODES[fault]
+        assert str(err.value).startswith(f"{what} row {rows[at]}: ")
+
+
+def _generated_csv(kind, n):
+    """A valid ``n``-row file for loader ``kind``; events hold 25 trades a date."""
+    header = _FAULT_FILES[kind][2]
+    if kind == "candidates":
+        rows = (f"N{i},{'ABC'[i % 3]},{1e6 + 7.5 * i!r},{'' if i % 5 else 2.5},"
+                f"{'true' if i % 7 else 'false'},none" for i in range(n))
+    elif kind == "events":
+        rows = (f"{date.fromordinal(730000 + i // 25)},N{i % 25},{(i % 9 - 4) / 1e3!r},"
+                f"{'true' if i // 25 % 2 else 'false'},false" for i in range(n))
+    else:
+        rows = (f"N{i},{1 / n!r}" for i in range(n))
+    return "\n".join([header, *rows]) + "\n"
+
+
+#: the most traced memory a loader may allocate at once, as a multiple of what its result
+#: keeps: each row is parsed as it is read, and no copy of the file's rows is held
+_PEAK_RATIOS = {"candidates": 2.5, "core": 2.5, "proposal": 2.5, "events": 1.5}
+
+
+@pytest.mark.parametrize("kind", sorted(_PEAK_RATIOS))
+def test_loader_peak_memory_is_near_its_result(tmp_path, kind):
+    loader = _FAULT_FILES[kind][0]
+    path = write(tmp_path, "f.csv", _generated_csv(kind, 20_000))
+    loader(path)  # any first-call cache is filled before tracing
+    tracemalloc.start()  # counts from zero
+    try:
+        result = loader(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.trades if kind == "proposal" else result) == (800 if kind == "events"
+                                                                      else 20_000)
+    assert peak / kept <= _PEAK_RATIOS[kind]
 
 
 def test_load_events_ai_fixture_pinned():

@@ -4,6 +4,8 @@ import math
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satfeas import (
     EconParams,
@@ -17,7 +19,7 @@ from satfeas import (
     TierClass,
     ValidationError,
 )
-from satfeas.model import check_pairs, to_json
+from satfeas.model import _is_finite, check_pairs, entry_error, to_json
 
 from conftest import make_asset, make_params
 
@@ -183,6 +185,72 @@ def test_integer_past_the_float_range_is_not_finite(build):
     with pytest.raises(ValidationError) as err:
         build()
     assert err.value.code == "not_finite"
+
+
+def _check_pairs_reference(pairs, what, signed=False):
+    """``check_pairs`` without its fast path: every entry by ``isinstance`` and ``_is_finite``."""
+    column = "delta_w" if signed else "weight"
+    try:
+        items = iter(pairs)
+    except TypeError:
+        raise ValidationError(f"{what} must be a list of (id, {column}) pairs",
+                              "bad_weight_pair", what) from None
+    out, seen = [], set()
+    for item in items:
+        try:
+            name, w = item
+        except (TypeError, ValueError):
+            raise ValidationError(f"{what} entries must be (id, {column}) pairs",
+                                  "bad_weight_pair", what) from None
+        if not (isinstance(name, str) and name and name not in seen and _is_finite(w)
+                and (signed or w >= 0)):
+            raise entry_error(what, len(out), name, w, seen, signed)
+        seen.add(name)
+        out.append((name, float(w)))
+    return tuple(out)
+
+
+class _Id(str):
+    pass
+
+
+class _Weight(float):
+    pass
+
+
+class _Pair(tuple):
+    pass
+
+
+#: ids, numbers and entry shapes: the loaders' plain str, float and tuple most often
+_PAIR_IDS = st.sampled_from(["a", "b", "c", "d", "", _Id("a"), _Id("e"), None, 1, b"a"])
+_PAIR_NUMBERS = st.one_of(
+    st.floats(-1, 1), st.floats(-1, 1), st.floats(), st.floats().map(_Weight),
+    st.integers(-2, 2), st.just(10**400), st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf, "0.1"]))
+_PAIR_SHAPES = st.sampled_from([tuple, tuple, tuple, list, _Pair, lambda pair: (*pair, 0.0),
+                                lambda pair: "ab"])
+
+
+def _outcome(check, pairs, signed):
+    try:
+        return "ok", check(pairs, "trades" if signed else "weights", signed)
+    except ValidationError as e:
+        return "error", e.code, e.field, e.index, str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(st.tuples(_PAIR_IDS, _PAIR_NUMBERS, _PAIR_SHAPES), max_size=8),
+       signed=st.booleans())
+def test_check_pairs_fast_path_changes_nothing(entries, signed):
+    """Any mix of entries gives the reference's pairs, or its error at the same index."""
+    pairs = [shape((name, w)) for name, w, shape in entries]
+    got = _outcome(check_pairs, pairs, signed)
+    assert got == _outcome(_check_pairs_reference, pairs, signed)
+    if got[0] == "ok":
+        assert type(got[1]) is tuple
+        assert all(type(pair) is tuple and type(pair[1]) is float for pair in got[1])
+        assert [type(name) for name, _ in got[1]] == [type(pair[0]) for pair in pairs]
 
 
 class TestRoundTrips:
