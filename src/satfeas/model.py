@@ -320,12 +320,11 @@ def check_pairs(pairs: Iterable[tuple[str, float]], what: str,
             raise ValidationError(f"{what} entries must be (id, {column}) pairs",
                                   "bad_weight_pair", what) from None
         # inline, and no message unless a rule fails: designs, cores and proposals can be long
-        fast = type(w) is float and type(name) is str  # as the loaders build it: kept as it is
-        if not ((math.isfinite(w) if fast else isinstance(name, str) and _is_finite(w))
-                and name and name not in seen and (signed or w >= 0)):
+        if not (isinstance(name, str) and name and name not in seen and _is_finite(w)
+                and (signed or w >= 0)):
             raise entry_error(what, len(out), name, w, seen, signed)
         seen.add(name)
-        out.append(item if fast and type(item) is tuple else (name, float(w)))
+        out.append(item if type(item) is tuple and type(w) is float else (name, float(w)))
     return tuple(out)
 
 

@@ -377,12 +377,9 @@ _CANDIDATE_CELL_FAULTS = {"bad tier": (1, "D"), "zero adv": (2, "0"), "negative 
 _PADDING = [" " * 200] * 60
 
 
-@settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(sorted(_FAULT_FILES)), data=st.data())
-def test_one_fault_is_reported_at_its_row(tmp_path_factory, kind, data):
-    """A valid file with one bad cell fails with the fault's code, at the fault's row; a
-    malformed row or an unreadable byte later in the file is reported instead."""
-    loader, what, header, template = _FAULT_FILES[kind]
+def _draw_one_fault(kind, data):
+    """A valid file of ``kind`` with one drawn bad cell: (its lines, the fault, its line)."""
+    header, template = _FAULT_FILES[kind][2:]
     sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
                       if kind == "events" else st.integers(1, 8).map(lambda n: [n]))
     entries = [(group, j) for group, size in enumerate(sizes) for j in range(size)]
@@ -392,7 +389,7 @@ def test_one_fault_is_reported_at_its_row(tmp_path_factory, kind, data):
     faults += sorted(_CANDIDATE_CELL_FAULTS) if kind == "candidates" else []
     faults += ["duplicate"] if entries[at][1] > 0 else []  # an earlier id of its group
     fault = data.draw(st.sampled_from(faults))
-    lines, rows = [header], []
+    lines = [header]
     for i, (group, j) in enumerate(entries):
         if data.draw(st.booleans()):
             lines.append("")  # a blank line is skipped but counted
@@ -409,12 +406,36 @@ def test_one_fault_is_reported_at_its_row(tmp_path_factory, kind, data):
             index, text = _CANDIDATE_CELL_FAULTS[fault]
             cells[index] = text
         lines.append(",".join(cells))
-        rows.append(len(lines))
-    later = data.draw(st.sampled_from([None, "short row", "bad bytes"]))
-    body = "\n".join(lines + (_PADDING if later else [])) + "\n"
+        if i == at:
+            line = len(lines)
+    return lines, fault, line
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(_FAULT_FILES)), data=st.data())
+def test_one_fault_is_reported_at_its_row(tmp_path_factory, kind, data):
+    """A valid file with one bad cell fails with the fault's code, at the fault's row."""
+    loader, what = _FAULT_FILES[kind][:2]
+    lines, fault, line = _draw_one_fault(kind, data)
     path = tmp_path_factory.mktemp("fault") / "f.csv"
-    path.write_bytes(body.encode() + {None: b"", "short row": b"Z\n", "bad bytes": b"Z\xff\n"}[
-        later])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError) as err:
+        loader(path)
+    assert err.value.code == _FAULT_CODES[fault]
+    assert str(err.value).startswith(f"{what} row {line}: ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(sorted(_FAULT_FILES)),
+       later=st.sampled_from(["short row", "bad bytes"]), data=st.data())
+def test_a_later_malformed_row_is_reported_before_a_fault(tmp_path_factory, kind, later, data):
+    """A malformed row or an unreadable byte after a bad cell, past the reader's first chunk,
+    is reported instead of the bad cell."""
+    loader, what, header = _FAULT_FILES[kind][:3]
+    lines, _, _ = _draw_one_fault(kind, data)
+    body = "\n".join(lines + _PADDING) + "\n"
+    path = tmp_path_factory.mktemp("fault") / "f.csv"
+    path.write_bytes(body.encode() + {"short row": b"Z\n", "bad bytes": b"Z\xff\n"}[later])
     with pytest.raises(ValidationError) as err:
         loader(path)
     if later == "short row":
@@ -422,11 +443,8 @@ def test_one_fault_is_reported_at_its_row(tmp_path_factory, kind, data):
         assert (err.value.code, str(err.value)) == (
             "bad_row", f"{what} row {len(lines) + len(_PADDING) + 1} has 1 fields, "
                        f"expected {width}")
-    elif later == "bad bytes":
-        assert err.value.code == "unreadable_file"
     else:
-        assert err.value.code == _FAULT_CODES[fault]
-        assert str(err.value).startswith(f"{what} row {rows[at]}: ")
+        assert err.value.code == "unreadable_file"
 
 
 def _generated_csv(kind, n):

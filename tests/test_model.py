@@ -188,7 +188,7 @@ def test_integer_past_the_float_range_is_not_finite(build):
 
 
 def _check_pairs_reference(pairs, what, signed=False):
-    """``check_pairs`` without its fast path: every entry by ``isinstance`` and ``_is_finite``."""
+    """``check_pairs`` without reusing a pair: every entry is rebuilt as ``(name, float(w))``."""
     column = "delta_w" if signed else "weight"
     try:
         items = iter(pairs)
@@ -242,7 +242,7 @@ def _outcome(check, pairs, signed):
 @settings(max_examples=300, deadline=None)
 @given(entries=st.lists(st.tuples(_PAIR_IDS, _PAIR_NUMBERS, _PAIR_SHAPES), max_size=8),
        signed=st.booleans())
-def test_check_pairs_fast_path_changes_nothing(entries, signed):
+def test_check_pairs_reuse_changes_nothing(entries, signed):
     """Any mix of entries gives the reference's pairs, or its error at the same index."""
     pairs = [shape((name, w)) for name, w, shape in entries]
     got = _outcome(check_pairs, pairs, signed)
