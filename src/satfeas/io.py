@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
+from array import array
 from contextlib import contextmanager
 from datetime import date
-from itertools import groupby
+from itertools import chain, groupby
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -71,8 +73,11 @@ def read_json(path: str | Path, what: str) -> Any:
 
 
 def load_design(path: str | Path) -> SatelliteDesign:
-    """Read and validate a design JSON file."""
-    return SatelliteDesign.from_dict(read_json(path, "design"))
+    """Read and validate a design JSON file, or the design of a report ``design`` printed."""
+    doc = read_json(path, "design")
+    if isinstance(doc, dict) and "report" in doc:  # the report document is checked whole
+        return parse_report(doc)[1]
+    return SatelliteDesign.from_dict(doc)
 
 
 def _read_rows(path: str | Path, header: list[str],
@@ -180,7 +185,7 @@ def _load_pairs(path: str | Path, header: list[str], what: str, build: Callable)
     """``build`` of the (id, number) rows of a CSV, each number parsed before ``build`` checks
     an id; errors at their row."""
     rows = _read_rows(path, header, what)
-    pairs, lines = [], []
+    pairs, lines = [], array("l")  # row numbers unboxed: kept only to word an entry error
     try:
         for line, (name, text) in rows:
             pairs.append((name, _parse_float(text, what, line)))
@@ -256,9 +261,39 @@ def load_events(path: str | Path) -> list[RebalanceEvent]:
     return events
 
 
+_SCALARS = {str, int, float, bool, type(None)}  # exact types: a subclass is walked
+
+
+def _indented(value: Any, pad: str) -> str:
+    """``value`` (dataclasses by to_json) as ``json_bytes`` words it at indent ``pad``: each
+    container of scalars, or list of nonempty rows of scalars, is one C encoder call."""
+    value = to_json(value)
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    inner, is_dict = pad + "  ", isinstance(value, dict)
+    if {*map(type, value.values() if is_dict else value)} <= _SCALARS:
+        text = json.dumps(value, sort_keys=True, separators=(",\n" + inner, ": "))
+    elif is_dict:
+        text = "{" + (",\n" + inner).join(f"{encode_basestring_ascii(key)}: {_indented(v, inner)}"
+                                          for key, v in sorted(value.items())) + "}"
+    elif ({*map(type, value)} <= {list, tuple} and all(value)
+          and {*map(type, chain.from_iterable(value))} <= _SCALARS):
+        row = inner + "  "  # a raw newline is a separator, so "],\n" + row + "[" ends a row
+        text = "[[\n" + row + json.dumps(value, separators=(",\n" + row, ": "))[2:-2].replace(
+            "],\n" + row + "[", f"\n{inner}],\n{inner}[\n{row}") + "\n" + inner + "]]"
+    else:
+        text = "[" + (",\n" + inner).join(_indented(m, inner) for m in value) + "]"
+    return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+
+
 def json_bytes(doc: Any) -> bytes:
-    """``doc`` as stable-key-ordered, indented JSON ending in a newline (dataclasses by to_json)."""
-    return (json.dumps(doc, sort_keys=True, indent=2, default=to_json) + "\n").encode("utf-8")
+    """``doc`` as stable-key-ordered, indented JSON ending in a newline (dataclasses by to_json).
+
+    The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2, default=to_json)``
+    (mapping keys are strings), but mostly from the C encoder, which ``indent`` turns off:
+    an encoded string never holds a raw newline, so a newline only comes from a separator.
+    """
+    return (_indented(doc, "") + "\n").encode("utf-8")
 
 
 def _render(fmt: str, doc: Any, text: Callable[[], list[str]]) -> bytes:
@@ -314,11 +349,13 @@ def emit_replay(stats: ReplayStats, fmt: str = "text") -> bytes:
     return _render(fmt, to_json(stats), text)
 
 
-def parse_report(data: bytes | str) -> tuple[FeasibilityReport, SatelliteDesign]:
-    """Inverse of :func:`emit_report` for JSON; a malformed shape raises ValidationError."""
+def parse_report(data: Any) -> tuple[FeasibilityReport, SatelliteDesign]:
+    """Inverse of :func:`emit_report` for JSON (text, or its decoded document); a malformed
+    shape raises ValidationError."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    doc = _strict_keys(json.loads(data), {"design", "report"}, "report document")
+    doc = _strict_keys(json.loads(data) if isinstance(data, str) else data, {"design", "report"},
+                       "report document")
     return (from_json(FeasibilityReport, doc["report"], "report"),
             SatelliteDesign.from_dict(doc["design"]))
 

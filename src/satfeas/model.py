@@ -452,8 +452,8 @@ def to_json(value: Any) -> Any:
     """``value`` as JSON data: a dataclass becomes the dict of its fields, each converted.
 
     ``UNBOUNDED`` becomes "unbounded"; anything else (tuples, the per-asset cap
-    dicts) passes unchanged. ``io.json_bytes`` also hands this function to
-    ``json.dumps`` as ``default``, which reaches the verdicts inside ``layers``.
+    dicts) passes unchanged. ``io.json_bytes`` applies it to every value it
+    walks, which reaches the verdicts inside ``layers``.
     """
     if isinstance(value, Unbounded):
         return "unbounded"

@@ -92,6 +92,27 @@ class TestDesignAndCheck:
         assert code == 0
         assert json.loads(out2)["report"]["admissible"] is True
 
+    def test_check_of_the_report_document_equals_check_of_its_design(self, capsys, tmp_path):
+        # the file design prints is checked as it is, as the design extracted from it
+        code, out, _ = run(capsys, "design", "--config", AI_CONFIG,
+                           "--candidates", AI_CANDIDATES, "--format", "json")
+        assert code == 0
+        report_path, design_path = tmp_path / "report.json", tmp_path / "d.json"
+        report_path.write_text(out)
+        design_path.write_text(json.dumps(json.loads(out)["design"]))
+        for fmt in ("json", "text"):
+            argv = ("check", "--config", AI_CONFIG, "--candidates", AI_CANDIDATES,
+                    "--format", fmt, "--design")
+            assert run(capsys, *argv, str(report_path)) == run(capsys, *argv, str(design_path))
+
+    def test_check_rejects_a_malformed_report_document(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "design", "--config", AI_CONFIG,
+                        "--candidates", AI_CANDIDATES, "--format", "json")
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps({**json.loads(out), "report": 5}))
+        assert run(capsys, "check", "--config", AI_CONFIG, "--candidates", AI_CANDIDATES,
+                   "--design", str(report_path)) == (1, "", "error: report must be an object\n")
+
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "design", "--config", AI_CONFIG,
                          "--candidates", AI_CANDIDATES, "--format", "json")

@@ -8,27 +8,39 @@ import tracemalloc
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import satfeas.io
 from satfeas import (
+    UNBOUNDED,
     Asset,
     CascadeInput,
     ExclusionCategory,
+    LayerVerdict,
     RebalanceEvent,
     RebalanceProposal,
+    SatelliteDesign,
     TierClass,
     ValidationError,
+    compute_bounds,
+    filter_rebalance,
+    replay,
     run_cascade,
 )
 from satfeas.io import (
+    emit_bounds,
+    emit_filter,
+    emit_replay,
     emit_report,
+    json_bytes,
     load_candidates,
     load_core_weights,
     load_events,
     load_proposal_trades,
     parse_report,
 )
+from satfeas.model import to_json
 
 from conftest import FIXTURES, make_asset, make_params
 
@@ -463,7 +475,7 @@ def _generated_csv(kind, n):
 
 #: the most traced memory a loader may allocate at once, as a multiple of what its result
 #: keeps: each row is parsed as it is read, and no copy of the file's rows is held
-_PEAK_RATIOS = {"candidates": 2.5, "core": 2.5, "proposal": 2.5, "events": 1.5}
+_PEAK_RATIOS = {"candidates": 2.5, "core": 2.2, "proposal": 2.2, "events": 1.5}
 
 
 @pytest.mark.parametrize("kind", sorted(_PEAK_RATIOS))
@@ -534,6 +546,70 @@ class TestEmitReport:
         with pytest.raises(ValidationError):
             emit_report(report, design, "yaml")
 
+
+
+def reference_json(doc):
+    """The bytes ``json_bytes`` must write: the pure-Python encoder's indented JSON."""
+    return (json.dumps(doc, sort_keys=True, indent=2, default=to_json) + "\n").encode("utf-8")
+
+
+_TRICKY_TEXT = st.text(st.sampled_from(['"', "\\", "]", "[", ",", "\n", " ", "a", "\ud800",
+                                         "\u00e9"]), max_size=8)
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2 ** 1024),
+    st.floats(), st.text(st.characters(exclude_categories=())), _TRICKY_TEXT,
+    st.sampled_from(TierClass))
+_LEAF = st.one_of(
+    _SCALAR, st.just(UNBOUNDED),
+    st.builds(LayerVerdict, st.booleans(), st.none() | st.floats(), st.none() | st.floats(),
+              st.none() | st.floats() | st.just(UNBOUNDED), st.none() | st.floats(),
+              st.none() | _TRICKY_TEXT))
+_ROWS = st.lists(st.lists(_SCALAR, min_size=1, max_size=3).map(tuple)
+                 | st.lists(_SCALAR, min_size=1, max_size=3), max_size=4)
+_DOCS = st.recursive(_LEAF | _ROWS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4) | _TRICKY_TEXT, inner, max_size=4)), max_leaves=20)
+
+
+@example({})
+@example([])
+@example({"a": {}, "b": [], "c": (), "d": [[], {}]})
+@example([[], [1]])
+@example({"rows": [[1.5, "a"], [], ["b", 2]]})
+@example([["x]", 1], ["]", "y]"]])
+@example({"rows": [['"],\n    ["', 0.5], ["],\n    [", -0.0]]})
+@example([[float("nan"), float("inf")], (float("-inf"), 5e-324, 2 ** 1100)])
+@example({"tiers": [TierClass.A, [TierClass.B, 1]], "verdict": LayerVerdict(True, -0.0, 1.0)})
+@settings(max_examples=300)
+@given(_DOCS)
+def test_json_bytes_equals_the_indented_reference(doc):
+    assert json_bytes(doc) == reference_json(doc)
+
+
+def test_every_emitter_equals_the_reference_at_scale(monkeypatch):
+    # a 5e3-candidate universe: cap dicts, verdicts and constituent rows at their real depth
+    params = make_params(participation_cap=0.02, min_effect_bps=0.05)
+    assets = tuple(make_asset(id=f"N{i}", tier=TierClass("ABC"[i % 3]), adv_usd=1e5 * (1 + i % 97),
+                              round_trip_cost_bps=(i % 4) * 10.0 or None) for i in range(5_000))
+    alpha = 0.1
+    design = SatelliteDesign("scale", alpha, tuple((a.id, alpha / 1_000) for a in assets[:1_000]))
+    trades = tuple((a.id, (i % 21 - 10) / 2e3) for i, a in enumerate(assets[::5]))
+    events = [RebalanceEvent(date(2025, 1, 1 + d), RebalanceProposal(trades[d::30], d % 2 == 0))
+              for d in range(20)]
+
+    def emitted():
+        return [emit_bounds(compute_bounds(params, assets), "json"),
+                *(emit_report(*run_cascade(CascadeInput(assets, params, theme="scale",
+                                                        design=d)), "json")
+                  for d in (None, design)),
+                emit_filter(*filter_rebalance(RebalanceProposal(trades, True), params, assets),
+                            "json"),
+                emit_replay(replay(events, params, design, assets), "json")]
+
+    fast = emitted()
+    monkeypatch.setattr(satfeas.io, "json_bytes", reference_json)
+    assert fast == emitted()
+    assert fast[2].count(b"\n") > 2_000  # the supplied design's rows were emitted
 
 
 _DROP = object()

@@ -87,3 +87,12 @@ def test_only_io_touches_files():
                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                     if _touches_files(node)})
     assert homes == ["io.py"]
+
+
+def test_no_indented_json_dumps_in_the_source():
+    # json.dumps(indent=...) runs the pure-Python encoder; io.json_bytes keeps the C one
+    calls = [f"{path.name}:{node.lineno}" for path in (SRC / "satfeas").glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "dumps" and any(k.arg == "indent" for k in node.keywords)]
+    assert calls == []
