@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .layers import (
     alpha_max_structural,
@@ -66,7 +66,7 @@ from .model import (
     check_kappas,
     entry_error,
 )
-from .tiering import assign_tier_weights, eligibility_filter
+from .tiering import assign_tier_weights, eligibility_filter, eligibility_reason
 
 REASON_GOVERNANCE = "governance_gate"
 REASON_RESOLUTION = "below_action_resolution"
@@ -98,17 +98,11 @@ class CascadeInput:
     theme: str = "unspecified"
     design: SatelliteDesign | None = None
     core_weights: tuple[float, ...] | None = None
+    _by_id: Mapping[str, Asset] = field(init=False, repr=False, compare=False)  # candidates by id
 
     def __post_init__(self):
         object.__setattr__(self, "candidates", tuple(self.candidates))
-        seen: set[str] = set()
-        for a in self.candidates:
-            if not isinstance(a, Asset):
-                raise ValidationError("candidates must be Asset instances",
-                                      code="bad_candidate", field="candidates")
-            if a.id in seen:  # an Asset's id is a nonempty string; it must also be new
-                raise entry_error("candidates", len(seen), a.id, seen=seen)
-            seen.add(a.id)
+        object.__setattr__(self, "_by_id", _asset_map(self.candidates))
         check_kappas(self.kappa_a, self.kappa_c)
         if self.design is not None and not isinstance(self.design, SatelliteDesign):
             raise ValidationError("design must be a SatelliteDesign", code="bad_design",
@@ -152,12 +146,11 @@ def run_cascade(inp: CascadeInput) -> tuple[FeasibilityReport, SatelliteDesign]:
     re-evaluating a synthesized design returns the same report.
     """
     params = inp.params
-    eligible, rejected = eligibility_filter(inp.candidates)
+    eligible, _rejected = eligibility_filter(inp.candidates)
     bounds = compute_bounds(params, inp.candidates)
     design = inp.design if inp.design is not None else _synthesize(inp, eligible, bounds)
-    members = _members(design, _asset_map(inp.candidates))
-    reasons = {asset.id: reason for asset, reason in rejected}
-    ineligible = [(asset, reasons[asset.id]) for asset, _w in members if asset.id in reasons]
+    members = _members(design.constituents, inp._by_id, "design")
+    ineligible = [asset for asset, _w in members if eligibility_reason(asset) is not None]
 
     notes: list[str] = []
     alpha_cap, pol_min = bounds.alpha_effective, params.structural.alpha_policy_min
@@ -203,16 +196,16 @@ def _synthesize(inp: CascadeInput, eligible: Sequence[Asset],
 
 
 def _domain_verdict(n_candidates: int, n_eligible: int,
-                    ineligible: list[tuple[Asset, str]], n_members: int) -> LayerVerdict:
+                    ineligible: list[Asset], n_members: int) -> LayerVerdict:
     if ineligible:
-        asset, reason = ineligible[0]
-        n_bad = len(ineligible)
+        first, n_bad = ineligible[0], len(ineligible)
         return LayerVerdict(
             passed=False,
             margin=float(-n_bad),
             normalized_margin=-n_bad / n_members,
             bound=float(n_candidates), usage=float(n_eligible),
-            detail=f"{n_bad} ineligible constituent(s); first: {asset.id} ({reason})",
+            detail=f"{n_bad} ineligible constituent(s); first: {first.id} "
+                   f"({eligibility_reason(first)})",
         )
     return LayerVerdict(
         passed=n_eligible >= 1,
@@ -346,20 +339,29 @@ def _binding_layer(verdicts: Mapping[str, LayerVerdict]) -> str:
 
 
 def _asset_map(assets: Iterable[Asset] | Mapping[str, Asset]) -> Mapping[str, Asset]:
-    """Index assets by id; a mapping is returned as is, without a copy."""
+    """Index assets by id, the one check of a candidate collection: each an ``Asset`` with a
+    new id. A mapping is taken as already indexed and returned as is, without a copy."""
     if isinstance(assets, Mapping):
         return assets
-    return {a.id: a for a in assets}
+    by_id: dict[str, Asset] = {}
+    for a in assets:
+        if not isinstance(a, Asset):
+            raise ValidationError("candidates must be Asset instances",
+                                  code="bad_candidate", field="candidates")
+        if a.id in by_id:
+            raise entry_error("candidates", len(by_id), a.id, seen=by_id)
+        by_id[a.id] = a
+    return by_id
 
 
-def _members(design: SatelliteDesign,
-             by_id: Mapping[str, Asset]) -> list[tuple[Asset, float]]:
-    """The design's (asset, weight) pairs; a constituent id not in ``by_id`` is an error."""
+def _members(pairs: Iterable[tuple[str, float]], by_id: Mapping[str, Asset],
+             what: str) -> list[tuple[Asset, float]]:
+    """The (asset, number) pairs of ``what``'s (id, number) pairs; an unknown id is an error."""
     try:
-        return [(by_id[name], w) for name, w in design.constituents]
+        return [(by_id[name], x) for name, x in pairs]
     except KeyError as e:
-        raise ValidationError(f"design references unknown asset id {e.args[0]!r}",
-                              code="unknown_asset_id", field="design") from None
+        raise ValidationError(f"{what} references unknown asset id {e.args[0]!r}",
+                              code="unknown_asset_id", field=what) from None
 
 
 def filter_rebalance(
@@ -377,26 +379,20 @@ def filter_rebalance(
     ``A * |dw| / adv``; a trade exactly at a cap executes. Executed and
     suppressed trades together are exactly the input, in order.
 
-    Asset records must cover every traded id.
-    A mapping of id to asset is read in place, never copied, so a caller
-    that filters many proposals (``replay``) builds it once and the cost
-    of a call is linear in its trades, not in the universe.
+    Asset records must cover every traded id; a list is checked as
+    ``CascadeInput`` checks its candidates. A mapping of id to asset is read
+    in place, never copied, so a caller that filters many proposals
+    (``replay``) builds it once and the cost of a call is linear in its
+    trades, not in the universe.
     """
-    by_id = _asset_map(assets)
-    for name, _dw in proposal.trades:
-        if name not in by_id:
-            raise ValidationError(f"unknown asset id {name!r} in proposal",
-                                  code="unknown_asset_id", field="trades")
-
+    members = _members(proposal.trades, _asset_map(assets), "proposal")
     if not (proposal.schedule_due or proposal.structural_break):
         return [], [(trade, REASON_GOVERNANCE) for trade in proposal.trades]
     executed: list[tuple[str, float]] = []
     suppressed: list[tuple[tuple[str, float], str]] = []
     econ, impact, aum = params.econ, params.impact, params.aum_usd
     phi = impact.participation_cap
-    for trade in proposal.trades:
-        name, dw = trade
-        asset = by_id[name]
+    for trade, (asset, dw) in zip(proposal.trades, members):
         notional = aum * abs(dw)
         if not abs(dw) >= min_weight_change(econ, asset.round_trip_cost_bps):
             reason = REASON_RESOLUTION

@@ -91,8 +91,9 @@ def config_from_dict(data: Mapping[str, Any]) -> RunConfig:
             raise ValidationError(f"unknown config key {key!r}", code="unknown_key", field=key)
 
     def section_params(name: str, cls):
+        values = _section(data, name)  # its errors name their full key already
         try:
-            return cls(**_section(data, name))
+            return cls(**values)
         except ValidationError as e:
             raise _prefixed(e, name) from None
 

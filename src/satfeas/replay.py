@@ -103,7 +103,7 @@ def replay_steps(
     an infinity past the float range and ``nan`` for inf - inf.
     """
     by_id = _asset_map(assets)
-    _members(initial, by_id)  # raises on a held id the universe lacks
+    _members(initial.constituents, by_id, "design")  # raises on a held id the universe lacks
     previous: date | None = None
     sat = dict(initial.constituents)
     exact: int | None = sum(_fixed(w) for w in sat.values())

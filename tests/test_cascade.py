@@ -5,6 +5,7 @@ import json
 import math
 import random
 import sys
+from datetime import date
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,6 +19,8 @@ from satfeas import (
     ExclusionCategory,
     FeasibilityParams,
     ImpactParams,
+    LayerVerdict,
+    RebalanceEvent,
     RebalanceProposal,
     SatelliteDesign,
     StructuralParams,
@@ -27,8 +30,11 @@ from satfeas import (
     config_from_dict,
     filter_rebalance,
     impact_cost,
+    replay,
+    replay_steps,
     run_cascade,
 )
+from satfeas.cascade import _binding_layer
 from satfeas.io import emit_report, load_candidates, parse_report
 from satfeas.model import UNBOUNDED
 
@@ -129,6 +135,12 @@ class TestRunCascadeSynthesis:
         assert report.layer_verdicts["structural"].passed
         assert any("alpha_policy_min" in note for note in report.notes)
 
+    def test_policy_min_within_tolerance_adds_no_note(self):
+        # alpha_effective is 0.1: a policy minimum past it by less than WEIGHT_TOL is met
+        report, _ = run_cascade(ai_input(eps=0.2, alpha_policy_min=0.1 + 5e-13))
+        assert report.derived_bounds.alpha_effective == 0.1
+        assert report.notes == ()
+
     def test_exact_entropy_diagnostic_with_core(self):
         inp = ai_input(eps=0.2)
         with_core = CascadeInput(candidates=inp.candidates, params=inp.params,
@@ -179,12 +191,18 @@ class TestRunCascadeValidation:
         assert err.value.code == "unknown_asset_id"
 
     def test_duplicate_candidate_ids_rejected(self):
-        # checked once, on the way in: the filter and the weighting rule trust it
+        # the one check of a candidate list, which the filter and replay share
         inp = ai_input()
         with pytest.raises(ValidationError) as err:
             CascadeInput(candidates=(make_asset(id="a"), make_asset(id="a")), params=inp.params)
         assert (str(err.value), err.value.code) == ("candidates entry 2: duplicate id 'a'",
                                                     "duplicate_id")
+
+    def test_design_type_checked(self):
+        inp = ai_input()
+        with pytest.raises(ValidationError) as err:
+            CascadeInput(candidates=inp.candidates, params=inp.params, design=(("N0", 0.1),))
+        assert (err.value.code, err.value.field) == ("bad_design", "design")
 
     def test_too_many_names_fail_epistemic(self):
         cands = tuple(make_asset(id=f"n{i}", tier=TierClass.B) for i in range(20))
@@ -379,6 +397,29 @@ class TestVerdictDomain:
         assert (physical.passed, physical.bound, physical.usage) == (True, cap, cap)
         assert (physical.margin, physical.normalized_margin) == (0.0, 0.0)
 
+    def test_member_within_tolerance_above_its_cap_passes_physical(self):
+        thin = make_asset(id="thin", adv_usd=2e4)  # impact cap about 0.004
+        w = compute_bounds(make_params(), [thin]).weight_caps_impact["thin"] + 5e-13
+        physical = run_cascade(checking((("thin", w),), alpha=w,
+                                        candidates=(thin,)))[0].layer_verdicts["physical"]
+        assert physical.passed and physical.margin < 0
+
+    def test_member_within_tolerance_below_dw_min_passes_economic(self):
+        # min_effect_bps 0.2 over 25 bp: dw_min is 0.008
+        w = 0.008 - 5e-13
+        inp = checking((("N0", w), ("N1", 0.05)), alpha=w + 0.05)
+        economic = run_cascade(inp)[0].layer_verdicts["economic"]
+        assert economic.passed and economic.margin < 0
+
+    def test_normalized_margins_within_tolerance_tie_in_the_fixed_order(self):
+        def passing(normalized):
+            return LayerVerdict(passed=True, margin=normalized, normalized_margin=normalized)
+
+        verdicts = {"domain": passing(0.9), "structural": passing(0.5 - 5e-13),
+                    "epistemic": passing(0.9), "economic": passing(0.5),
+                    "physical": passing(0.9)}
+        assert _binding_layer(verdicts) == "economic"
+
 
 class TestFilterRebalance:
     def test_closed_window_suppresses_everything(self):
@@ -423,11 +464,28 @@ class TestFilterRebalance:
         assert executed == [("cheap", 0.02)]
         assert suppressed == [(("dear", 0.02), "below_action_resolution")]
 
+    def test_trade_exactly_at_the_impact_cap_executes(self):
+        # Q/V = 0.25 and c * sqrt(0.25) = 0.5 exactly: the cost equals the cap
+        params = make_params(aum_usd=65536.0, c=1.0, delta=0.5, impact_cap=0.5,
+                             min_effect_bps=0.0)
+        proposal = RebalanceProposal(trades=(("a", 0.25),), schedule_due=True)
+        assert impact_cost(65536.0 * 0.25, 65536.0, params.impact) == 0.5
+        assert filter_rebalance(proposal, params, [make_asset(id="a", adv_usd=65536.0)]) == \
+            ([("a", 0.25)], [])
+
     def test_unknown_id_is_an_error(self):
         proposal = RebalanceProposal(trades=(("ghost", 0.1),), schedule_due=True)
         with pytest.raises(ValidationError) as err:
             filter_rebalance(proposal, make_params(), [make_asset(id="a")])
-        assert err.value.code == "unknown_asset_id"
+        assert (str(err.value), err.value.code, err.value.field) == \
+            ("proposal references unknown asset id 'ghost'", "unknown_asset_id", "proposal")
+
+    def test_a_mapping_is_taken_as_already_indexed(self):
+        # read in place: its keys, not the assets' ids, name the traded assets
+        proposal = RebalanceProposal(trades=(("alias", 0.1),), schedule_due=True)
+        executed, _ = filter_rebalance(proposal, make_params(),
+                                       {"alias": make_asset(id="a", adv_usd=1e12)})
+        assert executed == [("alias", 0.1)]
 
     def test_partition_property(self):
         rng = random.Random(99)
@@ -468,3 +526,31 @@ class TestFilterRebalance:
                 impact = impact_cost(params.aum_usd * abs(dw), assets[name].adv_usd,
                                      params.impact)
                 assert impact <= params.impact.impact_cap
+
+
+_DUE = RebalanceProposal(trades=(("A", 0.1),), schedule_due=True)
+_DUE_EVENTS = [RebalanceEvent(date(2025, 6, 30), _DUE)]
+_EMPTY = SatelliteDesign(theme="t", alpha=0.0, constituents=())
+
+#: Every library entry point that takes a candidate list, called on one.
+CANDIDATE_ENTRY_POINTS = {
+    "CascadeInput": lambda assets: CascadeInput(candidates=assets, params=make_params()),
+    "filter_rebalance": lambda assets: filter_rebalance(_DUE, make_params(), assets),
+    "replay": lambda assets: replay(_DUE_EVENTS, make_params(), _EMPTY, assets),
+    "replay_steps": lambda assets: list(replay_steps(_DUE_EVENTS, make_params(), _EMPTY, assets)),
+}
+
+_LIQUID, _ILLIQUID = make_asset(id="A", adv_usd=1e12), make_asset(id="A", adv_usd=1.0)
+
+
+@pytest.mark.parametrize("entry", CANDIDATE_ENTRY_POINTS)
+@pytest.mark.parametrize("assets,message,code", [
+    # which of the two A's a trade of A would meet decides whether it executes
+    ([_LIQUID, _ILLIQUID], "candidates entry 2: duplicate id 'A'", "duplicate_id"),
+    ([_ILLIQUID, _LIQUID], "candidates entry 2: duplicate id 'A'", "duplicate_id"),
+    ([_LIQUID, "B"], "candidates must be Asset instances", "bad_candidate"),
+], ids=["duplicate, liquid first", "duplicate, illiquid first", "not an Asset"])
+def test_every_entry_point_checks_candidates_alike(entry, assets, message, code):
+    with pytest.raises(ValidationError) as err:
+        CANDIDATE_ENTRY_POINTS[entry](assets)
+    assert (str(err.value), err.value.code, err.value.field) == (message, code, "candidates")

@@ -218,6 +218,16 @@ class TestFilterAndReplay:
         assert (code, out) == (1, "")
         assert err == "error: design references unknown asset id 'GHOST'\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_filter_of_a_trade_with_an_unknown_id_exits_one(self, capsys, tmp_path, fmt):
+        proposal = tmp_path / "p.csv"
+        proposal.write_text("id,delta_w\nCHIP1,0.02\nGHOST,0.02\n")
+        code, out, err = run(capsys, "filter-rebalance", "--config", AI_CONFIG,
+                             "--candidates", AI_CANDIDATES, "--proposal", str(proposal),
+                             "--schedule-due", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "error: proposal references unknown asset id 'GHOST'\n"
+
     def test_replay_without_design_skips_the_exact_entropy(self, capsys, monkeypatch,
                                                              tmp_path):
         # the synthesized design's report is discarded, so its diagnostic is never computed

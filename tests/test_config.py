@@ -51,6 +51,20 @@ class TestLoadConfig:
             load_config(path)
         assert err.value.code == "bad_json"
 
+    @pytest.mark.parametrize("data,message,code", [
+        ([], "config root must be a JSON object", "not_an_object"),
+        ({"econ": [1]}, "econ must be an object", "bad_section"),
+        # a section's own errors name the full key once
+        ({"econ": {"c": 1}}, "unknown config key 'econ.c'", "unknown_key"),
+        ({"impact": {"c": "x"}}, "impact.c must be a number", "bad_type"),
+        ({"theme": 3}, "theme must be a string", "bad_type"),
+        ({"core_weights": 3}, "core_weights must be a path string", "bad_type"),
+    ])
+    def test_shape_guards(self, data, message, code):
+        with pytest.raises(ValidationError) as err:
+            config_from_dict(data)
+        assert (str(err.value), err.value.code) == (message, code)
+
     def test_booleans_are_not_numbers(self):
         with pytest.raises(ValidationError) as err:
             config_from_dict({"aum_usd": True})

@@ -256,6 +256,12 @@ class TestBreadthEcon:
     def test_zero_threshold_is_unbounded(self):
         assert breadth_bound_econ(0.1, EconParams(50.0, 0.0)) is UNBOUNDED
 
+    def test_float_boundary_corrects_downward(self):
+        # alpha / dw_min rounds up to 687, but 687 * dw_min exceeds alpha
+        econ, alpha = EconParams(1.0, 0.0002475629895700427), 0.17007577383461933
+        assert math.floor(alpha / min_weight_change(econ)) == 687
+        assert breadth_bound_econ(alpha, econ) == 686
+
     @given(alpha=st.floats(min_value=0.001, max_value=1.0),
            eps=st.floats(min_value=0.01, max_value=20.0),
            crt=st.floats(min_value=1.0, max_value=200.0))
@@ -413,3 +419,24 @@ class TestBreadthEntropy:
         lo = breadth_bound_entropy(alpha, EntropyParams(dh))
         hi = breadth_bound_entropy(alpha, EntropyParams(dh + extra))
         assert hi >= lo
+
+
+_UNIT = ImpactParams(c=1.0, delta=0.5, impact_cap=1.0)
+
+
+@pytest.mark.parametrize("call,code,field", [
+    (lambda: breadth_bound_econ(1.5, EconParams(25.0, 2.0)), "alpha_out_of_range", "alpha"),
+    (lambda: breadth_bound_entropy(1.5, EntropyParams(0.5)), "alpha_out_of_range", "alpha"),
+    (lambda: entropy_increment_approx(1.5, 2), "alpha_out_of_range", "alpha"),
+    (lambda: entropy_increment_approx(0.1, 0), "k_out_of_range", "k"),
+    (lambda: entropy_increment_exact([0.5, 0.5], 1.0, 2), "alpha_out_of_range", "alpha"),
+    (lambda: entropy_increment_exact([0.5, 0.5], 0.1, 0), "k_out_of_range", "k"),
+    (lambda: impact_cost(-1.0, 1e6, _UNIT), "notional_must_be_nonnegative",
+     "traded_notional_usd"),
+    (lambda: weight_entropy([1.5, -0.5]), "weight_must_be_nonnegative", "weights"),
+], ids=["econ alpha", "entropy alpha", "approx alpha", "approx k", "exact alpha", "exact k",
+        "negative notional", "negative weight"])
+def test_public_guards_name_their_input(call, code, field):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert (err.value.code, err.value.field) == (code, field)

@@ -31,6 +31,18 @@ class TestValidation:
         assert err.value.code == "adv_must_be_positive"
         assert "adv_usd" in str(err.value)
 
+    @pytest.mark.parametrize("overrides,code,field", [
+        ({"id": ""}, "bad_id", "id"),
+        ({"id": 3}, "bad_id", "id"),
+        ({"tier": "A"}, "bad_tier", "tier"),
+        ({"gaer": 1}, "bad_flag", "gaer_admissible"),
+        ({"exclusion": "none"}, "bad_exclusion", "exclusion"),
+    ])
+    def test_asset_type_guards(self, overrides, code, field):
+        with pytest.raises(ValidationError) as err:
+            make_asset(**overrides)
+        assert (err.value.code, err.value.field) == (code, field)
+
     def test_asset_rejects_negative_cost_override(self):
         with pytest.raises(ValidationError) as err:
             make_asset(round_trip_cost_bps=-1.0)

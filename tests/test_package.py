@@ -65,6 +65,30 @@ def test_entry_rule_codes_only_in_the_model():
     assert homes == ["model.py"]
 
 
+def _constant_homes(value: str) -> list[str]:
+    """``module.function`` of each innermost function in src whose code holds ``value``;
+    ``module`` alone where it appears outside any function."""
+    homes = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Constant) and node.value == value:
+            homes.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in (SRC / "satfeas").glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sorted(homes)
+
+
+def test_asset_index_codes_have_one_home():
+    # every entry point indexes candidates and resolves ids through the same two helpers
+    assert _constant_homes("unknown_asset_id") == ["cascade._members"]
+    assert _constant_homes("bad_candidate") == ["cascade._asset_map"]
+
+
 #: Calls that open, read or write a file.
 FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
 

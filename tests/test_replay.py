@@ -87,7 +87,17 @@ class TestReplay:
         events = [event(date(2025, 6, 30), [("ghost", 0.01)])]
         with pytest.raises(ValidationError) as err:
             replay(events, make_params(), make_design(), make_assets())
-        assert err.value.code == "unknown_asset_id"
+        assert (str(err.value), err.value.code) == \
+            ("proposal references unknown asset id 'ghost'", "unknown_asset_id")
+
+    @pytest.mark.parametrize("day,proposal,code", [
+        ("2025-06-30", RebalanceProposal(trades=()), "bad_date"),
+        (date(2025, 6, 30), (("a0", 0.01),), "bad_proposal"),
+    ])
+    def test_event_types_checked(self, day, proposal, code):
+        with pytest.raises(ValidationError) as err:
+            RebalanceEvent(date=day, proposal=proposal)
+        assert err.value.code == code
 
     def test_max_participation_observed(self):
         params = make_params(aum_usd=1e6, round_trip_cost_bps=50.0, min_effect_bps=0.0,

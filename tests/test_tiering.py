@@ -90,6 +90,12 @@ class TestAssignTierWeights:
             assign_tier_weights(0.1, [], 1.5, 0.5)
         assert err.value.code == "empty_sleeve"
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, math.nan])
+    def test_alpha_out_of_range_rejected(self, alpha):
+        with pytest.raises(ValidationError) as err:
+            assign_tier_weights(alpha, [make_asset()], 1.5, 0.5)
+        assert (err.value.code, err.value.field) == ("alpha_out_of_range", "alpha")
+
     def test_kappa_bounds_rejected(self):
         assets = _sleeve([TierClass.A])
         with pytest.raises(ValidationError):
