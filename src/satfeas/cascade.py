@@ -111,21 +111,25 @@ class CascadeInput:
             object.__setattr__(self, "core_weights", tuple(self.core_weights))
 
 
-def compute_bounds(params: FeasibilityParams,
-                   candidates: Sequence[Asset] | None = None) -> DerivedBounds:
+def compute_bounds(
+    params: FeasibilityParams,
+    candidates: Iterable[Asset] | Mapping[str, Asset] | None = None,
+) -> DerivedBounds:
     """Closed-form design bounds from the policy inputs.
 
     Breadth bounds are evaluated at the effective sleeve size, so the result
     is reproducible from the parameters alone; per-asset caps are attached
-    when candidates are supplied.
+    when candidates are supplied. A list is checked as ``CascadeInput`` checks
+    its candidates; a mapping of id to asset is read as it is.
     """
     a_eff = effective_alpha(params.structural)
     caps_impact = None
     caps_part = None
     if candidates is not None:
-        caps_impact = {a.id: max_weight_impact(a, params) for a in candidates}
+        by_id = _asset_map(candidates)
+        caps_impact = {name: max_weight_impact(a, params) for name, a in by_id.items()}
         if params.impact.participation_cap is not None:
-            caps_part = {a.id: max_weight_participation(a, params) for a in candidates}
+            caps_part = {name: max_weight_participation(a, params) for name, a in by_id.items()}
     return DerivedBounds(
         alpha_max_structural=alpha_max_structural(params.structural),
         alpha_effective=a_eff,
@@ -147,7 +151,7 @@ def run_cascade(inp: CascadeInput) -> tuple[FeasibilityReport, SatelliteDesign]:
     """
     params = inp.params
     eligible, _rejected = eligibility_filter(inp.candidates)
-    bounds = compute_bounds(params, inp.candidates)
+    bounds = compute_bounds(params, inp._by_id)
     design = inp.design if inp.design is not None else _synthesize(inp, eligible, bounds)
     members = _members(design.constituents, inp._by_id, "design")
     ineligible = [asset for asset, _w in members if eligibility_reason(asset) is not None]

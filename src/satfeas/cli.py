@@ -99,19 +99,19 @@ def _cmd_bounds(args) -> tuple[int, bytes]:
     return 0, emit_bounds(bounds, args.format)
 
 
-def _cascade(cfg: RunConfig, candidates, design: SatelliteDesign | None, core_path=None):
+def _cascade_input(cfg: RunConfig, candidates, design: SatelliteDesign | None,
+                   core_path=None) -> CascadeInput:
     core = None if core_path is None else tuple(w for _, w in load_core_weights(core_path))
-    return run_cascade(CascadeInput(
-        candidates=tuple(candidates), params=cfg.params, kappa_a=cfg.kappa_a,
-        kappa_c=cfg.kappa_c, theme=cfg.theme, design=design, core_weights=core))
+    return CascadeInput(candidates=tuple(candidates), params=cfg.params, kappa_a=cfg.kappa_a,
+                        kappa_c=cfg.kappa_c, theme=cfg.theme, design=design, core_weights=core)
 
 
 def _cmd_report(args) -> tuple[int, bytes]:
     """``design`` synthesizes a sleeve, ``check`` evaluates ``--design``; both print the report."""
     cfg = load_config(args.config)
     design = load_design(args.design) if args.command == "check" else None
-    report, design = _cascade(cfg, _load_universe(cfg, args), design,
-                              args.core_weights or cfg.core_weights_path)
+    report, design = run_cascade(_cascade_input(cfg, _load_universe(cfg, args), design,
+                                                args.core_weights or cfg.core_weights_path))
     return 0 if report.admissible else 2, emit_report(report, design, args.format)
 
 
@@ -128,8 +128,10 @@ def _cmd_replay(args) -> tuple[int, bytes]:
     events = load_events(args.events)
     if args.design is not None:
         design = load_design(args.design)
-    else:
-        _report, design = _cascade(cfg, assets, None)  # no core: the report is unused
+    else:  # no core: the report is unused; replay reads the universe the input indexed
+        inp = _cascade_input(cfg, assets, None)
+        _report, design = run_cascade(inp)
+        assets = inp._by_id
     stats = replay(events, cfg.params, design, assets)
     return 0, emit_replay(stats, args.format)
 

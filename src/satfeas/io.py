@@ -21,7 +21,6 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .model import (
     LAYERS,
-    NORMALIZED_SUM_TOL,
     Asset,
     DerivedBounds,
     ExclusionCategory,
@@ -32,11 +31,11 @@ from .model import (
     Unbounded,
     ValidationError,
     _strict_keys,
+    check_normalized,
     check_pairs,
     entry_error,
     from_json,
     to_json,
-    weight_sum,
 )
 from .replay import RebalanceEvent, ReplayStats
 
@@ -133,7 +132,9 @@ def _at_row(e: ValidationError, what: str, lines: Sequence[int]) -> ValidationEr
     return ValidationError(f"{what} row {lines[e.index]}: {e.args[0]}", e.code, what)
 
 
+#: The one spelling rule of flag, tier and exclusion cells: each map is keyed in its cells' case.
 _BOOLS = {"true": True, "false": False}
+_TIERS, _EXCLUSIONS = TierClass._value2member_map_, ExclusionCategory._value2member_map_
 
 
 def _parse_bool(text: str, what: str, line: int) -> bool:
@@ -144,6 +145,14 @@ def _parse_bool(text: str, what: str, line: int) -> bool:
     return value
 
 
+def _parse_member(values: dict[str, Any], key: str, text: str, name: str, code: str) -> Any:
+    """The value that cell ``text`` spells as ``key``, or an error listing every spelling."""
+    if key not in values:
+        raise ValidationError(f"{name} must be one of {', '.join(values)} (got {text!r})", code,
+                              name)
+    return values[key]
+
+
 def load_candidates(path: str | Path) -> list[Asset]:
     """Read the candidate universe CSV, one validated asset per row.
 
@@ -152,7 +161,6 @@ def load_candidates(path: str | Path) -> list[Asset]:
     """
     assets: list[Asset] = []
     seen: set[str] = set()
-    tiers, exclusions = TierClass._value2member_map_, ExclusionCategory._value2member_map_
     rows = _read_rows(path, CANDIDATE_HEADER, "candidates")
     try:
         for line, (name, tier, adv, cost, gaer, exclusion) in rows:
@@ -161,15 +169,17 @@ def load_candidates(path: str | Path) -> list[Asset]:
                               [line])
             seen.add(name)
             try:  # each cell parsed once; no message is built unless a check fails
-                asset = Asset(name, tiers[tier.upper()], float(adv), _BOOLS[gaer.lower()],
-                              exclusions[exclusion.lower()], float(cost) if cost else None)
+                asset = Asset(name, _TIERS[tier.upper()], float(adv), _BOOLS[gaer.lower()],
+                              _EXCLUSIONS[exclusion.lower()], float(cost) if cost else None)
             except (KeyError, ValueError):  # parse the row again, in order, to name its error
                 try:
                     override = _parse_float(cost, "candidates", line) if cost else None
-                    asset = Asset(name, TierClass.parse(tier),
+                    asset = Asset(name,
+                                  _parse_member(_TIERS, tier.upper(), tier, "tier", "bad_tier"),
                                   _parse_float(adv, "candidates", line),
                                   _parse_bool(gaer, "candidates", line),
-                                  ExclusionCategory.parse(exclusion), override)
+                                  _parse_member(_EXCLUSIONS, exclusion.lower(), exclusion,
+                                                "exclusion", "bad_exclusion"), override)
                 except ValidationError as e:
                     if e.field == "candidates":  # a cell parser's error names its row already
                         raise
@@ -199,10 +209,7 @@ def load_core_weights(path: str | Path) -> tuple[tuple[str, float], ...]:
     """Read a core composition CSV, normalized to sum to one within NORMALIZED_SUM_TOL."""
     core = _load_pairs(path, CORE_HEADER, "core_weights",
                        lambda pairs: check_pairs(pairs, "core_weights"))
-    total = weight_sum(w for _, w in core)
-    if abs(total - 1.0) > NORMALIZED_SUM_TOL:
-        raise ValidationError(f"core weights sum to {total!r}, expected 1.0",
-                              code="weights_not_normalized", field="core_weights")
+    check_normalized((w for _, w in core), "core_weights")
     return core
 
 

@@ -22,7 +22,6 @@ import math
 from typing import Sequence
 
 from .model import (
-    NORMALIZED_SUM_TOL,
     UNBOUNDED,
     Asset,
     EconParams,
@@ -32,7 +31,8 @@ from .model import (
     Unbounded,
     ValidationError,
     _MIN_NORMAL,
-    weight_sum,
+    check_domain,
+    check_normalized,
 )
 
 #: Practical ceiling for the breadth bounds: beyond any float and any
@@ -137,8 +137,7 @@ def breadth_bound_econ(alpha: float, econ: EconParams) -> int | Unbounded:
     is zero; otherwise the exact largest integer K with ``K * dw_min <= alpha``,
     or ``BREADTH_CEILING`` when that is larger.
     """
-    if not 0 <= alpha <= 1:
-        raise ValidationError("alpha must lie in [0,1]", code="alpha_out_of_range", field="alpha")
+    check_domain(alpha, "alpha", "[0,1]", "alpha_out_of_range", finite=False)
     dw_min = min_weight_change(econ)
     if dw_min == 0:
         return UNBOUNDED
@@ -178,10 +177,7 @@ def weight_entropy(weights: Sequence[float]) -> float:
     Zero weights contribute nothing (the ``0 * ln 0 = 0`` convention), so the
     function is continuous as any weight vanishes. Result lies in [0, ln N].
     """
-    total = weight_sum(weights)
-    if not abs(total - 1.0) <= NORMALIZED_SUM_TOL:  # a nan weight makes a nan sum, which fails
-        raise ValidationError(f"weights sum to {total!r}, expected 1.0",
-                              code="weights_not_normalized", field="weights")
+    check_normalized(weights, "weights")
     if min(weights) < 0:
         raise ValidationError("weights must be nonnegative",
                               code="weight_must_be_nonnegative", field="weights")
@@ -198,8 +194,7 @@ def entropy_increment_approx(alpha: float, k: int) -> float:
     if alpha == 0:
         raise ValidationError("an empty sleeve has no entropy increment; treat it as zero",
                               code="empty_sleeve_has_no_increment", field="alpha")
-    if not 0 < alpha <= 1:
-        raise ValidationError("alpha must lie in (0,1]", code="alpha_out_of_range", field="alpha")
+    check_domain(alpha, "alpha", "(0,1]", "alpha_out_of_range", finite=False)
     if not (isinstance(k, int) and k >= 1):
         raise ValidationError("k must be a positive integer", code="k_out_of_range", field="k")
     share = alpha / k
@@ -215,8 +210,7 @@ def entropy_increment_exact(core_weights: Sequence[float], alpha: float, k: int)
     Differs from the closed-form approximation by the dropped rescaling terms
     ``(1-alpha) * (-ln(1-alpha)) - alpha * H_core``.
     """
-    if not 0 <= alpha < 1:
-        raise ValidationError("alpha must lie in [0,1)", code="alpha_out_of_range", field="alpha")
+    check_domain(alpha, "alpha", "[0,1)", "alpha_out_of_range", finite=False)
     if not (isinstance(k, int) and k >= 1):
         raise ValidationError("k must be a positive integer", code="k_out_of_range", field="k")
     h_core = weight_entropy(core_weights)
@@ -236,8 +230,7 @@ def breadth_bound_entropy(alpha: float, entropy: EntropyParams) -> int:
     """
     if alpha == 0:
         return 0
-    if not 0 < alpha <= 1:
-        raise ValidationError("alpha must lie in [0,1]", code="alpha_out_of_range", field="alpha")
+    check_domain(alpha, "alpha", "[0,1]", "alpha_out_of_range", finite=False)
     dh = entropy.delta_h_max
     log_guess = math.log(alpha) + dh / alpha  # the closed form in log space: exp may overflow
     if log_guess >= _LOG_CEILING and entropy_increment_approx(alpha, BREADTH_CEILING) <= dh:

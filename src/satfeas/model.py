@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
-from typing import Any, Container, Iterable, Mapping
+from typing import Any, Callable, Container, Iterable, Mapping
 
 #: Absolute tolerance for equality-style weight invariants. All formulas in
 #: the engine are closed-form, so nothing looser is justified.
@@ -90,19 +90,43 @@ def _finite(x: float, name: str) -> None:
         raise ValidationError(f"{name} must be a finite number", "not_finite", name)
 
 
+#: Each interval a number is checked against: its test and the words of its error.
+_DOMAINS: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "positive": (lambda x: x > 0, "must be positive"),
+    "nonnegative": (lambda x: x >= 0, "must be nonnegative"),
+    ">= 1": (lambda x: x >= 1, "must be >= 1"),
+    "(0,1)": (lambda x: 0 < x < 1, "must lie in (0,1)"),
+    "(0,1]": (lambda x: 0 < x <= 1, "must lie in (0,1]"),
+    "[0,1]": (lambda x: 0 <= x <= 1, "must lie in [0,1]"),
+    "[0,1)": (lambda x: 0 <= x < 1, "must lie in [0,1)"),
+}
+
+
+def check_domain(x: Any, name: str, domain: str, code: str, finite: bool = True,
+                 optional: bool = False) -> None:
+    """The one check of ``x`` against an interval of ``_DOMAINS``: first ``not_finite`` unless
+    not ``finite`` (then ``nan`` is out of range); ``None`` passes if ``optional``."""
+    if optional and x is None:
+        return
+    if finite:
+        _finite(x, name)
+    test, words = _DOMAINS[domain]
+    if not test(x):
+        raise ValidationError(f"{name} {words}{' when present' if optional else ''}", code, name)
+
+
+def check_flag(x: Any, name: str) -> None:
+    """The one boolean rule: ``x`` is a bool."""
+    if not isinstance(x, bool):
+        raise ValidationError(f"{name} must be a boolean", "bad_flag", name)
+
+
 class TierClass(str, Enum):
     """Economic role of a constituent along the thematic value chain."""
 
     A = "A"  # hard constraints and bottlenecks
     B = "B"  # platforms and rent extractors
     C = "C"  # embedded adopters
-
-    @classmethod
-    def parse(cls, text: str) -> "TierClass":
-        member = cls._value2member_map_.get(text.strip().upper())
-        if member is None:
-            raise ValidationError(f"tier must be one of A, B, C (got {text!r})", "bad_tier", "tier")
-        return member
 
 
 class ExclusionCategory(str, Enum):
@@ -113,14 +137,6 @@ class ExclusionCategory(str, Enum):
     REGIME_OPAQUE_JURISDICTION = "regime_opaque_jurisdiction"
     THEMATIC_ETF = "thematic_etf"
     NONE = "none"
-
-    @classmethod
-    def parse(cls, text: str) -> "ExclusionCategory":
-        member = cls._value2member_map_.get(text.strip().lower())
-        if member is None:
-            raise ValidationError(f"exclusion must be one of {', '.join(cls._value2member_map_)} "
-                                  f"(got {text!r})", "bad_exclusion", "exclusion")
-        return member
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,20 +159,16 @@ class Asset:
             raise ValidationError("id must be a nonempty string", "bad_id", "id")
         if not isinstance(self.tier, TierClass):
             raise ValidationError("tier must be a TierClass", "bad_tier", "tier")
-        _finite(self.adv_usd, "adv_usd")
-        if not self.adv_usd > 0:
-            raise ValidationError("adv_usd must be positive", "adv_must_be_positive", "adv_usd")
-        if not isinstance(self.gaer_admissible, bool):
-            raise ValidationError("gaer_admissible must be a boolean", "bad_flag",
-                                  "gaer_admissible")
+        adv, cost = self.adv_usd, self.round_trip_cost_bps  # tests inline: one Asset per row
+        if not (_is_finite(adv) and adv > 0):
+            check_domain(adv, "adv_usd", "positive", "adv_must_be_positive")
+        check_flag(self.gaer_admissible, "gaer_admissible")
         if not isinstance(self.exclusion, ExclusionCategory):
             raise ValidationError("exclusion must be an ExclusionCategory", "bad_exclusion",
                                   "exclusion")
-        if self.round_trip_cost_bps is not None:
-            _finite(self.round_trip_cost_bps, "round_trip_cost_bps")
-            if not self.round_trip_cost_bps >= 0:
-                raise ValidationError("round_trip_cost_bps must be nonnegative when present",
-                                      "cost_must_be_nonnegative", "round_trip_cost_bps")
+        if cost is not None and not (_is_finite(cost) and cost >= 0):
+            check_domain(cost, "round_trip_cost_bps", "nonnegative", "cost_must_be_nonnegative",
+                         optional=True)
 
 
 @dataclass(frozen=True)
@@ -169,18 +181,11 @@ class ImpactParams:
     participation_cap: float | None = None
 
     def __post_init__(self):
-        _finite(self.c, "c")
-        _require(self.c > 0, "c must be positive", "c_must_be_positive", "c")
-        _finite(self.delta, "delta")
-        _require(0 < self.delta < 1, "delta must lie in (0,1)", "delta_out_of_range", "delta")
-        _finite(self.impact_cap, "impact_cap")
-        _require(self.impact_cap > 0, "impact_cap must be positive",
-                 "impact_cap_must_be_positive", "impact_cap")
-        if self.participation_cap is not None:
-            _finite(self.participation_cap, "participation_cap")
-            _require(0 < self.participation_cap <= 1,
-                     "participation_cap must lie in (0,1] when present",
-                     "participation_cap_out_of_range", "participation_cap")
+        check_domain(self.c, "c", "positive", "c_must_be_positive")
+        check_domain(self.delta, "delta", "(0,1)", "delta_out_of_range")
+        check_domain(self.impact_cap, "impact_cap", "positive", "impact_cap_must_be_positive")
+        check_domain(self.participation_cap, "participation_cap", "(0,1]",
+                     "participation_cap_out_of_range", optional=True)
 
 
 @dataclass(frozen=True)
@@ -191,12 +196,10 @@ class EconParams:
     min_effect_bps: float = 0.0
 
     def __post_init__(self):
-        _finite(self.round_trip_cost_bps, "round_trip_cost_bps")
-        _require(self.round_trip_cost_bps > 0, "round_trip_cost_bps must be positive",
-                 "cost_must_be_positive", "round_trip_cost_bps")
-        _finite(self.min_effect_bps, "min_effect_bps")
-        _require(self.min_effect_bps >= 0, "min_effect_bps must be nonnegative",
-                 "effect_must_be_nonnegative", "min_effect_bps")
+        check_domain(self.round_trip_cost_bps, "round_trip_cost_bps", "positive",
+                     "cost_must_be_positive")
+        check_domain(self.min_effect_bps, "min_effect_bps", "nonnegative",
+                     "effect_must_be_nonnegative")
         _require(self.min_effect_bps / self.round_trip_cost_bps <= _FLOAT_MAX,
                  "min_effect_bps / round_trip_cost_bps overflows the float range",
                  "action_threshold_overflows", "min_effect_bps")
@@ -212,12 +215,8 @@ class StructuralParams:
     alpha_policy_max: float = 1.0
 
     def __post_init__(self):
-        _finite(self.loss_tolerance, "loss_tolerance")
-        _require(0 <= self.loss_tolerance <= 1, "loss_tolerance must lie in [0,1]",
-                 "loss_tolerance_out_of_range", "loss_tolerance")
-        _finite(self.max_drawdown, "max_drawdown")
-        _require(0 < self.max_drawdown <= 1, "max_drawdown must lie in (0,1]",
-                 "max_drawdown_out_of_range", "max_drawdown")
+        check_domain(self.loss_tolerance, "loss_tolerance", "[0,1]", "loss_tolerance_out_of_range")
+        check_domain(self.max_drawdown, "max_drawdown", "(0,1]", "max_drawdown_out_of_range")
         _finite(self.alpha_policy_min, "alpha_policy_min")
         _finite(self.alpha_policy_max, "alpha_policy_max")
         _require(0 <= self.alpha_policy_min <= self.alpha_policy_max <= 1,
@@ -232,9 +231,8 @@ class EntropyParams:
     delta_h_max: float
 
     def __post_init__(self):
-        _finite(self.delta_h_max, "delta_h_max")
-        _require(self.delta_h_max >= 0, "delta_h_max must be nonnegative",
-                 "entropy_budget_must_be_nonnegative", "delta_h_max")
+        check_domain(self.delta_h_max, "delta_h_max", "nonnegative",
+                     "entropy_budget_must_be_nonnegative")
 
 
 @dataclass(frozen=True)
@@ -253,11 +251,8 @@ class FeasibilityParams:
     entropy: EntropyParams
 
     def __post_init__(self):
-        _finite(self.aum_usd, "aum_usd")
-        _require(self.aum_usd > 0, "aum_usd must be positive", "aum_must_be_positive", "aum_usd")
-        _finite(self.turnover_fraction, "turnover_fraction")
-        _require(0 < self.turnover_fraction <= 1, "turnover_fraction must lie in (0,1]",
-                 "turnover_out_of_range", "turnover_fraction")
+        check_domain(self.aum_usd, "aum_usd", "positive", "aum_must_be_positive")
+        check_domain(self.turnover_fraction, "turnover_fraction", "(0,1]", "turnover_out_of_range")
         for name, typ in (("impact", ImpactParams), ("econ", EconParams),
                           ("structural", StructuralParams), ("entropy", EntropyParams)):
             _require(isinstance(getattr(self, name), typ),
@@ -266,10 +261,8 @@ class FeasibilityParams:
 
 def check_kappas(kappa_a: float, kappa_c: float) -> None:
     """The tier tilt ranges: ``kappa_a >= 1`` and ``0 < kappa_c <= 1``."""
-    _finite(kappa_a, "kappa_a")
-    _require(kappa_a >= 1, "kappa_a must be >= 1", "kappa_a_out_of_range", "kappa_a")
-    _finite(kappa_c, "kappa_c")
-    _require(0 < kappa_c <= 1, "kappa_c must lie in (0,1]", "kappa_c_out_of_range", "kappa_c")
+    check_domain(kappa_a, "kappa_a", ">= 1", "kappa_a_out_of_range")
+    check_domain(kappa_c, "kappa_c", "(0,1]", "kappa_c_out_of_range")
 
 
 def weight_sum(weights: Iterable[float]) -> float:
@@ -280,6 +273,15 @@ def weight_sum(weights: Iterable[float]) -> float:
         return math.inf
     except ValueError:
         return math.nan
+
+
+def check_normalized(weights: Iterable[float], name: str) -> None:
+    """The one weight-sum rule of a vector normalized outside the engine: it sums to 1 within
+    NORMALIZED_SUM_TOL (a ``nan`` sum fails), else ``weights_not_normalized`` on ``name``."""
+    total = weight_sum(weights)
+    if not abs(total - 1.0) <= NORMALIZED_SUM_TOL:
+        raise ValidationError(f"{name.replace('_', ' ')} sum to {total!r}, expected 1.0",
+                              "weights_not_normalized", name)
 
 
 def entry_error(what: str, index: int, name: Any, value: Any = 0.0, seen: Container = (),
@@ -340,8 +342,7 @@ class SatelliteDesign:
 
     def __post_init__(self):
         _require(isinstance(self.theme, str), "theme must be a string", "bad_theme", "theme")
-        _finite(self.alpha, "alpha")
-        _require(0 <= self.alpha <= 1, "alpha must lie in [0,1]", "alpha_out_of_range", "alpha")
+        check_domain(self.alpha, "alpha", "[0,1]", "alpha_out_of_range")
         object.__setattr__(self, "constituents", check_pairs(self.constituents, "constituents"))
         check_kappas(self.kappa_a, self.kappa_c)
         total = weight_sum(w for _, w in self.constituents)
@@ -364,10 +365,8 @@ class RebalanceProposal:
 
     def __post_init__(self):
         object.__setattr__(self, "trades", check_pairs(self.trades, "trades", signed=True))
-        _require(isinstance(self.schedule_due, bool), "schedule_due must be a boolean",
-                 "bad_flag", "schedule_due")
-        _require(isinstance(self.structural_break, bool), "structural_break must be a boolean",
-                 "bad_flag", "structural_break")
+        check_flag(self.schedule_due, "schedule_due")
+        check_flag(self.structural_break, "structural_break")
 
 
 @dataclass(frozen=True)
@@ -389,10 +388,10 @@ class LayerVerdict:
     detail: str | None = None
 
     def __post_init__(self):
-        _require(isinstance(self.passed, bool), "passed must be a boolean", "bad_flag", "passed")
+        check_flag(self.passed, "passed")
         for name in ("margin", "normalized_margin", "bound", "usage"):
             v = getattr(self, name)
-            ok = v is None or type(v) in (int, float) or (name == "bound" and v is UNBOUNDED)
+            ok = v is None or _is_finite(v) or (name == "bound" and v is UNBOUNDED)
             _require(ok, f"{name} must be a number or null", "bad_number", name)
         _require(self.detail is None or isinstance(self.detail, str),
                  "detail must be a string or null", "bad_detail", "detail")
@@ -413,6 +412,23 @@ class DerivedBounds:
     k_max_entropy: int
     weight_caps_impact: dict[str, float] | None = None
     weight_caps_participation: dict[str, float] | None = None
+
+    def __post_init__(self):
+        for name in ("alpha_max_structural", "alpha_effective"):
+            check_domain(getattr(self, name), name, "[0,1]", "alpha_out_of_range")
+        check_domain(self.delta_w_min, "delta_w_min", "nonnegative", "bad_bound")
+        for name in ("k_max_econ", "k_max_entropy"):
+            k = getattr(self, name)
+            if not (k is UNBOUNDED and name == "k_max_econ"):
+                _require(type(k) is int, f"{name} must be an integer", "bad_bound", name)
+                check_domain(k, name, "nonnegative", "bad_bound")
+        for name in ("weight_caps_impact", "weight_caps_participation"):
+            caps = getattr(self, name)  # a cap per candidate: C loops only (a nan sum is nan)
+            values = caps.values() if isinstance(caps, dict) else None
+            _require(caps is None or values is not None and (not values or (
+                {*map(type, values)} <= {float, int} and 0 <= min(values) and max(values) <= 1
+                and not math.isnan(sum(values)))),
+                f"{name} must be null or map ids to numbers in [0,1]", "bad_bound", name)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from .model import (
     TierClass,
     ValidationError,
     _MIN_NORMAL,
+    check_domain,
     check_kappas,
     weight_sum,
 )
@@ -72,8 +73,7 @@ def assign_tier_weights(
     and the per-name ordering A >= B >= C. Output follows input order; a
     ``SatelliteDesign`` built from it checks that the ids are unique.
     """
-    if not 0 < alpha <= 1:
-        raise ValidationError("alpha must lie in (0,1]", code="alpha_out_of_range", field="alpha")
+    check_domain(alpha, "alpha", "(0,1]", "alpha_out_of_range", finite=False)
     if not assets:
         raise ValidationError("cannot assign weights to an empty sleeve",
                               code="empty_sleeve", field="assets")

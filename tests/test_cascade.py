@@ -535,6 +535,7 @@ _EMPTY = SatelliteDesign(theme="t", alpha=0.0, constituents=())
 #: Every library entry point that takes a candidate list, called on one.
 CANDIDATE_ENTRY_POINTS = {
     "CascadeInput": lambda assets: CascadeInput(candidates=assets, params=make_params()),
+    "compute_bounds": lambda assets: compute_bounds(make_params(), assets),
     "filter_rebalance": lambda assets: filter_rebalance(_DUE, make_params(), assets),
     "replay": lambda assets: replay(_DUE_EVENTS, make_params(), _EMPTY, assets),
     "replay_steps": lambda assets: list(replay_steps(_DUE_EVENTS, make_params(), _EMPTY, assets)),

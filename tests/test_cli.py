@@ -8,12 +8,14 @@ import os
 import re
 import subprocess
 import sys
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satfeas import UNBOUNDED
+from satfeas.cascade import _asset_map
 from satfeas.cli import main
 from satfeas.io import emit_report, parse_report
 
@@ -112,6 +114,25 @@ class TestDesignAndCheck:
         report_path.write_text(json.dumps({**json.loads(out), "report": 5}))
         assert run(capsys, "check", "--config", AI_CONFIG, "--candidates", AI_CANDIDATES,
                    "--design", str(report_path)) == (1, "", "error: report must be an object\n")
+
+    @pytest.mark.parametrize("edit,message", [
+        # Python's json reads both tokens; the verdict rejects what no report holds
+        (lambda doc: (doc["report"]["layers"]["physical"].update(margin=math.nan),
+                      doc["report"]["layers"]["economic"].update(bound=math.inf)),
+         "bound must be a number or null"),  # the economic layer is read first
+        (lambda doc: doc["report"]["derived_bounds"].update(
+            alpha_effective="banana", k_max_econ=-5, weight_caps_impact=[1, 2]),
+         "alpha_effective must be a finite number"),
+    ], ids=["non-finite verdict numbers", "derived bounds"])
+    def test_check_rejects_a_report_with_bad_numbers(self, capsys, tmp_path, edit, message):
+        _, out, _ = run(capsys, "design", "--config", AI_CONFIG,
+                        "--candidates", AI_CANDIDATES, "--format", "json")
+        doc = json.loads(out)
+        edit(doc)
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(doc))
+        assert run(capsys, "check", "--config", AI_CONFIG, "--candidates", AI_CANDIDATES,
+                   "--design", str(report_path)) == (1, "", f"error: {message}\n")
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "design", "--config", AI_CONFIG,
@@ -227,6 +248,27 @@ class TestFilterAndReplay:
                              "--schedule-due", "--format", fmt)
         assert (code, out) == (1, "")
         assert err == "error: proposal references unknown asset id 'GHOST'\n"
+
+    @pytest.mark.parametrize("given", [False, True], ids=["synthesized", "given"])
+    def test_replay_indexes_the_universe_once(self, capsys, monkeypatch, tmp_path, given):
+        # the input that synthesizes the design hands its index to replay
+        _, out, _ = run(capsys, "design", "--config", AI_CONFIG,
+                        "--candidates", AI_CANDIDATES, "--format", "json")
+        report = tmp_path / "report.json"
+        report.write_text(out)
+        built = []
+
+        def counted(assets):
+            if not isinstance(assets, Mapping):
+                built.append(assets)
+            return _asset_map(assets)
+
+        for module in ("satfeas.cascade", "satfeas.replay"):  # satfeas.replay names a function
+            monkeypatch.setattr(sys.modules[module], "_asset_map", counted)
+        code, _, err = run(capsys, "replay", "--config", AI_CONFIG, "--candidates", AI_CANDIDATES,
+                           "--events", str(FIXTURES / "ai_events.csv"),
+                           *(["--design", str(report)] if given else []))
+        assert (code, err, len(built)) == (0, "", 1)
 
     def test_replay_without_design_skips_the_exact_entropy(self, capsys, monkeypatch,
                                                              tmp_path):

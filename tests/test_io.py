@@ -3,6 +3,7 @@
 import csv
 import io as _io
 import json
+import math
 import sys
 import tracemalloc
 from datetime import date
@@ -559,11 +560,11 @@ _SCALAR = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(min_value=2 ** 1024),
     st.floats(), st.text(st.characters(exclude_categories=())), _TRICKY_TEXT,
     st.sampled_from(TierClass))
+_VERDICT_NUMBER = st.none() | st.floats(allow_nan=False, allow_infinity=False)  # as checked
 _LEAF = st.one_of(
     _SCALAR, st.just(UNBOUNDED),
-    st.builds(LayerVerdict, st.booleans(), st.none() | st.floats(), st.none() | st.floats(),
-              st.none() | st.floats() | st.just(UNBOUNDED), st.none() | st.floats(),
-              st.none() | _TRICKY_TEXT))
+    st.builds(LayerVerdict, st.booleans(), _VERDICT_NUMBER, _VERDICT_NUMBER,
+              _VERDICT_NUMBER | st.just(UNBOUNDED), _VERDICT_NUMBER, st.none() | _TRICKY_TEXT))
 _ROWS = st.lists(st.lists(_SCALAR, min_size=1, max_size=3).map(tuple)
                  | st.lists(_SCALAR, min_size=1, max_size=3), max_size=4)
 _DOCS = st.recursive(_LEAF | _ROWS, lambda inner: st.one_of(
@@ -667,6 +668,35 @@ PARSE_REPORT_ERRORS = [
      "report.derived_bounds"),
     ("bounds key unknown", _edit("report", "derived_bounds", "k_max", value=3), "unknown_key",
      "report.derived_bounds.k_max"),
+    ("margin NaN", _edit("report", "layers", "physical", "margin", value=math.nan),
+     "bad_number", "margin"),
+    ("bound Infinity", _edit("report", "layers", "economic", "bound", value=math.inf),
+     "bad_number", "bound"),
+    ("usage past the float range", _edit("report", "layers", "domain", "usage", value=10**400),
+     "bad_number", "usage"),
+    ("alpha_effective a string",
+     _edit("report", "derived_bounds", "alpha_effective", value="banana"), "not_finite",
+     "alpha_effective"),
+    ("alpha_max_structural above 1",
+     _edit("report", "derived_bounds", "alpha_max_structural", value=1.5), "alpha_out_of_range",
+     "alpha_max_structural"),
+    ("delta_w_min negative", _edit("report", "derived_bounds", "delta_w_min", value=-0.001),
+     "bad_bound", "delta_w_min"),
+    ("k_max_econ negative", _edit("report", "derived_bounds", "k_max_econ", value=-5),
+     "bad_bound", "k_max_econ"),
+    ("k_max_entropy a float", _edit("report", "derived_bounds", "k_max_entropy", value=14.0),
+     "bad_bound", "k_max_entropy"),
+    ("k_max_entropy unbounded",
+     _edit("report", "derived_bounds", "k_max_entropy", value="unbounded"), "bad_bound",
+     "k_max_entropy"),
+    ("impact caps a list", _edit("report", "derived_bounds", "weight_caps_impact", value=[1, 2]),
+     "bad_bound", "weight_caps_impact"),
+    ("impact cap above 1",
+     _edit("report", "derived_bounds", "weight_caps_impact", "N0", value=1.5), "bad_bound",
+     "weight_caps_impact"),
+    ("participation caps a number",
+     _edit("report", "derived_bounds", "weight_caps_participation", value=0.5), "bad_bound",
+     "weight_caps_participation"),
     ("notes not a list", _edit("report", "notes", value=5), "bad_notes", "notes"),
     ("design not an object", _edit("design", value=5), "not_an_object", "design"),
 ]

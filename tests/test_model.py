@@ -10,16 +10,20 @@ from hypothesis import strategies as st
 from satfeas import (
     EconParams,
     EntropyParams,
-    ExclusionCategory,
     FeasibilityParams,
     ImpactParams,
+    LayerVerdict,
     RebalanceProposal,
     SatelliteDesign,
     StructuralParams,
-    TierClass,
     ValidationError,
+    assign_tier_weights,
+    breadth_bound_econ,
+    breadth_bound_entropy,
+    entropy_increment_approx,
+    entropy_increment_exact,
 )
-from satfeas.model import _is_finite, check_pairs, entry_error, to_json
+from satfeas.model import _is_finite, check_kappas, check_pairs, entry_error, to_json
 
 from conftest import make_asset, make_params
 
@@ -279,8 +283,137 @@ class TestRoundTrips:
         with pytest.raises(ValidationError, match="unknown key"):
             SatelliteDesign.from_dict(data)
 
-    def test_tier_and_exclusion_parse_case_insensitively(self):
-        assert TierClass.parse(" a ") is TierClass.A
-        assert ExclusionCategory.parse("Thematic_ETF") is ExclusionCategory.THEMATIC_ETF
-        with pytest.raises(ValidationError):
-            TierClass.parse("d")
+
+#: Every endpoint of every checked interval (0 and 1) with the float on each side of it,
+#: then -0.0 and the values that are not finite.
+BOUNDARY_INPUTS = [*(x for end in (0.0, 1.0) for x in (end, math.nextafter(end, -math.inf),
+                                                      math.nextafter(end, math.inf))),
+                   -0.0, math.nan, math.inf, -math.inf]
+
+
+def _design(alpha):
+    return SatelliteDesign(theme="t", alpha=alpha, constituents=(("a", alpha),))
+
+
+def _proposal(**flags):
+    return RebalanceProposal(trades=(), **flags)
+
+
+def _verdict(passed):
+    return LayerVerdict(passed=passed, margin=None, normalized_margin=None)
+
+
+#: (check, call with the value under test, error field, accepts, error message, error code,
+#: whether a value that is not finite is ``not_finite`` before the range is tested). Each
+#: interval is written out here as the tests' reference, apart from the model's table.
+INTERVAL_CHECKS = [
+    ("Asset.adv_usd", lambda x: make_asset(adv_usd=x), "adv_usd", lambda x: x > 0,
+     "adv_usd must be positive", "adv_must_be_positive", True),
+    ("Asset.round_trip_cost_bps", lambda x: make_asset(round_trip_cost_bps=x),
+     "round_trip_cost_bps", lambda x: x is None or x >= 0,
+     "round_trip_cost_bps must be nonnegative when present", "cost_must_be_nonnegative", True),
+    ("ImpactParams.c", lambda x: make_params(c=x), "c", lambda x: x > 0,
+     "c must be positive", "c_must_be_positive", True),
+    ("ImpactParams.delta", lambda x: make_params(delta=x), "delta", lambda x: 0 < x < 1,
+     "delta must lie in (0,1)", "delta_out_of_range", True),
+    ("ImpactParams.impact_cap", lambda x: make_params(impact_cap=x), "impact_cap",
+     lambda x: x > 0, "impact_cap must be positive", "impact_cap_must_be_positive", True),
+    ("ImpactParams.participation_cap", lambda x: make_params(participation_cap=x),
+     "participation_cap", lambda x: x is None or 0 < x <= 1,
+     "participation_cap must lie in (0,1] when present", "participation_cap_out_of_range", True),
+    ("EconParams.round_trip_cost_bps", lambda x: EconParams(round_trip_cost_bps=x),
+     "round_trip_cost_bps", lambda x: x > 0, "round_trip_cost_bps must be positive",
+     "cost_must_be_positive", True),
+    ("EconParams.min_effect_bps", lambda x: make_params(min_effect_bps=x), "min_effect_bps",
+     lambda x: x >= 0, "min_effect_bps must be nonnegative", "effect_must_be_nonnegative", True),
+    ("StructuralParams.loss_tolerance", lambda x: make_params(loss_tolerance=x),
+     "loss_tolerance", lambda x: 0 <= x <= 1, "loss_tolerance must lie in [0,1]",
+     "loss_tolerance_out_of_range", True),
+    ("StructuralParams.max_drawdown", lambda x: make_params(max_drawdown=x), "max_drawdown",
+     lambda x: 0 < x <= 1, "max_drawdown must lie in (0,1]", "max_drawdown_out_of_range", True),
+    ("StructuralParams.alpha_policy_min",
+     lambda x: make_params(alpha_policy_min=x, alpha_policy_max=1.0), "alpha_policy_min",
+     lambda x: 0 <= x <= 1,
+     "alpha policy range must satisfy 0 <= alpha_policy_min <= alpha_policy_max <= 1",
+     "alpha_policy_out_of_range", True),
+    ("StructuralParams.alpha_policy_max",
+     lambda x: make_params(alpha_policy_min=0.0, alpha_policy_max=x), "alpha_policy_max",
+     lambda x: 0 <= x <= 1,
+     "alpha policy range must satisfy 0 <= alpha_policy_min <= alpha_policy_max <= 1",
+     "alpha_policy_out_of_range", True),
+    ("EntropyParams.delta_h_max", lambda x: make_params(delta_h_max=x), "delta_h_max",
+     lambda x: x >= 0, "delta_h_max must be nonnegative", "entropy_budget_must_be_nonnegative",
+     True),
+    ("FeasibilityParams.aum_usd", lambda x: make_params(aum_usd=x), "aum_usd", lambda x: x > 0,
+     "aum_usd must be positive", "aum_must_be_positive", True),
+    ("FeasibilityParams.turnover_fraction", lambda x: make_params(turnover_fraction=x),
+     "turnover_fraction", lambda x: 0 < x <= 1, "turnover_fraction must lie in (0,1]",
+     "turnover_out_of_range", True),
+    ("SatelliteDesign.alpha", _design, "alpha", lambda x: 0 <= x <= 1,
+     "alpha must lie in [0,1]", "alpha_out_of_range", True),
+    ("check_kappas.kappa_a", lambda x: check_kappas(x, 1.0), "kappa_a", lambda x: x >= 1,
+     "kappa_a must be >= 1", "kappa_a_out_of_range", True),
+    ("check_kappas.kappa_c", lambda x: check_kappas(1.0, x), "kappa_c", lambda x: 0 < x <= 1,
+     "kappa_c must lie in (0,1]", "kappa_c_out_of_range", True),
+    # the public alpha guards compare only: nan and the infinities are out of range
+    ("breadth_bound_econ", lambda x: breadth_bound_econ(x, EconParams(25.0, 2.0)), "alpha",
+     lambda x: 0 <= x <= 1, "alpha must lie in [0,1]", "alpha_out_of_range", False),
+    ("breadth_bound_entropy", lambda x: breadth_bound_entropy(x, EntropyParams(0.5)), "alpha",
+     lambda x: 0 <= x <= 1, "alpha must lie in [0,1]", "alpha_out_of_range", False),
+    ("entropy_increment_approx", lambda x: entropy_increment_approx(x, 2), "alpha",
+     lambda x: 0 < x <= 1, "alpha must lie in (0,1]", "alpha_out_of_range", False),
+    ("entropy_increment_exact", lambda x: entropy_increment_exact([0.5, 0.5], x, 2), "alpha",
+     lambda x: 0 <= x < 1, "alpha must lie in [0,1)", "alpha_out_of_range", False),
+    ("assign_tier_weights", lambda x: assign_tier_weights(x, [make_asset()]), "alpha",
+     lambda x: 0 < x <= 1, "alpha must lie in (0,1]", "alpha_out_of_range", False),
+]
+
+#: The optional fields, where ``None`` means absent.
+_OPTIONAL = {"Asset.round_trip_cost_bps", "ImpactParams.participation_cap"}
+
+#: The policy range is one rule over two fields: it names its lower end.
+_RANGE_FIELD = {"StructuralParams.alpha_policy_max": "alpha_policy_min"}
+
+
+def _boundary_cases():
+    for check, call, field, accepts, message, code, finite_first in INTERVAL_CHECKS:
+        inputs = BOUNDARY_INPUTS + [None] * (check in _OPTIONAL)
+        if check == "entropy_increment_approx":  # its zero alpha has a rule of its own
+            inputs = [x for x in inputs if x != 0]
+        for x in inputs:
+            if finite_first and x is not None and not math.isfinite(x):
+                want = ("not_finite", field, f"{field} must be a finite number")
+            elif accepts(x):
+                want = None
+            else:
+                want = (code, _RANGE_FIELD.get(check, field), message)
+            yield pytest.param(call, x, want, id=f"{check}={x!r}")
+
+
+def _error_of(call, x):
+    try:
+        call(x)
+    except ValidationError as e:
+        return e.code, e.field, str(e)
+    return None
+
+
+@pytest.mark.parametrize("call,x,want", _boundary_cases())
+def test_interval_check_boundaries(call, x, want):
+    assert _error_of(call, x) == want
+
+
+#: (flag, call with the value under test).
+FLAG_CHECKS = [
+    ("gaer_admissible", lambda x: make_asset(gaer=x)),
+    ("schedule_due", lambda x: _proposal(schedule_due=x)),
+    ("structural_break", lambda x: _proposal(structural_break=x)),
+    ("passed", _verdict),
+]
+
+
+@pytest.mark.parametrize("flag,call", FLAG_CHECKS, ids=[flag for flag, _ in FLAG_CHECKS])
+@pytest.mark.parametrize("x", [1, "true", None, True, False])
+def test_flag_checks(flag, call, x):
+    want = None if isinstance(x, bool) else ("bad_flag", flag, f"{flag} must be a boolean")
+    assert _error_of(call, x) == want

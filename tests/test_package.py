@@ -65,18 +65,27 @@ def test_entry_rule_codes_only_in_the_model():
     assert homes == ["model.py"]
 
 
-def _constant_homes(value: str) -> list[str]:
-    """``module.function`` of each innermost function in src whose code holds ``value``;
-    ``module`` alone where it appears outside any function."""
+def _constant_homes(value) -> list[str]:
+    """``module.function`` (``module.Class.method`` for a method) of each innermost function
+    in src whose code holds ``value``, or a constant that ``value`` accepts if it is callable;
+    ``module.NAME`` in a module-level assignment to NAME, ``module.Class`` in a class body,
+    else ``module``."""
     homes = set()
+    match = value if callable(value) else (lambda constant: constant == value)
 
-    def visit(node, where):
+    def visit(node, where, in_class=False):
+        module = where.split(".")[0]
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = f"{where.split('.')[0]}.{node.name}"
-        if isinstance(node, ast.Constant) and node.value == value:
+            where = f"{where}.{node.name}" if in_class else f"{module}.{node.name}"
+        elif isinstance(node, ast.ClassDef):
+            where = f"{module}.{node.name}"
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and where == module:
+            target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+            where = f"{module}.{target.id}" if isinstance(target, ast.Name) else where
+        if isinstance(node, ast.Constant) and match(node.value):
             homes.add(where)
         for child in ast.iter_child_nodes(node):
-            visit(child, where)
+            visit(child, where, isinstance(node, ast.ClassDef))
 
     for path in (SRC / "satfeas").glob("*.py"):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
@@ -87,6 +96,27 @@ def test_asset_index_codes_have_one_home():
     # every entry point indexes candidates and resolves ids through the same two helpers
     assert _constant_homes("unknown_asset_id") == ["cascade._members"]
     assert _constant_homes("bad_candidate") == ["cascade._asset_map"]
+
+
+def test_value_rule_codes_have_one_home():
+    # every flag field and every normalized weight vector is checked by one model helper
+    assert _constant_homes("bad_flag") == ["model.check_flag"]
+    assert _constant_homes("weights_not_normalized") == ["model.check_normalized"]
+
+
+def test_interval_words_only_in_the_domain_table():
+    # a check names its interval by a key of model._DOMAINS and takes its words from there
+    homes = _constant_homes(lambda constant: isinstance(constant, str)
+                            and "must lie in" in constant)
+    assert homes == ["model._DOMAINS"]
+
+
+def test_enum_spellings_read_only_in_io():
+    # the loaders' value maps are the one rule of how a tier or exclusion cell is spelled
+    readers = sorted({path.stem for path in (SRC / "satfeas").glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.Attribute) and node.attr == "_value2member_map_"})
+    assert readers == ["io"]
 
 
 #: Calls that open, read or write a file.
