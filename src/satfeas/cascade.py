@@ -101,8 +101,8 @@ class CascadeInput:
     _by_id: Mapping[str, Asset] = field(init=False, repr=False, compare=False)  # candidates by id
 
     def __post_init__(self):
-        object.__setattr__(self, "candidates", tuple(self.candidates))
         object.__setattr__(self, "_by_id", _asset_map(self.candidates))
+        object.__setattr__(self, "candidates", tuple(self._by_id.values()))
         check_kappas(self.kappa_a, self.kappa_c)
         if self.design is not None and not isinstance(self.design, SatelliteDesign):
             raise ValidationError("design must be a SatelliteDesign", code="bad_design",

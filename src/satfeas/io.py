@@ -84,9 +84,9 @@ def _read_rows(path: str | Path, header: list[str],
     """Each nonblank data row as ``(row number, stripped cells)``, as the file is read.
 
     The header is checked before the first row is yielded, and each row's
-    field count as it is read. A loader that fails on a cell passes the rest
-    to :func:`_drained`, so a later malformed row or unreadable byte is
-    still reported ahead of a bad value.
+    field count as it is read. A loader that fails on a row words its error
+    by :func:`_row_error`, which reads the rest first, so a later malformed
+    row or unreadable byte is still reported ahead of a bad value.
     """
     p = Path(path)
     width = len(header)
@@ -110,26 +110,21 @@ def _read_rows(path: str | Path, header: list[str],
             yield lineno, cells
 
 
-def _drained(rows: Iterator, e: ValidationError) -> ValidationError:
-    """``e``, once the rest of ``rows`` is read: a malformed row or unreadable byte there wins."""
+def _row_error(rows: Iterator, e: ValidationError, what: str, line: int) -> ValidationError:
+    """``e`` worded at row ``line`` of file ``what``, once the rest of ``rows`` is read: a
+    malformed row or unreadable byte there wins. An entry error, or one naming no field, names
+    the file."""
     for _ in rows:
         pass
-    return e
+    field = what if e.index is not None or e.field is None else e.field
+    return ValidationError(f"{what} row {line}: {e.args[0]}", e.code, field)
 
 
-def _parse_float(text: str, what: str, line: int) -> float:
+def _parse_float(text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ValidationError(f"{what} row {line}: {text!r} is not a number",
-                              code="bad_number", field=what) from None
-
-
-def _at_row(e: ValidationError, what: str, lines: Sequence[int]) -> ValidationError:
-    """Entry error ``e`` of a list read from file ``what`` restated at its row; others as is."""
-    if e.index is None:
-        return e
-    return ValidationError(f"{what} row {lines[e.index]}: {e.args[0]}", e.code, what)
+        raise ValidationError(f"{text!r} is not a number", "bad_number") from None
 
 
 #: The one spelling rule of flag, tier and exclusion cells: each map is keyed in its cells' case.
@@ -137,11 +132,10 @@ _BOOLS = {"true": True, "false": False}
 _TIERS, _EXCLUSIONS = TierClass._value2member_map_, ExclusionCategory._value2member_map_
 
 
-def _parse_bool(text: str, what: str, line: int) -> bool:
+def _parse_bool(text: str) -> bool:
     value = _BOOLS.get(text.lower())
     if value is None:
-        raise ValidationError(f"{what} row {line}: expected true or false, got {text!r}",
-                              code="bad_boolean", field=what)
+        raise ValidationError(f"expected true or false, got {text!r}", "bad_boolean")
     return value
 
 
@@ -162,32 +156,23 @@ def load_candidates(path: str | Path) -> list[Asset]:
     assets: list[Asset] = []
     seen: set[str] = set()
     rows = _read_rows(path, CANDIDATE_HEADER, "candidates")
-    try:
-        for line, (name, tier, adv, cost, gaer, exclusion) in rows:
+    for line, (name, tier, adv, cost, gaer, exclusion) in rows:
+        try:
             if not name or name in seen:  # the id comes first, before any cell is parsed
-                raise _at_row(entry_error("candidates", 0, name, seen=seen), "candidates",
-                              [line])
+                raise entry_error("candidates", 0, name, seen=seen)
             seen.add(name)
             try:  # each cell parsed once; no message is built unless a check fails
                 asset = Asset(name, _TIERS[tier.upper()], float(adv), _BOOLS[gaer.lower()],
                               _EXCLUSIONS[exclusion.lower()], float(cost) if cost else None)
             except (KeyError, ValueError):  # parse the row again, in order, to name its error
-                try:
-                    override = _parse_float(cost, "candidates", line) if cost else None
-                    asset = Asset(name,
-                                  _parse_member(_TIERS, tier.upper(), tier, "tier", "bad_tier"),
-                                  _parse_float(adv, "candidates", line),
-                                  _parse_bool(gaer, "candidates", line),
-                                  _parse_member(_EXCLUSIONS, exclusion.lower(), exclusion,
-                                                "exclusion", "bad_exclusion"), override)
-                except ValidationError as e:
-                    if e.field == "candidates":  # a cell parser's error names its row already
-                        raise
-                    raise ValidationError(f"candidates row {line}: {e}", e.code,
-                                          e.field) from None
-            assets.append(asset)
-    except ValidationError as e:
-        raise _drained(rows, e) from None
+                override = _parse_float(cost) if cost else None
+                asset = Asset(name, _parse_member(_TIERS, tier.upper(), tier, "tier", "bad_tier"),
+                              _parse_float(adv), _parse_bool(gaer),
+                              _parse_member(_EXCLUSIONS, exclusion.lower(), exclusion,
+                                            "exclusion", "bad_exclusion"), override)
+        except ValidationError as e:
+            raise _row_error(rows, e, "candidates", line) from None
+        assets.append(asset)
     return assets
 
 
@@ -196,13 +181,16 @@ def _load_pairs(path: str | Path, header: list[str], what: str, build: Callable)
     an id; errors at their row."""
     rows = _read_rows(path, header, what)
     pairs, lines = [], array("l")  # row numbers unboxed: kept only to word an entry error
+    for line, (name, text) in rows:
+        try:
+            pairs.append((name, _parse_float(text)))
+        except ValidationError as e:
+            raise _row_error(rows, e, what, line) from None
+        lines.append(line)
     try:
-        for line, (name, text) in rows:
-            pairs.append((name, _parse_float(text, what, line)))
-            lines.append(line)
         return build(pairs)
-    except ValidationError as e:
-        raise _at_row(_drained(rows, e), what, lines) from None
+    except ValidationError as e:  # an entry's error at its row; any other as it is
+        raise (e if e.index is None else _row_error(rows, e, what, lines[e.index])) from None
 
 
 def load_core_weights(path: str | Path) -> tuple[tuple[str, float], ...]:
@@ -230,41 +218,37 @@ def load_events(path: str | Path) -> list[RebalanceEvent]:
     """
     events: list[RebalanceEvent] = []
     rows = _read_rows(path, EVENT_HEADER, "events")
-    try:
-        for day_text, group in groupby(rows, key=lambda row: row[1][0]):
-            trades, lines = [], []
-            for line, (_, name, dw, due, brk) in group:
+    for day_text, group in groupby(rows, key=lambda row: row[1][0]):
+        trades, lines = [], []
+        for line, (_, name, dw, due, brk) in group:
+            try:
                 if not lines:  # the date's first row sets its date and flags
                     try:
                         day = date.fromisoformat(day_text)
                     except ValueError:
-                        raise ValidationError(f"events row {line}: bad date {day_text!r}",
-                                              code="bad_date", field="events") from None
+                        raise ValidationError(f"bad date {day_text!r}", "bad_date") from None
                     if events and day <= events[-1].date:
-                        raise ValidationError(f"events row {line}: dates must be strictly "
-                                              "increasing", code="events_out_of_order",
-                                              field="events")
+                        raise ValidationError("dates must be strictly increasing",
+                                              "events_out_of_order")
                     flags = (due, brk)
-                    schedule_due = _parse_bool(due, "events", line)
-                    structural_break = _parse_bool(brk, "events", line)
-                elif (due, brk) != flags and (
-                        _parse_bool(due, "events", line) != schedule_due
-                        or _parse_bool(brk, "events", line) != structural_break):
-                    raise ValidationError(
-                        f"events row {line}: governance flags differ within date {day_text}",
-                        code="inconsistent_flags", field="events")
+                    schedule_due, structural_break = _parse_bool(due), _parse_bool(brk)
+                elif (due, brk) != flags and (_parse_bool(due) != schedule_due
+                                              or _parse_bool(brk) != structural_break):
+                    raise ValidationError(f"governance flags differ within date {day_text}",
+                                          "inconsistent_flags")
                 try:
                     trades.append((name, float(dw)))
                 except ValueError:
-                    _parse_float(dw, "events", line)  # words the error
-                lines.append(line)
-            try:
-                proposal = RebalanceProposal(trades, schedule_due, structural_break)
+                    _parse_float(dw)  # words the error
             except ValidationError as e:
-                raise _at_row(e, "events", lines) from None
-            events.append(RebalanceEvent(day, proposal))
-    except ValidationError as e:
-        raise _drained(rows, e) from None
+                raise _row_error(rows, e, "events", line) from None
+            lines.append(line)
+        try:
+            proposal = RebalanceProposal(trades, schedule_due, structural_break)
+        except ValidationError as e:  # as in _load_pairs
+            raise (e if e.index is None
+                   else _row_error(rows, e, "events", lines[e.index])) from None
+        events.append(RebalanceEvent(day, proposal))
     return events
 
 
@@ -413,12 +397,11 @@ def _bounds_lines(b: DerivedBounds) -> list[str]:
 
 
 def _report_lines(report: FeasibilityReport, design: SatelliteDesign) -> list[str]:
-    lines = ["satellite feasibility report",
-             "============================",
-             f"theme:          {design.theme}",
-             f"admissible:     {_cell(report.admissible)}",
-             f"binding layer:  {report.binding_layer}",
-             ""]
+    head = [("theme:", design.theme), ("admissible:", _cell(report.admissible)),
+            ("binding layer:", report.binding_layer)]
+    width = _label_width(label for label, _ in head)
+    lines = ["satellite feasibility report", "============================",
+             *(label.ljust(width) + value for label, value in head), ""]
     rows = []
     for name in LAYERS:
         v = report.layer_verdicts[name]

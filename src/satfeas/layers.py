@@ -31,6 +31,7 @@ from .model import (
     Unbounded,
     ValidationError,
     _MIN_NORMAL,
+    _is_finite,
     check_domain,
     check_normalized,
 )
@@ -47,10 +48,9 @@ def impact_cost(traded_notional_usd: float, adv_usd: float, params) -> float:
     Evaluates the concave law ``c * (Q/V)**delta``; zero trades cost zero.
     ``params`` only needs ``c`` and ``delta`` attributes (an ImpactParams).
     """
-    if not (isinstance(adv_usd, (int, float)) and adv_usd > 0):
-        raise ValidationError("adv_usd must be positive", code="adv_must_be_positive",
-                              field="adv_usd")
-    if traded_notional_usd < 0:
+    if not (_is_finite(adv_usd) and adv_usd > 0):  # inline, as in Asset: called per trade
+        check_domain(adv_usd, "adv_usd", "positive", "adv_must_be_positive")
+    if not traded_notional_usd >= 0:
         raise ValidationError("traded notional must be nonnegative",
                               code="notional_must_be_nonnegative", field="traded_notional_usd")
     if traded_notional_usd == 0:

@@ -555,3 +555,10 @@ def test_every_entry_point_checks_candidates_alike(entry, assets, message, code)
     with pytest.raises(ValidationError) as err:
         CANDIDATE_ENTRY_POINTS[entry](assets)
     assert (str(err.value), err.value.code, err.value.field) == (message, code, "candidates")
+
+
+@pytest.mark.parametrize("entry", CANDIDATE_ENTRY_POINTS)
+def test_every_entry_point_takes_an_indexed_mapping(entry):
+    # a mapping of id to asset is taken as already indexed, with the list's result
+    call = CANDIDATE_ENTRY_POINTS[entry]
+    assert call({"A": _LIQUID}) == call([_LIQUID])

@@ -128,74 +128,78 @@ OK_ROW = "A,A,5e6,,true,none\n"
 EXCLUSIONS = ("pure_play_early_stage, small_cap_specialist, regime_opaque_jurisdiction, "
               "thematic_etf, none")
 
-#: (case, file body, error code, message); rows count the header as row 1 and
+#: (case, file body, error code, message, field); rows count the header as row 1 and
 #: ``{path}`` stands for the file's path. A row with two bad cells reports the
 #: first in this order: id, cost, tier, adv_usd, gaer_admissible, exclusion,
 #: then the range checks of ``Asset`` (adv_usd before the cost).
 LOAD_CANDIDATES_ERRORS = [
-    ("empty file", "", "bad_header", "candidates file {path} is empty"),
+    ("empty file", "", "bad_header", "candidates file {path} is empty", "candidates"),
     ("bad header", "id,tier,adv\nX,A,5\n", "bad_header",
      "candidates file {path} must have header "
-     "'id,tier,adv_usd,round_trip_cost_bps,gaer_admissible,exclusion', got 'id,tier,adv'"),
+     "'id,tier,adv_usd,round_trip_cost_bps,gaer_admissible,exclusion', got 'id,tier,adv'",
+     "candidates"),
     ("field count", CANDIDATE_HEADER + OK_ROW + "B,A,5e6,,true\n", "bad_row",
-     "candidates row 3 has 5 fields, expected 6"),
+     "candidates row 3 has 5 fields, expected 6", "candidates"),
     ("field count before a bad value", CANDIDATE_HEADER + "B,D,x,y,maybe,z\nC,A\n", "bad_row",
-     "candidates row 3 has 2 fields, expected 6"),
+     "candidates row 3 has 2 fields, expected 6", "candidates"),
     ("blank rows are skipped but counted",
      CANDIDATE_HEADER + "\n" + OK_ROW + " , ,,,,\n\nB,A,x,,true,none\n", "bad_number",
-     "candidates row 6: 'x' is not a number"),
+     "candidates row 6: 'x' is not a number", "candidates"),
     ("empty id", CANDIDATE_HEADER + OK_ROW + ",A,5e6,,true,none\n", "bad_id",
-     "candidates row 3: id must be a nonempty string"),
+     "candidates row 3: id must be a nonempty string", "candidates"),
     ("empty id before a bad cost", CANDIDATE_HEADER + " ,A,5e6,x,true,none\n", "bad_id",
-     "candidates row 2: id must be a nonempty string"),
+     "candidates row 2: id must be a nonempty string", "candidates"),
     ("duplicate id", CANDIDATE_HEADER + OK_ROW + "A,B,1e6,,false,none\n", "duplicate_id",
-     "candidates row 3: duplicate id 'A'"),
+     "candidates row 3: duplicate id 'A'", "candidates"),
     ("duplicate id before a bad cost", CANDIDATE_HEADER + OK_ROW + "A,A,5e6,x,true,none\n",
-     "duplicate_id", "candidates row 3: duplicate id 'A'"),
+     "duplicate_id", "candidates row 3: duplicate id 'A'", "candidates"),
     ("bad cost", CANDIDATE_HEADER + "A,A,5e6,cheap,true,none\n", "bad_number",
-     "candidates row 2: 'cheap' is not a number"),
+     "candidates row 2: 'cheap' is not a number", "candidates"),
     ("bad cost before a bad tier", CANDIDATE_HEADER + "A,D,5e6,cheap,true,none\n", "bad_number",
-     "candidates row 2: 'cheap' is not a number"),
+     "candidates row 2: 'cheap' is not a number", "candidates"),
     ("bad tier", CANDIDATE_HEADER + "A,D,5e6,,true,none\n", "bad_tier",
-     "candidates row 2: tier must be one of A, B, C (got 'D')"),
+     "candidates row 2: tier must be one of A, B, C (got 'D')", "tier"),
     ("bad tier before a bad adv_usd", CANDIDATE_HEADER + "A,AB,abc,,true,none\n", "bad_tier",
-     "candidates row 2: tier must be one of A, B, C (got 'AB')"),
+     "candidates row 2: tier must be one of A, B, C (got 'AB')", "tier"),
     ("bad adv_usd", CANDIDATE_HEADER + "A,A,abc,,true,none\n", "bad_number",
-     "candidates row 2: 'abc' is not a number"),
+     "candidates row 2: 'abc' is not a number", "candidates"),
     ("bad adv_usd before a bad flag", CANDIDATE_HEADER + "A,A,abc,,maybe,none\n", "bad_number",
-     "candidates row 2: 'abc' is not a number"),
+     "candidates row 2: 'abc' is not a number", "candidates"),
     ("bad flag", CANDIDATE_HEADER + "A,A,5e6,,yes,none\n", "bad_boolean",
-     "candidates row 2: expected true or false, got 'yes'"),
+     "candidates row 2: expected true or false, got 'yes'", "candidates"),
     ("bad flag before a bad exclusion", CANDIDATE_HEADER + "A,A,5e6,,1,etf\n", "bad_boolean",
-     "candidates row 2: expected true or false, got '1'"),
+     "candidates row 2: expected true or false, got '1'", "candidates"),
     ("bad exclusion", CANDIDATE_HEADER + "A,A,5e6,,true,etf\n", "bad_exclusion",
-     f"candidates row 2: exclusion must be one of {EXCLUSIONS} (got 'etf')"),
+     f"candidates row 2: exclusion must be one of {EXCLUSIONS} (got 'etf')", "exclusion"),
     ("bad exclusion before a range check", CANDIDATE_HEADER + "A,A,-1,-1,true,etf\n",
-     "bad_exclusion", f"candidates row 2: exclusion must be one of {EXCLUSIONS} (got 'etf')"),
+     "bad_exclusion", f"candidates row 2: exclusion must be one of {EXCLUSIONS} (got 'etf')",
+     "exclusion"),
     ("nan adv_usd", CANDIDATE_HEADER + "A,A,nan,,true,none\n", "not_finite",
-     "candidates row 2: adv_usd must be a finite number"),
+     "candidates row 2: adv_usd must be a finite number", "adv_usd"),
     ("infinite adv_usd before a negative cost", CANDIDATE_HEADER + "A,A,inf,-1,true,none\n",
-     "not_finite", "candidates row 2: adv_usd must be a finite number"),
+     "not_finite", "candidates row 2: adv_usd must be a finite number", "adv_usd"),
     ("zero adv_usd", CANDIDATE_HEADER + "A,A,0,,true,none\n", "adv_must_be_positive",
-     "candidates row 2: adv_usd must be positive"),
+     "candidates row 2: adv_usd must be positive", "adv_usd"),
     ("negative adv_usd before a nan cost", CANDIDATE_HEADER + "A,A,-5,nan,true,none\n",
-     "adv_must_be_positive", "candidates row 2: adv_usd must be positive"),
+     "adv_must_be_positive", "candidates row 2: adv_usd must be positive", "adv_usd"),
     ("infinite cost", CANDIDATE_HEADER + "A,A,5e6,-inf,true,none\n", "not_finite",
-     "candidates row 2: round_trip_cost_bps must be a finite number"),
+     "candidates row 2: round_trip_cost_bps must be a finite number", "round_trip_cost_bps"),
     ("negative cost", CANDIDATE_HEADER + "A,A,5e6,-0.5,true,none\n", "cost_must_be_nonnegative",
-     "candidates row 2: round_trip_cost_bps must be nonnegative when present"),
+     "candidates row 2: round_trip_cost_bps must be nonnegative when present",
+     "round_trip_cost_bps"),
 ]
 
 
-@pytest.mark.parametrize("body,code,message",
+@pytest.mark.parametrize("body,code,message,field",
                          [case[1:] for case in LOAD_CANDIDATES_ERRORS],
                          ids=[case[0] for case in LOAD_CANDIDATES_ERRORS])
-def test_load_candidates_error_table(tmp_path, body, code, message):
+def test_load_candidates_error_table(tmp_path, body, code, message, field):
     path = write(tmp_path, "u.csv", body)
     with pytest.raises(ValidationError) as err:
         load_candidates(path)
     assert err.value.code == code
     assert str(err.value) == message.format(path=path)
+    assert err.value.field == field
 
 
 _ASSET_IDS = st.text("ABCXYZabcxyz0123456789_.-", min_size=1, max_size=8)
@@ -316,57 +320,59 @@ class TestOtherLoaders:
 EVENT_HEADER = "date,id,delta_w,schedule_due,structural_break\n"
 ROW_A = "2025-01-01,A,0.1,true,false\n"
 
-#: (case, file body, error code, message); rows count the header as row 1.
+#: (case, file body, error code, message, field); rows count the header as row 1.
 LOAD_EVENTS_ERRORS = [
-    ("empty file", "", "bad_header", "is empty"),
+    ("empty file", "", "bad_header", "is empty", "events"),
     ("bad header", "date,id,dw,schedule_due,structural_break\n" + ROW_A, "bad_header",
      "must have header 'date,id,delta_w,schedule_due,structural_break', "
-     "got 'date,id,dw,schedule_due,structural_break'"),
+     "got 'date,id,dw,schedule_due,structural_break'", "events"),
     ("field count", EVENT_HEADER + ROW_A + "2025-01-01,B,0.1,true\n", "bad_row",
-     "events row 3 has 4 fields, expected 5"),
+     "events row 3 has 4 fields, expected 5", "events"),
     ("field count before a bad value",
      EVENT_HEADER + "2025-13-01,A,x,maybe,false\n2025-01-02,B,0.1\n", "bad_row",
-     "events row 3 has 3 fields, expected 5"),
+     "events row 3 has 3 fields, expected 5", "events"),
     ("blank rows are skipped but counted",
      EVENT_HEADER + "\n" + ROW_A + " , ,,,\n\n2025-01-02,B,x,true,false\n", "bad_number",
-     "events row 6: 'x' is not a number"),
+     "events row 6: 'x' is not a number", "events"),
     ("bad date", EVENT_HEADER + ROW_A + "2025-13-01,B,0.1,true,false\n", "bad_date",
-     "events row 3: bad date '2025-13-01'"),
+     "events row 3: bad date '2025-13-01'", "events"),
     ("bad boolean on a group's first row", EVENT_HEADER + "2025-01-01,A,0.1,true,nope\n",
-     "bad_boolean", "events row 2: expected true or false, got 'nope'"),
+     "bad_boolean", "events row 2: expected true or false, got 'nope'", "events"),
     ("bad boolean later in a group", EVENT_HEADER + ROW_A + "2025-01-01,B,0.1,yes,false\n",
-     "bad_boolean", "events row 3: expected true or false, got 'yes'"),
+     "bad_boolean", "events row 3: expected true or false, got 'yes'", "events"),
     ("flags differ within a date", EVENT_HEADER + ROW_A + "2025-01-01,B,0.1,TRUE,true\n",
-     "inconsistent_flags", "events row 3: governance flags differ within date 2025-01-01"),
+     "inconsistent_flags", "events row 3: governance flags differ within date 2025-01-01",
+     "events"),
     ("bad number", EVENT_HEADER + ROW_A + "2025-01-01,B,abc,true,false\n", "bad_number",
-     "events row 3: 'abc' is not a number"),
+     "events row 3: 'abc' is not a number", "events"),
     ("date out of order",
      EVENT_HEADER + "2025-02-01,A,0.1,true,false\n" + "2025-01-01,B,0.1,true,false\n"
      "2025-01-01,C,0.1,true,false\n", "events_out_of_order",
-     "events row 3: dates must be strictly increasing"),
+     "events row 3: dates must be strictly increasing", "events"),
     ("date repeated after another date",
      EVENT_HEADER + ROW_A + "2025-01-02,B,0.1,true,false\n2025-01-01,C,0.1,true,false\n",
-     "events_out_of_order", "events row 4: dates must be strictly increasing"),
+     "events_out_of_order", "events row 4: dates must be strictly increasing", "events"),
     ("empty id", EVENT_HEADER + ROW_A + "2025-01-01, ,0.1,true,false\n", "bad_id",
-     "events row 3: id must be a nonempty string"),
+     "events row 3: id must be a nonempty string", "events"),
     ("duplicate id within a date", EVENT_HEADER + ROW_A + "2025-01-01,A,0.2,true,false\n",
-     "duplicate_id", "events row 3: duplicate id 'A'"),
+     "duplicate_id", "events row 3: duplicate id 'A'", "events"),
     ("nan delta_w", EVENT_HEADER + ROW_A + "2025-01-01,B,nan,true,false\n", "not_finite",
-     "events row 3: delta_w for B must be a finite number"),
+     "events row 3: delta_w for B must be a finite number", "events"),
     ("inf delta_w", EVENT_HEADER + "2025-01-01,A,-inf,true,false\n", "not_finite",
-     "events row 2: delta_w for A must be a finite number"),
+     "events row 2: delta_w for A must be a finite number", "events"),
 ]
 
 
-@pytest.mark.parametrize("body,code,message",
+@pytest.mark.parametrize("body,code,message,field",
                          [case[1:] for case in LOAD_EVENTS_ERRORS],
                          ids=[case[0] for case in LOAD_EVENTS_ERRORS])
-def test_load_events_error_table(tmp_path, body, code, message):
+def test_load_events_error_table(tmp_path, body, code, message, field):
     path = write(tmp_path, "e.csv", body)
     with pytest.raises(ValidationError) as err:
         load_events(path)
     assert err.value.code == code
     assert message in str(err.value)
+    assert err.value.field == field
 
 
 #: kind -> (loader, file name in messages, header, a valid row: ``{id}``, ``{value}`` and

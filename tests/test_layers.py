@@ -433,9 +433,14 @@ _UNIT = ImpactParams(c=1.0, delta=0.5, impact_cap=1.0)
     (lambda: entropy_increment_exact([0.5, 0.5], 0.1, 0), "k_out_of_range", "k"),
     (lambda: impact_cost(-1.0, 1e6, _UNIT), "notional_must_be_nonnegative",
      "traded_notional_usd"),
+    (lambda: impact_cost(math.nan, 1e6, _UNIT), "notional_must_be_nonnegative",
+     "traded_notional_usd"),
+    # the ADV rule of Asset: a finite number, then positive
+    (lambda: impact_cost(1e6, math.inf, _UNIT), "not_finite", "adv_usd"),
+    (lambda: impact_cost(1e6, True, _UNIT), "not_finite", "adv_usd"),
     (lambda: weight_entropy([1.5, -0.5]), "weight_must_be_nonnegative", "weights"),
 ], ids=["econ alpha", "entropy alpha", "approx alpha", "approx k", "exact alpha", "exact k",
-        "negative notional", "negative weight"])
+        "negative notional", "nan notional", "infinite adv", "boolean adv", "negative weight"])
 def test_public_guards_name_their_input(call, code, field):
     with pytest.raises(ValidationError) as err:
         call()

@@ -111,12 +111,36 @@ def test_interval_words_only_in_the_domain_table():
     assert homes == ["model._DOMAINS"]
 
 
+def test_row_errors_have_one_home():
+    # a loader words every error met on a row through one helper; the reader words a bad row
+    homes = _constant_homes(lambda constant: isinstance(constant, str)
+                            and constant.endswith(" row "))
+    assert homes == ["io._read_rows", "io._row_error"]
+
+
 def test_enum_spellings_read_only_in_io():
     # the loaders' value maps are the one rule of how a tier or exclusion cell is spelled
     readers = sorted({path.stem for path in (SRC / "satfeas").glob("*.py")
                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                       if isinstance(node, ast.Attribute) and node.attr == "_value2member_map_"})
     assert readers == ["io"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # no linter is installed: a deleted helper must not leave its import behind
+    # (__init__ is left out: it imports in order to re-export)
+    unused = []
+    for path in sorted((SRC / "satfeas").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{bound}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for bound in ((a.asname or a.name).split(".")[0] for a in node.names)
+                   if bound not in used]
+    assert unused == []
 
 
 #: Calls that open, read or write a file.
