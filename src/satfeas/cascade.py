@@ -153,7 +153,8 @@ def run_cascade(inp: CascadeInput) -> tuple[FeasibilityReport, SatelliteDesign]:
     eligible, _rejected = eligibility_filter(inp.candidates)
     bounds = compute_bounds(params, inp._by_id)
     design = inp.design if inp.design is not None else _synthesize(inp, eligible, bounds)
-    members = _members(design.constituents, inp._by_id, "design")
+    members = [(asset, w) for asset, (_id, w) in
+               zip(_members(design.constituents, inp._by_id, "design"), design.constituents)]
     ineligible = [asset for asset, _w in members if eligibility_reason(asset) is not None]
 
     notes: list[str] = []
@@ -359,10 +360,10 @@ def _asset_map(assets: Iterable[Asset] | Mapping[str, Asset]) -> Mapping[str, As
 
 
 def _members(pairs: Iterable[tuple[str, float]], by_id: Mapping[str, Asset],
-             what: str) -> list[tuple[Asset, float]]:
-    """The (asset, number) pairs of ``what``'s (id, number) pairs; an unknown id is an error."""
+             what: str) -> list[Asset]:
+    """The asset of each (id, x) pair of ``what``, in order, one lookup each; an unknown id raises."""
     try:
-        return [(by_id[name], x) for name, x in pairs]
+        return [by_id[name] for name, _x in pairs]
     except KeyError as e:
         raise ValidationError(f"{what} references unknown asset id {e.args[0]!r}",
                               code="unknown_asset_id", field=what) from None
@@ -383,20 +384,21 @@ def filter_rebalance(
     ``A * |dw| / adv``; a trade exactly at a cap executes. Executed and
     suppressed trades together are exactly the input, in order.
 
-    Asset records must cover every traded id; a list is checked as
-    ``CascadeInput`` checks its candidates. A mapping of id to asset is read
-    in place, never copied, so a caller that filters many proposals
-    (``replay``) builds it once and the cost of a call is linear in its
-    trades, not in the universe.
+    Asset records must cover every traded id, gated proposals included; a
+    list is checked as ``CascadeInput`` checks its candidates. A mapping of
+    id to asset is read in place, never copied, so a caller that filters
+    many proposals (``replay``) builds it once and the cost of a call is
+    linear in its trades, not in the universe: one asset lookup per trade.
     """
-    members = _members(proposal.trades, _asset_map(assets), "proposal")
+    traded = _members(proposal.trades, _asset_map(assets), "proposal")
     if not (proposal.schedule_due or proposal.structural_break):
         return [], [(trade, REASON_GOVERNANCE) for trade in proposal.trades]
     executed: list[tuple[str, float]] = []
     suppressed: list[tuple[tuple[str, float], str]] = []
     econ, impact, aum = params.econ, params.impact, params.aum_usd
     phi = impact.participation_cap
-    for trade, (asset, dw) in zip(proposal.trades, members):
+    for trade, asset in zip(proposal.trades, traded):
+        dw = trade[1]
         notional = aum * abs(dw)
         if not abs(dw) >= min_weight_change(econ, asset.round_trip_cost_bps):
             reason = REASON_RESOLUTION

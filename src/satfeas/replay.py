@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .cascade import _asset_map, _members, filter_rebalance
 from .model import (
@@ -84,36 +84,39 @@ def _fixed(x: float) -> int:
     return n << (1075 - d.bit_length())
 
 
-def replay_steps(
-    events: Sequence[RebalanceEvent],
-    params: FeasibilityParams,
-    initial: SatelliteDesign,
-    assets: Iterable[Asset] | Mapping[str, Asset],
-) -> Iterator[ReplayStep]:
-    """Drive the filter event by event from the ``initial`` design, yielding per-event outcomes.
-
-    Every constituent of ``initial`` must be in ``assets``. Sleeve weights
-    move with executed trades only.
-
-    ``sleeve_alpha`` is the sleeve sum ``fsum(sleeve)``, kept as an exact
-    integer multiple of 2**-1074, updated per executed trade and rounded
-    once per event. Both it and ``fsum`` are the correctly rounded exact
-    sum, so the result is the same float at a cost linear in the trades
-    rather than in the sleeve size. Where ``fsum`` would raise, the sum is
-    an infinity past the float range and ``nan`` for inf - inf.
-    """
-    by_id = _asset_map(assets)
+def _filtered(events: Iterable[RebalanceEvent], params: FeasibilityParams,
+              initial: SatelliteDesign, by_id: Mapping[str, Asset]) -> Iterator[tuple]:
+    """(event, executed, suppressed) of each event, split by ``filter_rebalance``: the one loop of
+    both replays. It checks the design's ids, then each event's date before its trades."""
     _members(initial.constituents, by_id, "design")  # raises on a held id the universe lacks
     previous: date | None = None
-    sat = dict(initial.constituents)
-    exact: int | None = sum(_fixed(w) for w in sat.values())
     for event in events:
         if previous is not None and event.date <= previous:
             raise ValidationError(
                 f"events must be strictly increasing by date ({event.date} after {previous})",
                 code="events_out_of_order", field="events")
         previous = event.date
-        executed, suppressed = filter_rebalance(event.proposal, params, by_id)
+        yield event, *filter_rebalance(event.proposal, params, by_id)
+
+
+def replay_steps(
+    events: Iterable[RebalanceEvent],
+    params: FeasibilityParams,
+    initial: SatelliteDesign,
+    assets: Iterable[Asset] | Mapping[str, Asset],
+) -> Iterator[ReplayStep]:
+    """Drive the filter event by event from the ``initial`` design, yielding per-event outcomes.
+
+    Every constituent of ``initial`` must be in ``assets``; sleeve weights move with executed
+    trades only. Only the steps carry ``sleeve_alpha``, the sleeve sum ``fsum(sleeve)`` kept as
+    an exact integer multiple of 2**-1074, updated per executed trade and rounded once per
+    event. Both it and ``fsum`` are the correctly rounded exact sum, so the result is the same
+    float at a cost linear in the trades rather than in the sleeve size. Where ``fsum`` would
+    raise, the sum is an infinity past the float range and ``nan`` for inf - inf.
+    """
+    sat = dict(initial.constituents)
+    exact: int | None = sum(_fixed(w) for w in sat.values())
+    for event, executed, suppressed in _filtered(events, params, initial, _asset_map(assets)):
         for name, dw in executed:
             old = sat.get(name, 0.0)
             sat[name] = new = old + dw
@@ -134,36 +137,30 @@ def replay_steps(
 
 
 def replay(
-    events: Sequence[RebalanceEvent],
+    events: Iterable[RebalanceEvent],
     params: FeasibilityParams,
     initial: SatelliteDesign,
     assets: Iterable[Asset] | Mapping[str, Asset],
 ) -> ReplayStats:
-    """Aggregate an event stream into suppression statistics.
+    """Aggregate an event stream, any iterable of events read once, into suppression statistics.
 
-    The id map is built once and shared by every filter call, so the cost
-    is linear in the trades replayed.
+    Each event's filter split is folded straight into the counters: no step and no sleeve sum
+    is built. One id map serves every filter call, so the cost is linear in the trades replayed.
     """
     by_id = _asset_map(assets)
-    proposed = 0
-    executed_n = 0
+    events_n = proposed = executed_n = 0
     by_reason: dict[str, int] = {}
-    turnover = 0.0
-    max_participation = 0.0
-    for step in replay_steps(events, params, initial, by_id):
-        proposed += len(step.event.proposal.trades)
-        executed_n += len(step.executed)
-        for _trade, reason in step.suppressed:
+    turnover = max_participation = 0.0
+    for event, executed, suppressed in _filtered(events, params, initial, by_id):
+        events_n += 1
+        proposed += len(event.proposal.trades)
+        executed_n += len(executed)
+        for _trade, reason in suppressed:
             by_reason[reason] = by_reason.get(reason, 0) + 1
-        turnover += weight_sum(abs(dw) for _, dw in step.executed)
-        for name, dw in step.executed:
-            participation = params.aum_usd * abs(dw) / by_id[name].adv_usd
-            max_participation = max(max_participation, participation)
-    return ReplayStats(
-        events_total=len(events),
-        trades_proposed=proposed,
-        trades_executed=executed_n,
-        trades_suppressed_by_reason=by_reason,
-        gross_turnover_executed=turnover,
-        max_participation_observed=max_participation,
-    )
+        turnover += weight_sum(abs(dw) for _, dw in executed)
+        for name, dw in executed:
+            max_participation = max(max_participation,
+                                    params.aum_usd * abs(dw) / by_id[name].adv_usd)
+    return ReplayStats(events_total=events_n, trades_proposed=proposed, trades_executed=executed_n,
+                       trades_suppressed_by_reason=by_reason, gross_turnover_executed=turnover,
+                       max_participation_observed=max_participation)

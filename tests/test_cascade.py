@@ -480,12 +480,23 @@ class TestFilterRebalance:
         assert (str(err.value), err.value.code, err.value.field) == \
             ("proposal references unknown asset id 'ghost'", "unknown_asset_id", "proposal")
 
+    def test_unknown_id_is_an_error_with_the_window_closed(self):
+        # every id is resolved before the gate suppresses the proposal
+        proposal = RebalanceProposal(trades=(("a", 0.1), ("ghost", 0.1)))
+        with pytest.raises(ValidationError) as err:
+            filter_rebalance(proposal, make_params(), [make_asset(id="a")])
+        assert (str(err.value), err.value.code, err.value.field) == \
+            ("proposal references unknown asset id 'ghost'", "unknown_asset_id", "proposal")
+
     def test_a_mapping_is_taken_as_already_indexed(self):
         # read in place: its keys, not the assets' ids, name the traded assets
+        by_alias = {"alias": make_asset(id="a", adv_usd=1e12)}
         proposal = RebalanceProposal(trades=(("alias", 0.1),), schedule_due=True)
-        executed, _ = filter_rebalance(proposal, make_params(),
-                                       {"alias": make_asset(id="a", adv_usd=1e12)})
+        executed, _ = filter_rebalance(proposal, make_params(), by_alias)
         assert executed == [("alias", 0.1)]
+        gated = RebalanceProposal(trades=(("alias", 0.1),))
+        assert filter_rebalance(gated, make_params(), by_alias) == \
+            ([], [(("alias", 0.1), "governance_gate")])
 
     def test_partition_property(self):
         rng = random.Random(99)

@@ -24,6 +24,16 @@ from conftest import FIXTURES, GOLDEN, check_cli_json, strict_json
 
 AI_CONFIG = str(FIXTURES / "ai_config.json")
 AI_CANDIDATES = str(FIXTURES / "ai_candidates.csv")
+AI_REPLAY_TEXT = (
+    "replay statistics\n"
+    "-----------------\n"
+    "events_total                         4\n"
+    "trades_proposed                      7\n"
+    "trades_executed                      3\n"
+    "suppressed[below_action_resolution]  1\n"
+    "suppressed[governance_gate]          3\n"
+    "gross_turnover_executed              0.047\n"
+    "max_participation_observed           0.0004\n")
 DEF_CONFIG = str(FIXTURES / "defense_config.json")
 DEF_CANDIDATES = str(FIXTURES / "defense_candidates.csv")
 
@@ -203,16 +213,7 @@ class TestFilterAndReplay:
                              "--events", str(FIXTURES / "ai_events.csv"))
         assert code == 0 and err == ""
         # every value starts in one column, past the longest label
-        assert out == (
-            "replay statistics\n"
-            "-----------------\n"
-            "events_total                         4\n"
-            "trades_proposed                      7\n"
-            "trades_executed                      3\n"
-            "suppressed[below_action_resolution]  1\n"
-            "suppressed[governance_gate]          3\n"
-            "gross_turnover_executed              0.047\n"
-            "max_participation_observed           0.0004\n")
+        assert out == AI_REPLAY_TEXT
 
     def test_filter_rebalance_participation_cap(self, capsys, tmp_path):
         # CHIP1 +0.02 clears dw_min and the impact cap; its participation
@@ -285,6 +286,19 @@ class TestFilterAndReplay:
                            "--candidates", AI_CANDIDATES,
                            "--events", str(FIXTURES / "ai_events.csv"))
         assert (code, err) == (0, "")
+
+    def test_replay_builds_no_step_and_no_sleeve_sum(self, capsys, monkeypatch):
+        # only replay_steps carries sleeve_alpha: the statistics read neither
+        def fail(*args, **kwargs):
+            raise AssertionError("replay built a step or summed the sleeve")
+
+        module = sys.modules["satfeas.replay"]  # satfeas.replay names a function
+        monkeypatch.setattr(module, "ReplayStep", fail)
+        monkeypatch.setattr(module, "_fixed", fail)
+        code, out, err = run(capsys, "replay", "--config", AI_CONFIG,
+                             "--candidates", AI_CANDIDATES,
+                             "--events", str(FIXTURES / "ai_events.csv"))
+        assert (code, out, err) == (0, AI_REPLAY_TEXT, "")
 
 
 class TestErrors:

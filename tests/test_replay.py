@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satfeas import (
+    CascadeInput,
     RebalanceEvent,
     RebalanceProposal,
     ReplayStats,
@@ -17,10 +18,13 @@ from satfeas import (
     filter_rebalance,
     replay,
     replay_steps,
+    run_cascade,
 )
+from satfeas.config import load_config
+from satfeas.io import load_candidates, load_events
 from satfeas.model import weight_sum
 
-from conftest import make_asset, make_params
+from conftest import FIXTURES, make_asset, make_params
 
 
 def make_design(alpha=0.1):
@@ -170,6 +174,40 @@ class TestReplay:
         second = replay(events, params, make_design(), assets)
         assert first == second
 
+    def test_an_iterator_of_events_gives_the_stats_of_the_list(self):
+        # the AI fixture from its synthesized design: replay counts events as it reads them
+        cfg = load_config(FIXTURES / "ai_config.json")
+        assets = load_candidates(FIXTURES / "ai_candidates.csv")
+        events = load_events(FIXTURES / "ai_events.csv")
+        _, design = run_cascade(CascadeInput(candidates=assets, params=cfg.params))
+        stats = replay(events, cfg.params, design, assets)
+        assert stats.events_total == 4
+        assert replay(iter(events), cfg.params, design, assets) == stats
+
+    def test_date_order_is_checked_before_the_trades(self):
+        # the late event also trades an unknown id: both replays name the date first
+        events = [event(date(2025, 6, 30), [("a0", 0.01)]),
+                  event(date(2025, 6, 30), [("ghost", 0.01)], schedule_due=True)]
+        raised = []
+        for run in (lambda: replay(events, make_params(), make_design(), make_assets()),
+                    lambda: list(replay_steps(events, make_params(), make_design(),
+                                              make_assets()))):
+            with pytest.raises(ValidationError) as err:
+                run()
+            raised.append((str(err.value), err.value.code, err.value.field))
+        assert raised == [("events must be strictly increasing by date "
+                           "(2025-06-30 after 2025-06-30)", "events_out_of_order", "events")] * 2
+
+    def test_an_alias_key_is_gated_under_its_alias(self):
+        # an indexed mapping is read as it is: the trade keeps the key it was proposed under
+        by_alias = {"X": make_asset(id="a0")}
+        initial = SatelliteDesign(theme="t", alpha=0.1, constituents=(("X", 0.1),))
+        events = [event(date(2025, 6, 30), [("X", 0.05)])]
+        (step,) = replay_steps(events, make_params(), initial, by_alias)
+        assert (step.executed, step.suppressed) == ((), ((("X", 0.05), "governance_gate"),))
+        stats = replay(events, make_params(), initial, by_alias)
+        assert stats.trades_suppressed_by_reason == {"governance_gate": 1}
+
     def test_stats_invariant_enforced(self):
         with pytest.raises(ValidationError):
             ReplayStats(events_total=1, trades_proposed=3, trades_executed=1,
@@ -210,6 +248,16 @@ def build_events(stream, initial):
     return events
 
 
+def binding_inputs():
+    """Params and POOL assets under which every suppression reason occurs: dw_min is 0.08
+    (0.02 with the cost override) and the impact cap binds above 0.01 * adv / 1e6."""
+    params = make_params(aum_usd=1e6, min_effect_bps=2.0)
+    assets = [make_asset(id=name, adv_usd=10.0 ** (6 + i % 4),
+                         round_trip_cost_bps=100.0 if i % 3 == 0 else None)
+              for i, name in enumerate(POOL)]
+    return params, assets
+
+
 class TestReplayProperties:
     @given(stream=STREAM)
     @settings(max_examples=100, deadline=None)
@@ -231,12 +279,7 @@ class TestReplayProperties:
     @given(stream=STREAM)
     @settings(max_examples=60, deadline=None)
     def test_stats_equal_naive_per_event_filter(self, stream):
-        # dw_min is 0.08 (0.02 with the cost override) and the impact cap binds
-        # above 0.01 * adv / 1e6, so every suppression reason occurs
-        params = make_params(aum_usd=1e6, min_effect_bps=2.0)
-        assets = [make_asset(id=name, adv_usd=10.0 ** (6 + i % 4),
-                             round_trip_cost_bps=100.0 if i % 3 == 0 else None)
-                  for i, name in enumerate(POOL)]
+        params, assets = binding_inputs()
         initial = make_design()
         events = build_events(stream, initial)
         proposed = executed = 0
@@ -257,6 +300,17 @@ class TestReplayProperties:
                             gross_turnover_executed=turnover,
                             max_participation_observed=max_participation)
         assert replay(events, params, initial, assets) == naive
+
+    @given(stream=STREAM)
+    @settings(max_examples=60, deadline=None)
+    def test_steps_equal_the_filter_of_each_event(self, stream):
+        params, assets = binding_inputs()
+        events = build_events(stream, make_design())
+        steps = list(replay_steps(events, params, make_design(), assets))
+        assert [step.event for step in steps] == events
+        for step in steps:
+            done, skipped = filter_rebalance(step.event.proposal, params, assets)
+            assert (step.executed, step.suppressed) == (tuple(done), tuple(skipped))
 
     def test_overflowing_position_keeps_the_weight_sum(self):
         # a near-zero impact law lets 1e308 trades execute: the position
