@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .layers import (
     alpha_max_structural,
@@ -73,6 +74,8 @@ REASON_RESOLUTION = "below_action_resolution"
 REASON_IMPACT = "impact_cap"
 REASON_PARTICIPATION = "participation_cap"
 
+_ID = itemgetter(0)  # the id of an (id, number) pair
+
 #: Tie-break priority for equal normalized margins.
 _TIE_ORDER = ("economic", "structural", "epistemic", "physical", "domain")
 
@@ -98,7 +101,7 @@ class CascadeInput:
     theme: str = "unspecified"
     design: SatelliteDesign | None = None
     core_weights: tuple[float, ...] | None = None
-    _by_id: Mapping[str, Asset] = field(init=False, repr=False, compare=False)  # candidates by id
+    _by_id: _AssetIndex = field(init=False, repr=False, compare=False)  # candidates by id
 
     def __post_init__(self):
         object.__setattr__(self, "_by_id", _asset_map(self.candidates))
@@ -119,8 +122,8 @@ def compute_bounds(
 
     Breadth bounds are evaluated at the effective sleeve size, so the result
     is reproducible from the parameters alone; per-asset caps are attached
-    when candidates are supplied. A list is checked as ``CascadeInput`` checks
-    its candidates; a mapping of id to asset is read as it is.
+    when candidates are supplied, checked as ``CascadeInput`` checks its
+    candidates unless they are the index that check built.
     """
     a_eff = effective_alpha(params.structural)
     caps_impact = None
@@ -343,12 +346,26 @@ def _binding_layer(verdicts: Mapping[str, LayerVerdict]) -> str:
     return best_name
 
 
-def _asset_map(assets: Iterable[Asset] | Mapping[str, Asset]) -> Mapping[str, Asset]:
+class _AssetIndex(dict):
+    """Assets keyed by their ids, built by :func:`_asset_map` alone: every entry point takes it
+    as checked. Hot lookups go through a bound ``__getitem__``, as fast as a plain dict's."""
+
+    __slots__ = ()
+
+
+def _asset_map(assets: Iterable[Asset] | Mapping[str, Asset]) -> _AssetIndex:
     """Index assets by id, the one check of a candidate collection: each an ``Asset`` with a
-    new id. A mapping is taken as already indexed and returned as is, without a copy."""
-    if isinstance(assets, Mapping):
+    new id. An index it built is returned as is; any other mapping must key each asset by its
+    id, and is checked and indexed anew."""
+    if isinstance(assets, _AssetIndex):
         return assets
-    by_id: dict[str, Asset] = {}
+    if isinstance(assets, Mapping):  # checked as a list of its values, once its keys are
+        for key, a in assets.items():
+            if isinstance(a, Asset) and key != a.id:
+                raise ValidationError(f"candidates key {key!r} is not the id of its asset "
+                                      f"{a.id!r}", code="bad_candidate", field="candidates")
+        assets = assets.values()
+    by_id = _AssetIndex()
     for a in assets:
         if not isinstance(a, Asset):
             raise ValidationError("candidates must be Asset instances",
@@ -359,11 +376,11 @@ def _asset_map(assets: Iterable[Asset] | Mapping[str, Asset]) -> Mapping[str, As
     return by_id
 
 
-def _members(pairs: Iterable[tuple[str, float]], by_id: Mapping[str, Asset],
+def _members(pairs: Iterable[tuple[str, float]], by_id: _AssetIndex,
              what: str) -> list[Asset]:
     """The asset of each (id, x) pair of ``what``, in order, one lookup each; an unknown id raises."""
-    try:
-        return [by_id[name] for name, _x in pairs]
+    try:  # by the bound method: a subscript of a dict subclass takes the slow path
+        return list(map(by_id.__getitem__, map(_ID, pairs)))
     except KeyError as e:
         raise ValidationError(f"{what} references unknown asset id {e.args[0]!r}",
                               code="unknown_asset_id", field=what) from None
@@ -384,11 +401,12 @@ def filter_rebalance(
     ``A * |dw| / adv``; a trade exactly at a cap executes. Executed and
     suppressed trades together are exactly the input, in order.
 
-    Asset records must cover every traded id, gated proposals included; a
-    list is checked as ``CascadeInput`` checks its candidates. A mapping of
-    id to asset is read in place, never copied, so a caller that filters
-    many proposals (``replay``) builds it once and the cost of a call is
-    linear in its trades, not in the universe: one asset lookup per trade.
+    Asset records must cover every traded id, gated proposals included; they
+    are checked as ``CascadeInput`` checks its candidates. The index that
+    check builds is read in place, never copied or checked again, so a
+    caller that filters many proposals (``replay``) builds it once and the
+    cost of a call is linear in its trades, not in the universe: one asset
+    lookup per trade.
     """
     traded = _members(proposal.trades, _asset_map(assets), "proposal")
     if not (proposal.schedule_due or proposal.structural_break):

@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from datetime import date
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -46,6 +47,10 @@ EVENT_HEADER = ["date", "id", "delta_w", "schedule_due", "structural_break"]
 CORE_HEADER = ["id", "weight"]
 
 
+#: What a failed read raises, and so what :func:`_opened` words as ``unreadable_file``.
+_READ_ERRORS = (OSError, UnicodeDecodeError, csv.Error, RecursionError)
+
+
 @contextmanager
 def _opened(p: Path, what: str) -> Iterator[TextIO]:
     """Input file ``what`` as UTF-8 text; a missing file or a failed read is a named error."""
@@ -54,7 +59,7 @@ def _opened(p: Path, what: str) -> Iterator[TextIO]:
     try:
         with p.open(newline="", encoding="utf-8") as fh:
             yield fh
-    except (OSError, UnicodeDecodeError, csv.Error, RecursionError) as e:
+    except _READ_ERRORS as e:
         raise ValidationError(f"{what} file {p} cannot be read: {e}", code="unreadable_file",
                               field=what) from None
 
@@ -79,6 +84,19 @@ def load_design(path: str | Path) -> SatelliteDesign:
     return SatelliteDesign.from_dict(doc)
 
 
+def _csv_rows(fh: TextIO, p: Path, header: list[str], what: str) -> Iterator[list[str]]:
+    """The CSV reader of ``fh`` past its header: the one header rule of every CSV input."""
+    reader = csv.reader(fh)
+    got = next(reader, None)
+    if got is None:
+        raise ValidationError(f"{what} file {p} is empty", code="bad_header", field=what)
+    if [h.strip() for h in got] != header:
+        raise ValidationError(
+            f"{what} file {p} must have header {','.join(header)!r}, got {','.join(got)!r}",
+            code="bad_header", field=what)
+    return reader
+
+
 def _read_rows(path: str | Path, header: list[str],
                what: str) -> Iterator[tuple[int, tuple[str, ...]]]:
     """Each nonblank data row as ``(row number, stripped cells)``, as the file is read.
@@ -91,14 +109,7 @@ def _read_rows(path: str | Path, header: list[str],
     p = Path(path)
     width = len(header)
     with _opened(p, what) as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
-        if got is None:
-            raise ValidationError(f"{what} file {p} is empty", code="bad_header", field=what)
-        if [h.strip() for h in got] != header:
-            raise ValidationError(
-                f"{what} file {p} must have header {','.join(header)!r}, got {','.join(got)!r}",
-                code="bad_header", field=what)
+        reader = _csv_rows(fh, p, header, what)
         strip = str.strip
         for lineno, row in enumerate(reader, start=2):
             cells = tuple(map(strip, row))
@@ -209,12 +220,94 @@ def load_proposal_trades(path: str | Path, schedule_due: bool = False,
 
 
 def load_events(path: str | Path) -> list[RebalanceEvent]:
-    """Read an event-stream CSV in one pass, one event per run of rows with one date.
+    """Read an event-stream CSV, one event per run of rows with one date.
 
     Governance flags must agree within a date; dates must be strictly
-    increasing. Rows are grouped as they are read, never copied; each cell
-    is parsed once, and a date's trades are checked once, by its
-    ``RebalanceProposal``.
+    increasing. A plain file is read a date at a time, a column at once, by
+    :func:`_plain_events`. Any other file is read again by
+    :func:`_load_event_rows`, which words its error exactly as if it had
+    been the only reader.
+    """
+    events = _plain_events(path)
+    return _load_event_rows(path) if events is None else events
+
+
+def _plain_events(path: str | Path) -> list[RebalanceEvent] | None:
+    """The events of a plain file, or ``None`` at the first date that is not plain.
+
+    A plain file reads without error, and :func:`_load_event_rows` would load
+    it as it is: each nonblank row has five cells, a date's rows are
+    adjacent, its flag cells spell one value each, its trades pass
+    ``RebalanceProposal``, and dates increase. Blank rows may come anywhere,
+    as there. Each date's rows are split into columns and parsed a column at
+    once, so no Python code runs per row but ``check_pairs``, the one rule
+    of a date's trades. It words no row's error: only the file itself and
+    its header can fail here.
+    """
+    p = Path(path)
+    events: list[RebalanceEvent] = []
+    with _opened(p, "events") as fh:
+        reader = _csv_rows(fh, p, EVENT_HEADER, "events")
+        try:  # a read error is worded by the row loader, after any bad row before it
+            for text, rows in _date_runs(reader):
+                event = _plain_event(text, rows, events[-1].date if events else None)
+                if event is None:
+                    return None
+                events.append(event)
+        except _READ_ERRORS:
+            return None
+    return events
+
+
+def _date_runs(reader: Iterator[list[str]]) -> Iterator[tuple[str, list[list[str]]]]:
+    """(stripped date cell, rows) of each run of nonblank rows with one date, as
+    :func:`_load_event_rows` groups them: blank rows are skipped, also inside a run."""
+    strip = str.strip
+    text, run = None, []
+    for key, rows in groupby(filter(None, reader), itemgetter(0)):  # csv reads "" as []
+        key = strip(key)
+        if key == text:
+            run += rows
+            continue
+        rows = list(rows)
+        if key or any(map(strip, chain.from_iterable(rows))):  # else whitespace-only rows
+            if text is not None:
+                yield text, run
+            text, run = key, rows
+    if text is not None:
+        yield text, run
+
+
+def _plain_event(text: str, rows: list[list[str]], after: date | None) -> RebalanceEvent | None:
+    """The event of one date's ``rows`` if they are plain and the date is past ``after``."""
+    if {*map(len, rows)} != {len(EVENT_HEADER)}:
+        return None
+    _, names, dws, dues, brks = zip(*rows)
+    due, brk = _flag_column(dues), _flag_column(brks)
+    if due is None or brk is None:
+        return None
+    strip = str.strip
+    try:
+        day = date.fromisoformat(text)
+        proposal = RebalanceProposal([*zip(map(strip, names), map(float, map(strip, dws)))],
+                                     due, brk)
+    except (ValueError, ValidationError):
+        return None
+    return RebalanceEvent(day, proposal) if after is None or day > after else None
+
+
+def _flag_column(cells: tuple[str, ...]) -> bool | None:
+    """The one value that every flag cell of a date spells, or ``None``."""
+    values = {_BOOLS.get(cell.strip().lower()) for cell in {*cells}}
+    return values.pop() if len(values) == 1 else None
+
+
+def _load_event_rows(path: str | Path) -> list[RebalanceEvent]:
+    """Read an event-stream CSV in one pass, row by row: the one reader that words an events
+    file's errors, and the reference the plain pass is tested against.
+
+    Rows are grouped as they are read, never copied; each cell is parsed
+    once, and a date's trades are checked once, by its ``RebalanceProposal``.
     """
     events: list[RebalanceEvent] = []
     rows = _read_rows(path, EVENT_HEADER, "events")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Iterator, Mapping
 
-from .cascade import _asset_map, _members, filter_rebalance
+from .cascade import _asset_map, _AssetIndex, _members, filter_rebalance
 from .model import (
     Asset,
     FeasibilityParams,
@@ -85,7 +85,7 @@ def _fixed(x: float) -> int:
 
 
 def _filtered(events: Iterable[RebalanceEvent], params: FeasibilityParams,
-              initial: SatelliteDesign, by_id: Mapping[str, Asset]) -> Iterator[tuple]:
+              initial: SatelliteDesign, by_id: _AssetIndex) -> Iterator[tuple]:
     """(event, executed, suppressed) of each event, split by ``filter_rebalance``: the one loop of
     both replays. It checks the design's ids, then each event's date before its trades."""
     _members(initial.constituents, by_id, "design")  # raises on a held id the universe lacks
@@ -148,6 +148,7 @@ def replay(
     is built. One id map serves every filter call, so the cost is linear in the trades replayed.
     """
     by_id = _asset_map(assets)
+    asset = by_id.__getitem__  # as in cascade._members
     events_n = proposed = executed_n = 0
     by_reason: dict[str, int] = {}
     turnover = max_participation = 0.0
@@ -160,7 +161,7 @@ def replay(
         turnover += weight_sum(abs(dw) for _, dw in executed)
         for name, dw in executed:
             max_participation = max(max_participation,
-                                    params.aum_usd * abs(dw) / by_id[name].adv_usd)
+                                    params.aum_usd * abs(dw) / asset(name).adv_usd)
     return ReplayStats(events_total=events_n, trades_proposed=proposed, trades_executed=executed_n,
                        trades_suppressed_by_reason=by_reason, gross_turnover_executed=turnover,
                        max_participation_observed=max_participation)

@@ -488,15 +488,22 @@ class TestFilterRebalance:
         assert (str(err.value), err.value.code, err.value.field) == \
             ("proposal references unknown asset id 'ghost'", "unknown_asset_id", "proposal")
 
-    def test_a_mapping_is_taken_as_already_indexed(self):
-        # read in place: its keys, not the assets' ids, name the traded assets
-        by_alias = {"alias": make_asset(id="a", adv_usd=1e12)}
-        proposal = RebalanceProposal(trades=(("alias", 0.1),), schedule_due=True)
-        executed, _ = filter_rebalance(proposal, make_params(), by_alias)
-        assert executed == [("alias", 0.1)]
-        gated = RebalanceProposal(trades=(("alias", 0.1),))
-        assert filter_rebalance(gated, make_params(), by_alias) == \
-            ([], [(("alias", 0.1), "governance_gate")])
+    def test_a_mapping_must_key_each_asset_by_its_id(self):
+        # a trade of CHIP1 must not run on FAB1's ADV and cost because a caller keyed it so,
+        # nor may the cascade blame the design it synthesized from mis-keyed candidates
+        assets = load_candidates(FIXTURES / "ai_candidates.csv")
+        fab1 = next(a for a in assets if a.id == "FAB1")
+        proposal = RebalanceProposal(trades=(("CHIP1", 0.01),), schedule_due=True)
+        with pytest.raises(ValidationError) as err:
+            filter_rebalance(proposal, make_params(), {"CHIP1": fab1})
+        assert (str(err.value), err.value.code, err.value.field) == (
+            "candidates key 'CHIP1' is not the id of its asset 'FAB1'", "bad_candidate",
+            "candidates")
+        cfg = config_from_dict(json.loads((FIXTURES / "ai_config.json").read_text()))
+        with pytest.raises(ValidationError) as err:
+            run_cascade(CascadeInput(candidates={"X" + a.id: a for a in assets},
+                                     params=cfg.params))
+        assert (err.value.code, err.value.field) == ("bad_candidate", "candidates")
 
     def test_partition_property(self):
         rng = random.Random(99)
@@ -561,7 +568,11 @@ _LIQUID, _ILLIQUID = make_asset(id="A", adv_usd=1e12), make_asset(id="A", adv_us
     ([_LIQUID, _ILLIQUID], "candidates entry 2: duplicate id 'A'", "duplicate_id"),
     ([_ILLIQUID, _LIQUID], "candidates entry 2: duplicate id 'A'", "duplicate_id"),
     ([_LIQUID, "B"], "candidates must be Asset instances", "bad_candidate"),
-], ids=["duplicate, liquid first", "duplicate, illiquid first", "not an Asset"])
+    ({"A": _LIQUID, "B": "B"}, "candidates must be Asset instances", "bad_candidate"),
+    # a mapping names the asset a trade of its key meets: it must be the asset of that id
+    ({"B": _LIQUID}, "candidates key 'B' is not the id of its asset 'A'", "bad_candidate"),
+], ids=["duplicate, liquid first", "duplicate, illiquid first", "not an Asset",
+        "a mapping to not an Asset", "a mapping not keyed by id"])
 def test_every_entry_point_checks_candidates_alike(entry, assets, message, code):
     with pytest.raises(ValidationError) as err:
         CANDIDATE_ENTRY_POINTS[entry](assets)
@@ -570,6 +581,6 @@ def test_every_entry_point_checks_candidates_alike(entry, assets, message, code)
 
 @pytest.mark.parametrize("entry", CANDIDATE_ENTRY_POINTS)
 def test_every_entry_point_takes_an_indexed_mapping(entry):
-    # a mapping of id to asset is taken as already indexed, with the list's result
+    # a mapping that keys each asset by its id gives the list's result
     call = CANDIDATE_ENTRY_POINTS[entry]
     assert call({"A": _LIQUID}) == call([_LIQUID])

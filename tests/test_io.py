@@ -373,6 +373,13 @@ def test_load_events_error_table(tmp_path, body, code, message, field):
     assert err.value.code == code
     assert message in str(err.value)
     assert err.value.field == field
+    # the one header rule is the plain pass's too; any other error is the row loader's alone
+    if code == "bad_header":
+        with pytest.raises(ValidationError) as plain:
+            satfeas.io._plain_events(path)
+        assert (str(plain.value), plain.value.code) == (str(err.value), code)
+    else:
+        assert satfeas.io._plain_events(path) is None
 
 
 #: kind -> (loader, file name in messages, header, a valid row: ``{id}``, ``{value}`` and
@@ -499,6 +506,96 @@ def test_loader_peak_memory_is_near_its_result(tmp_path, kind):
     assert len(result.trades if kind == "proposal" else result) == (800 if kind == "events"
                                                                       else 20_000)
     assert peak / kept <= _PEAK_RATIOS[kind]
+
+
+def _outcome(load, path):
+    """What ``load`` makes of ``path``: its result, or its error's (code, message, field)."""
+    try:
+        return load(path)
+    except ValidationError as e:
+        return e.code, str(e), e.field
+
+
+def _padded(data, cell):
+    return " " * data.draw(st.integers(0, 2)) + cell + " " * data.draw(st.integers(0, 2))
+
+
+def _draw_event_lines(kind, data):
+    """A valid events file with blank rows, padded cells and mixed-case flags (``valid``), the
+    same with dates that may repeat or be spelled two ways (``dates``), or one fault."""
+    if kind == "fault":
+        return _draw_one_fault("events", data)[0]
+    days = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    if kind == "valid":
+        days = sorted(set(days))
+    lines = [EVENT_HEADER.strip()]
+    for day in days:
+        flags = [data.draw(st.sampled_from(["true", "false"])) for _ in range(2)]
+        for j in range(data.draw(st.integers(1, 4))):
+            if data.draw(st.booleans()):
+                lines.append(data.draw(st.sampled_from(["", "   ", " , ,,,", ",,,,", " \t"])))
+            spelled = (f"2025010{day}" if kind == "dates" and data.draw(st.booleans())
+                       else f"2025-01-0{day}")
+            cases = [data.draw(st.sampled_from([str.lower, str.upper, str.title]))(flag)
+                     for flag in flags]
+            cells = [spelled, f"N{j}", repr(data.draw(st.floats(-1, 1))), *cases]
+            lines.append(",".join(_padded(data, cell) for cell in cells))
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["valid", "dates", "fault"]), data=st.data())
+def test_load_events_equals_the_row_loader(tmp_path_factory, kind, data):
+    """Either pass gives what the row loader gives: the same events, or the same error."""
+    path = tmp_path_factory.mktemp("events") / "e.csv"
+    path.write_text("\n".join(_draw_event_lines(kind, data)) + "\n")
+    reference = _outcome(satfeas.io._load_event_rows, path)
+    assert _outcome(load_events, path) == reference
+    plain = satfeas.io._plain_events(path)
+    assert plain is None or plain == reference
+    if kind == "valid":
+        assert plain == reference
+
+
+def test_a_short_row_wins_over_an_unreadable_byte_later_in_its_date(tmp_path):
+    # the plain pass reads a date's rows to its end, past the reader's first chunk, before
+    # it checks any; the row loader stops at the short row
+    rows = b"".join(b"2025-01-01,N%d,0.1,true,false\n" % i for i in range(600))
+    path = tmp_path / "e.csv"
+    path.write_bytes(EVENT_HEADER.encode() + ROW_A.encode() + b"2025-01-01,B\n" + rows
+                     + b"2025-01-01,\xff,0.1,true,false\n")
+    with pytest.raises(ValidationError) as err:
+        load_events(path)
+    assert (err.value.code, str(err.value)) == ("bad_row", "events row 3 has 2 fields, expected 5")
+
+
+#: plain events files: the generated rows edited as each case says
+_PLAIN_EDITS = {
+    "generated": lambda body: body,
+    "ends in a blank line": lambda body: body + "\n",
+    # inside a date's run, between two dates' runs, and at the end
+    "whitespace-only rows": lambda body: body.replace("\n", "\n  \n , ,,,\n", 1).replace(
+        ",false\n1999-09-04", ",false\n\t\n1999-09-04") + ",,,,\n",
+    "one flag spelled TRUE and true": lambda body: (
+        "1999-01-01,A,0.1,TRUE,False\n1999-01-01,B,0.1,true,false\n" + body),
+}
+
+
+@pytest.mark.parametrize("edit", _PLAIN_EDITS)
+def test_a_plain_file_is_loaded_by_the_plain_pass(tmp_path, monkeypatch, edit):
+    header, body = _generated_csv("events", 500).split("\n", 1)
+    path = write(tmp_path, "e.csv", header + "\n" + _PLAIN_EDITS[edit](body))
+    expected = satfeas.io._load_event_rows(path)
+
+    def fail(path):
+        raise AssertionError("a plain events file went to the row loader")
+
+    monkeypatch.setattr(satfeas.io, "_load_event_rows", fail)
+    events = load_events(path)
+    # a list, not an iterator: the bench tracer's replay hook takes its len() and its
+    # load_events hook iterates it
+    assert type(events) is list
+    assert events == expected
 
 
 def test_load_events_ai_fixture_pinned():

@@ -98,6 +98,16 @@ def test_asset_index_codes_have_one_home():
     assert _constant_homes("bad_candidate") == ["cascade._asset_map"]
 
 
+def test_the_asset_index_is_built_by_its_check_alone():
+    # every entry point takes an _AssetIndex as checked, so only the check may build one
+    builders = sorted({f"{path.stem}.{func.name}" for path in (SRC / "satfeas").glob("*.py")
+                       for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                       if isinstance(func, ast.FunctionDef)
+                       for node in ast.walk(func) if isinstance(node, ast.Call)
+                       and isinstance(node.func, ast.Name) and node.func.id == "_AssetIndex"})
+    assert builders == ["cascade._asset_map"]
+
+
 def test_value_rule_codes_have_one_home():
     # every flag field and every normalized weight vector is checked by one model helper
     assert _constant_homes("bad_flag") == ["model.check_flag"]

@@ -198,16 +198,6 @@ class TestReplay:
         assert raised == [("events must be strictly increasing by date "
                            "(2025-06-30 after 2025-06-30)", "events_out_of_order", "events")] * 2
 
-    def test_an_alias_key_is_gated_under_its_alias(self):
-        # an indexed mapping is read as it is: the trade keeps the key it was proposed under
-        by_alias = {"X": make_asset(id="a0")}
-        initial = SatelliteDesign(theme="t", alpha=0.1, constituents=(("X", 0.1),))
-        events = [event(date(2025, 6, 30), [("X", 0.05)])]
-        (step,) = replay_steps(events, make_params(), initial, by_alias)
-        assert (step.executed, step.suppressed) == ((), ((("X", 0.05), "governance_gate"),))
-        stats = replay(events, make_params(), initial, by_alias)
-        assert stats.trades_suppressed_by_reason == {"governance_gate": 1}
-
     def test_stats_invariant_enforced(self):
         with pytest.raises(ValidationError):
             ReplayStats(events_total=1, trades_proposed=3, trades_executed=1,
