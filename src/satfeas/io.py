@@ -158,12 +158,58 @@ def _parse_member(values: dict[str, Any], key: str, text: str, name: str, code: 
     return values[key]
 
 
+def _plain(path: str | Path, header: list[str], what: str, read: Callable, *args: Any) -> Any:
+    """``read(rows, *args)`` of the data rows of input file ``what``, or ``None`` if it is
+    not plain: the skeleton of every plain pass.
+
+    The file is opened and its header checked by the one header rule, so a
+    missing file or a bad header is worded here as by the row loaders.
+    ``read`` gets the rows as the reader yields them, less the ``[]`` of an
+    empty line. It returns ``None``, or raises, wherever its row loader
+    would not return the same object: a read error, a bad width or value,
+    an entry error. No plain pass words a row's error; the row loader, which
+    reads the file again, is the only one that does.
+    """
+    p = Path(path)
+    with _opened(p, what) as fh:
+        rows = _csv_rows(fh, p, header, what)
+        try:
+            return read(filter(None, rows), *args)  # csv reads an empty line as []
+        except (ValueError, KeyError, *_READ_ERRORS):  # a ValidationError is a ValueError
+            return None
+
+
 def load_candidates(path: str | Path) -> list[Asset]:
     """Read the candidate universe CSV, one validated asset per row.
 
     An empty ``round_trip_cost_bps`` cell means the sleeve-level cost
-    applies. Errors carry the offending row number.
+    applies. Errors carry the offending row number. A plain file is read by
+    :func:`_plain_candidates`; any other is read again by
+    :func:`_load_candidate_rows`, which words its error.
     """
+    assets = _plain(path, CANDIDATE_HEADER, "candidates", _plain_candidates)
+    return _load_candidate_rows(path) if assets is None else assets
+
+
+def _plain_candidates(rows: Iterator[list[str]]) -> list[Asset] | None:
+    """The assets of a plain candidates file: six cells a row, a new nonempty id, and cells
+    that :func:`_load_candidate_rows` takes on its first try."""
+    assets: list[Asset] = []
+    seen: set[str] = set()
+    strip = str.strip
+    for row in rows:
+        name, tier, adv, cost, gaer, exclusion = map(strip, row)
+        if not name or name in seen:
+            return None
+        seen.add(name)
+        assets.append(Asset(name, _TIERS[tier.upper()], float(adv), _BOOLS[gaer.lower()],
+                            _EXCLUSIONS[exclusion.lower()], float(cost) if cost else None))
+    return assets
+
+
+def _load_candidate_rows(path: str | Path) -> list[Asset]:
+    """Read a candidates CSV row by row: the one reader that words a candidates file's errors,
+    and the reference the plain pass is tested against."""
     assets: list[Asset] = []
     seen: set[str] = set()
     rows = _read_rows(path, CANDIDATE_HEADER, "candidates")
@@ -188,6 +234,20 @@ def load_candidates(path: str | Path) -> list[Asset]:
 
 
 def _load_pairs(path: str | Path, header: list[str], what: str, build: Callable) -> Any:
+    """``build`` of the (id, number) rows of a CSV: a plain file's by :func:`_plain_pairs`, any
+    other's by :func:`_load_pair_rows`, which words its error."""
+    result = _plain(path, header, what, _plain_pairs, build)
+    return _load_pair_rows(path, header, what, build) if result is None else result
+
+
+def _plain_pairs(rows: Iterator[list[str]], build: Callable) -> Any:
+    """``build`` of the pairs of a plain file, streamed to it: two cells a row, each number a
+    float literal, and pairs that ``build`` takes."""
+    strip = str.strip
+    return build((strip(name), float(strip(text))) for name, text in rows)
+
+
+def _load_pair_rows(path: str | Path, header: list[str], what: str, build: Callable) -> Any:
     """``build`` of the (id, number) rows of a CSV, each number parsed before ``build`` checks
     an id; errors at their row."""
     rows = _read_rows(path, header, what)
@@ -206,8 +266,12 @@ def _load_pairs(path: str | Path, header: list[str], what: str, build: Callable)
 
 def load_core_weights(path: str | Path) -> tuple[tuple[str, float], ...]:
     """Read a core composition CSV, normalized to sum to one within NORMALIZED_SUM_TOL."""
-    core = _load_pairs(path, CORE_HEADER, "core_weights",
-                       lambda pairs: check_pairs(pairs, "core_weights"))
+    return _load_pairs(path, CORE_HEADER, "core_weights", _core_weights)
+
+
+def _core_weights(pairs: Iterable[tuple[str, float]]) -> tuple[tuple[str, float], ...]:
+    """The build of a core file, in either pass: its checked pairs, whose weights sum to one."""
+    core = check_pairs(pairs, "core_weights")
     check_normalized((w for _, w in core), "core_weights")
     return core
 
@@ -228,52 +292,44 @@ def load_events(path: str | Path) -> list[RebalanceEvent]:
     :func:`_load_event_rows`, which words its error exactly as if it had
     been the only reader.
     """
-    events = _plain_events(path)
+    events = _plain(path, EVENT_HEADER, "events", _plain_events)
     return _load_event_rows(path) if events is None else events
 
 
-def _plain_events(path: str | Path) -> list[RebalanceEvent] | None:
+def _plain_events(rows: Iterator[list[str]]) -> list[RebalanceEvent] | None:
     """The events of a plain file, or ``None`` at the first date that is not plain.
 
-    A plain file reads without error, and :func:`_load_event_rows` would load
-    it as it is: each nonblank row has five cells, a date's rows are
-    adjacent, its flag cells spell one value each, its trades pass
-    ``RebalanceProposal``, and dates increase. Blank rows may come anywhere,
-    as there. Each date's rows are split into columns and parsed a column at
-    once, so no Python code runs per row but ``check_pairs``, the one rule
-    of a date's trades. It words no row's error: only the file itself and
-    its header can fail here.
+    A plain file is one that :func:`_load_event_rows` would load as it is:
+    each nonblank row has five cells, a date's rows are adjacent, its flag
+    cells spell one value each, its trades pass ``RebalanceProposal``, and
+    dates increase. Blank rows may come anywhere, as there. Each date's rows
+    are split into columns and parsed a column at once, so no Python code
+    runs per row but ``check_pairs``, the one rule of a date's trades.
     """
-    p = Path(path)
     events: list[RebalanceEvent] = []
-    with _opened(p, "events") as fh:
-        reader = _csv_rows(fh, p, EVENT_HEADER, "events")
-        try:  # a read error is worded by the row loader, after any bad row before it
-            for text, rows in _date_runs(reader):
-                event = _plain_event(text, rows, events[-1].date if events else None)
-                if event is None:
-                    return None
-                events.append(event)
-        except _READ_ERRORS:
+    for text, run in _date_runs(rows):
+        event = _plain_event(text, run, events[-1].date if events else None)
+        if event is None:
             return None
+        events.append(event)
     return events
 
 
-def _date_runs(reader: Iterator[list[str]]) -> Iterator[tuple[str, list[list[str]]]]:
-    """(stripped date cell, rows) of each run of nonblank rows with one date, as
+def _date_runs(rows: Iterator[list[str]]) -> Iterator[tuple[str, list[list[str]]]]:
+    """(stripped date cell, rows) of each run of nonempty rows with one date, as
     :func:`_load_event_rows` groups them: blank rows are skipped, also inside a run."""
     strip = str.strip
     text, run = None, []
-    for key, rows in groupby(filter(None, reader), itemgetter(0)):  # csv reads "" as []
+    for key, group in groupby(rows, itemgetter(0)):
         key = strip(key)
         if key == text:
-            run += rows
+            run += group
             continue
-        rows = list(rows)
-        if key or any(map(strip, chain.from_iterable(rows))):  # else whitespace-only rows
+        group = list(group)
+        if key or any(map(strip, chain.from_iterable(group))):  # else whitespace-only rows
             if text is not None:
                 yield text, run
-            text, run = key, rows
+            text, run = key, group
     if text is not None:
         yield text, run
 
@@ -286,14 +342,12 @@ def _plain_event(text: str, rows: list[list[str]], after: date | None) -> Rebala
     due, brk = _flag_column(dues), _flag_column(brks)
     if due is None or brk is None:
         return None
-    strip = str.strip
-    try:
-        day = date.fromisoformat(text)
-        proposal = RebalanceProposal([*zip(map(strip, names), map(float, map(strip, dws)))],
-                                     due, brk)
-    except (ValueError, ValidationError):
+    day = date.fromisoformat(text)
+    if after is not None and day <= after:
         return None
-    return RebalanceEvent(day, proposal) if after is None or day > after else None
+    strip = str.strip
+    return RebalanceEvent(day, RebalanceProposal(
+        [*zip(map(strip, names), map(float, map(strip, dws)))], due, brk))
 
 
 def _flag_column(cells: tuple[str, ...]) -> bool | None:
@@ -445,14 +499,14 @@ def parse_report(data: Any) -> tuple[FeasibilityReport, SatelliteDesign]:
 
 
 def _cell(value: Any) -> str:
+    if isinstance(value, float):  # first: a caps table holds two floats per asset
+        return format(value, ".10g")
     if value is None:
         return "-"
     if isinstance(value, Unbounded):
         return "unbounded"
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, float):
-        return format(value, ".10g")
     return str(value)
 
 
@@ -461,14 +515,14 @@ def _label_width(labels: Iterable[str]) -> int:
     return max(map(len, labels)) + 2
 
 
-def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return lines
+def _table(headers: list[str], columns: list[Sequence[str]]) -> list[str]:
+    """The lines of a fixed-width table of ``columns``: each as wide as its longest cell or its
+    header, two spaces apart, each line right-stripped. A cell is a format argument, never
+    part of the format, so a brace in an id prints as it is."""
+    widths = [max([len(h), *map(len, column)]) for h, column in zip(headers, columns)]
+    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
+    return [fmt.format(*headers).rstrip(), "  ".join("-" * w for w in widths),
+            *map(str.rstrip, map(fmt.format, *columns))]
 
 
 _BOUND_KEYS = ("alpha_max_structural", "alpha_effective", "delta_w_min", "k_max_econ",
@@ -480,12 +534,14 @@ def _bounds_lines(b: DerivedBounds) -> list[str]:
     width = _label_width(_BOUND_KEYS)
     lines = ["derived bounds", "--------------",
              *(key.ljust(width) + _cell(getattr(b, key)) for key in _BOUND_KEYS)]
-    if b.weight_caps_impact is not None:
+    caps = b.weight_caps_impact
+    if caps is not None:
+        names = sorted(caps)
         parts = b.weight_caps_participation or {}
-        cap_rows = [[name, _cell(cap), _cell(parts.get(name))]
-                    for name, cap in sorted(b.weight_caps_impact.items())]
         lines += ["", "per-asset weight caps", "---------------------"]
-        lines += _table(["id", "impact", "participation"], cap_rows)
+        lines += _table(["id", "impact", "participation"],
+                        [names, [*map(_cell, map(caps.__getitem__, names))],
+                         [*map(_cell, map(parts.get, names))]])
     return lines
 
 
@@ -495,22 +551,19 @@ def _report_lines(report: FeasibilityReport, design: SatelliteDesign) -> list[st
     width = _label_width(label for label, _ in head)
     lines = ["satellite feasibility report", "============================",
              *(label.ljust(width) + value for label, value in head), ""]
-    rows = []
-    for name in LAYERS:
-        v = report.layer_verdicts[name]
-        rows.append([name, "pass" if v.passed else "FAIL", _cell(v.margin),
-                     _cell(v.normalized_margin), _cell(v.bound), _cell(v.usage),
-                     v.detail or "-"])
+    rows = [(name, "pass" if v.passed else "FAIL", _cell(v.margin), _cell(v.normalized_margin),
+             _cell(v.bound), _cell(v.usage), v.detail or "-")
+            for name, v in zip(LAYERS, map(report.layer_verdicts.__getitem__, LAYERS))]
     lines += _table(["layer", "verdict", "margin", "normalized", "bound", "usage", "detail"],
-                    rows)
+                    [*zip(*rows)])
 
     lines += ["", *_bounds_lines(report.derived_bounds), "", "design",
               "------",
               f"alpha: {_cell(design.alpha)}  kappa_a: {_cell(design.kappa_a)}  "
               f"kappa_c: {_cell(design.kappa_c)}"]
     if design.constituents:
-        lines += _table(["id", "weight"],
-                        [[name, _cell(w)] for name, w in design.constituents])
+        names, weights = zip(*design.constituents)
+        lines += _table(["id", "weight"], [names, [*map(_cell, weights)]])
     else:
         lines.append("(empty sleeve)")
 

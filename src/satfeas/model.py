@@ -159,14 +159,17 @@ class Asset:
             raise ValidationError("id must be a nonempty string", "bad_id", "id")
         if not isinstance(self.tier, TierClass):
             raise ValidationError("tier must be a TierClass", "bad_tier", "tier")
-        adv, cost = self.adv_usd, self.round_trip_cost_bps  # tests inline: one Asset per row
-        if not (_is_finite(adv) and adv > 0):
+        # tests inline, a plain float or bool first: a loader builds one Asset per row
+        adv, cost = self.adv_usd, self.round_trip_cost_bps
+        if not ((type(adv) is float and math.isfinite(adv) or _is_finite(adv)) and adv > 0):
             check_domain(adv, "adv_usd", "positive", "adv_must_be_positive")
-        check_flag(self.gaer_admissible, "gaer_admissible")
+        if type(self.gaer_admissible) is not bool:
+            check_flag(self.gaer_admissible, "gaer_admissible")
         if not isinstance(self.exclusion, ExclusionCategory):
             raise ValidationError("exclusion must be an ExclusionCategory", "bad_exclusion",
                                   "exclusion")
-        if cost is not None and not (_is_finite(cost) and cost >= 0):
+        if cost is not None and not ((type(cost) is float and math.isfinite(cost)
+                                      or _is_finite(cost)) and cost >= 0):
             check_domain(cost, "round_trip_cost_bps", "nonnegative", "cost_must_be_nonnegative",
                          optional=True)
 
@@ -321,8 +324,10 @@ def check_pairs(pairs: Iterable[tuple[str, float]], what: str,
         except (TypeError, ValueError):
             raise ValidationError(f"{what} entries must be (id, {column}) pairs",
                                   "bad_weight_pair", what) from None
-        # inline, and no message unless a rule fails: designs, cores and proposals can be long
-        if not (isinstance(name, str) and name and name not in seen and _is_finite(w)
+        # inline, a plain float first, and no message unless a rule fails: designs, cores and
+        # proposals can be long
+        if not (isinstance(name, str) and name and name not in seen
+                and (type(w) is float and math.isfinite(w) or _is_finite(w))
                 and (signed or w >= 0)):
             raise entry_error(what, len(out), name, w, seen, signed)
         seen.add(name)

@@ -699,6 +699,69 @@ class TestTextColumns:
             "k_max_entropy         14", "", "per-asset weight caps", "---------------------",
             "id  impact  participation", "--  ------  -------------"]
 
+    #: ids that a format string, a %-format or a byte count would misprint
+    TRICKY_IDS = ["{0}", "{:>9}", "}{", "%s", "株A"]
+
+    def tricky_inputs(self, tmp_path):
+        """(config, candidates) paths: each tricky id a candidate, both caps set."""
+        candidates = tmp_path / "u.csv"
+        candidates.write_text(
+            "id,tier,adv_usd,round_trip_cost_bps,gaer_admissible,exclusion\n"
+            + "".join(f"{name},A,{2e5 * 3 ** i!r},,true,none\n"
+                      for i, name in enumerate(self.TRICKY_IDS)), encoding="utf-8")
+        config = json.loads((FIXTURES / "ai_config.json").read_text())
+        config["impact"]["participation_cap"] = 0.05
+        return write_config(tmp_path, config), str(candidates)
+
+    @staticmethod
+    def ljust_table(rows):
+        """The README's table rule, by ``ljust``: a header row, a rule, then ``rows[1:]``; each
+        column as wide as its longest cell, two spaces apart, no trailing space."""
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+                 for row in rows]
+        return [lines[0], "  ".join("-" * w for w in widths), *lines[1:]]
+
+    def caps_table(self, bounds):
+        impact, parts = bounds["weight_caps_impact"], bounds["weight_caps_participation"]
+        return self.ljust_table([["id", "impact", "participation"]] + [
+            [name, format(impact[name], ".10g"), format(parts[name], ".10g")]
+            for name in sorted(impact)])
+
+    def test_bounds_tricky_ids_print_as_they_are(self, tmp_path):
+        config, candidates = self.tricky_inputs(tmp_path)
+        argv = ["bounds", "--config", config, "--candidates", candidates]
+        code, doc, err = run_isolated(argv + ["--format", "json"])
+        assert (code, err) == (0, "")
+        code, out, err = run_isolated(argv + ["--format", "text"])
+        assert (code, err) == (0, "")
+        lines = out.decode().splitlines()
+        assert lines[-7:] == self.caps_table(json.loads(doc))
+        assert sorted(line.split("  ")[0] for line in lines[-5:]) == sorted(self.TRICKY_IDS)
+
+    def test_check_tricky_ids_print_as_they_are(self, tmp_path):
+        config, candidates = self.tricky_inputs(tmp_path)
+        design = tmp_path / "d.json"
+        design.write_text(json.dumps({
+            "theme": "t", "alpha": 0.12, "kappa_a": 1.0, "kappa_c": 1.0,
+            "constituents": [["}{", 0.05], ["株A", 0.04], ["{0}", 0.03]]}))
+        core = tmp_path / "core.csv"
+        core.write_text("id,weight\nCORE1,0.7\nCORE2,0.3\n")
+        argv = ["check", "--config", config, "--candidates", candidates, "--design", str(design),
+                "--core-weights", str(core)]
+        code, doc, err = run_isolated(argv + ["--format", "json"])
+        assert err == ""
+        code_text, out, err = run_isolated(argv + ["--format", "text"])
+        assert (code_text, err) == (code, "")
+        text = out.decode()
+        caps = self.caps_table(json.loads(doc)["report"]["derived_bounds"])
+        designed = self.ljust_table([["id", "weight"], ["}{", "0.05"], ["株A", "0.04"],
+                                     ["{0}", "0.03"]])
+        assert "\n".join(["per-asset weight caps", "---------------------", *caps]) in text
+        assert text.endswith("\n".join(["design", "------",
+                                         "alpha: 0.12  kappa_a: 1  kappa_c: 1", *designed])
+                             + "\n")
+
     def test_filter_long_id_keeps_its_space(self, tmp_path):
         name = "ABCDEFGHIJKL"
         candidates = tmp_path / "u.csv"

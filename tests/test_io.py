@@ -200,6 +200,7 @@ def test_load_candidates_error_table(tmp_path, body, code, message, field):
     assert err.value.code == code
     assert str(err.value) == message.format(path=path)
     assert err.value.field == field
+    _assert_plain_pass_declines("candidates", path, err.value)
 
 
 _ASSET_IDS = st.text("ABCXYZabcxyz0123456789_.-", min_size=1, max_size=8)
@@ -373,13 +374,19 @@ def test_load_events_error_table(tmp_path, body, code, message, field):
     assert err.value.code == code
     assert message in str(err.value)
     assert err.value.field == field
-    # the one header rule is the plain pass's too; any other error is the row loader's alone
-    if code == "bad_header":
+    _assert_plain_pass_declines("events", path, err.value)
+
+
+def _assert_plain_pass_declines(kind, path, error):
+    """The plain pass of ``kind`` raises ``error`` if it is a header error, the one header rule
+    being the plain pass's too, and else returns ``None``: a row's error is the row loader's."""
+    plain_pass = _passes(kind)[0]
+    if error.code == "bad_header":
         with pytest.raises(ValidationError) as plain:
-            satfeas.io._plain_events(path)
-        assert (str(plain.value), plain.value.code) == (str(err.value), code)
+            plain_pass(path)
+        assert (str(plain.value), plain.value.code) == (str(error), error.code)
     else:
-        assert satfeas.io._plain_events(path) is None
+        assert plain_pass(path) is None
 
 
 #: kind -> (loader, file name in messages, header, a valid row: ``{id}``, ``{value}`` and
@@ -396,6 +403,26 @@ _FAULT_CODES = {"empty id": "bad_id", "duplicate": "duplicate_id", "nan": "not_f
                 "x1": "bad_number", "bad tier": "bad_tier", "zero adv": "adv_must_be_positive",
                 "negative cost": "cost_must_be_nonnegative", "bad flag": "bad_boolean",
                 "bad exclusion": "bad_exclusion"}
+#: kind -> the name in io of its row loader, the one reader that words a row's error
+_ROW_LOADERS = {"candidates": "_load_candidate_rows", "core": "_load_pair_rows",
+                "proposal": "_load_pair_rows", "events": "_load_event_rows"}
+
+
+def _passes(kind):
+    """(plain pass, row loader) of loader ``kind``, each a function of a path; both are looked
+    up in ``satfeas.io`` when called, so a monkeypatch reaches them."""
+    what, header = _FAULT_FILES[kind][1], _FAULT_FILES[kind][2].split(",")
+    io = satfeas.io
+    if kind in ("core", "proposal"):
+        # the builds of load_core_weights and, with both flags off, load_proposal_trades
+        build = io._core_weights if kind == "core" else RebalanceProposal
+        return (lambda path: io._plain(path, header, what, io._plain_pairs, build),
+                lambda path: io._load_pair_rows(path, header, what, build))
+    read = io._plain_candidates if kind == "candidates" else io._plain_events
+    return (lambda path: io._plain(path, header, what, read),
+            lambda path: getattr(io, _ROW_LOADERS[kind])(path))
+
+
 #: the faults of one candidate cell, by name: (cell index, its text).
 _CANDIDATE_CELL_FAULTS = {"bad tier": (1, "D"), "zero adv": (2, "0"), "negative cost": (3, "-1"),
                           "bad flag": (4, "maybe"), "bad exclusion": (5, "etf")}
@@ -549,12 +576,60 @@ def test_load_events_equals_the_row_loader(tmp_path_factory, kind, data):
     """Either pass gives what the row loader gives: the same events, or the same error."""
     path = tmp_path_factory.mktemp("events") / "e.csv"
     path.write_text("\n".join(_draw_event_lines(kind, data)) + "\n")
-    reference = _outcome(satfeas.io._load_event_rows, path)
-    assert _outcome(load_events, path) == reference
-    plain = satfeas.io._plain_events(path)
+    _assert_both_passes_equal_the_row_loader("events", path, kind == "valid")
+
+
+def _assert_both_passes_equal_the_row_loader(kind, path, plain_takes_it):
+    """Loader ``kind`` gives what its row loader gives: the same object or the same error; its
+    plain pass gives that object or ``None``, and the object if ``plain_takes_it``."""
+    plain_pass, row_loader = _passes(kind)
+    reference = _outcome(row_loader, path)
+    assert _outcome(_FAULT_FILES[kind][0], path) == reference
+    plain = plain_pass(path)
     assert plain is None or plain == reference
-    if kind == "valid":
+    if plain_takes_it:
         assert plain == reference
+
+
+#: cells a valid file may hold, each drawn in any case where a spelling map reads it
+_SPELLED = {"tier": ["A", "B", "C"], "flag": ["true", "false"],
+            "exclusion": ["none", "thematic_etf", "small_cap_specialist"]}
+
+
+def _draw_pair_lines(kind, form, data):
+    """A valid file of ``kind`` (not events) with empty lines, padded cells and spellings in
+    mixed case (``valid``); the same with whitespace-only rows too (``spaced``); or one fault."""
+    if form == "fault":
+        return _draw_one_fault(kind, data)[0]
+    case = st.sampled_from([str.lower, str.upper, str.title, str.swapcase])
+    n = data.draw(st.integers(1, 6))
+    lines = [_FAULT_FILES[kind][2]]
+    for i in range(n):
+        blanks = ["", " ", " ,  ", ",,,,,", "\t"] if form == "spaced" else [""]
+        if data.draw(st.booleans()):
+            lines.append(data.draw(st.sampled_from(blanks)))
+        if kind == "candidates":
+            cost = data.draw(st.none() | st.floats(0, 100))
+            cells = [f"N{i}", data.draw(case)(data.draw(st.sampled_from(_SPELLED["tier"]))),
+                     repr(data.draw(st.floats(1, 1e12))), "" if cost is None else repr(cost),
+                     data.draw(case)(data.draw(st.sampled_from(_SPELLED["flag"]))),
+                     data.draw(case)(data.draw(st.sampled_from(_SPELLED["exclusion"])))]
+        elif kind == "core":
+            cells = [f"N{i}", repr(1 / n)]
+        else:
+            cells = [f"N{i}", repr(data.draw(st.floats(-1, 1)))]
+        lines.append(",".join(_padded(data, cell) for cell in cells))
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["candidates", "core", "proposal"]),
+       form=st.sampled_from(["valid", "spaced", "fault"]), data=st.data())
+def test_each_loader_equals_its_row_loader(tmp_path_factory, kind, form, data):
+    """The candidates, core and proposal loaders give what their row loaders give."""
+    path = tmp_path_factory.mktemp(kind) / "f.csv"
+    path.write_text("\n".join(_draw_pair_lines(kind, form, data)) + "\n")
+    _assert_both_passes_equal_the_row_loader(kind, path, form == "valid")
 
 
 def test_a_short_row_wins_over_an_unreadable_byte_later_in_its_date(tmp_path):
@@ -581,21 +656,24 @@ _PLAIN_EDITS = {
 }
 
 
-@pytest.mark.parametrize("edit", _PLAIN_EDITS)
-def test_a_plain_file_is_loaded_by_the_plain_pass(tmp_path, monkeypatch, edit):
-    header, body = _generated_csv("events", 500).split("\n", 1)
-    path = write(tmp_path, "e.csv", header + "\n" + _PLAIN_EDITS[edit](body))
-    expected = satfeas.io._load_event_rows(path)
+@pytest.mark.parametrize("kind,edit", [
+    *(pytest.param("events", edit, id=edit) for edit in _PLAIN_EDITS),
+    *(pytest.param(kind, edit, id=f"{kind}-{edit}") for kind in ("candidates", "core", "proposal")
+      for edit in ("generated", "ends in a blank line"))])
+def test_a_plain_file_is_loaded_by_the_plain_pass(tmp_path, monkeypatch, kind, edit):
+    header, body = _generated_csv(kind, 500).split("\n", 1)
+    path = write(tmp_path, "f.csv", header + "\n" + _PLAIN_EDITS[edit](body))
+    expected = _passes(kind)[1](path)
 
-    def fail(path):
-        raise AssertionError("a plain events file went to the row loader")
+    def fail(*args):
+        raise AssertionError(f"a plain {kind} file went to the row loader")
 
-    monkeypatch.setattr(satfeas.io, "_load_event_rows", fail)
-    events = load_events(path)
-    # a list, not an iterator: the bench tracer's replay hook takes its len() and its
-    # load_events hook iterates it
-    assert type(events) is list
-    assert events == expected
+    monkeypatch.setattr(satfeas.io, _ROW_LOADERS[kind], fail)
+    loaded = _FAULT_FILES[kind][0](path)
+    assert loaded == expected
+    # a list, not an iterator: the bench tracer's replay hook takes the events' len() and its
+    # load_events and load_candidates hooks iterate them or take their len()
+    assert type(loaded) is {"core": tuple, "proposal": RebalanceProposal}.get(kind, list)
 
 
 def test_load_events_ai_fixture_pinned():

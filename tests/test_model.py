@@ -143,6 +143,10 @@ WEIGHT_PAIR_ERRORS = [
      "{what}"),
     ("not_finite", (("a", math.nan),), "{what} entry 1: weight for a must be a finite number",
      "not_finite", "{what}"),
+    ("minus_inf", (("a", 0.1), ("b", -math.inf)),
+     "{what} entry 2: weight for b must be a finite number", "not_finite", "{what}"),
+    ("bool", (("a", True),), "{what} entry 1: weight for a must be a finite number",
+     "not_finite", "{what}"),
     ("negative", (("a", -0.1),), "{what} entry 1: weight for a must be nonnegative",
      "weight_must_be_nonnegative", "{what}"),
     ("duplicate", (("a", 0.05), ("a", 0.05)), "{what} entry 2: duplicate id 'a'",
@@ -180,6 +184,12 @@ TRADE_ERRORS = [
      "trades entry 2: delta_w for b must be a finite number", "not_finite"),
     ("first_bad_entry_wins", (("a", math.nan), ("", 0.1)),
      "trades entry 1: delta_w for a must be a finite number", "not_finite"),
+    ("nan", (("a", math.nan),), "trades entry 1: delta_w for a must be a finite number",
+     "not_finite"),
+    ("minus_inf", (("a", -math.inf),), "trades entry 1: delta_w for a must be a finite number",
+     "not_finite"),
+    ("bool", (("a", 0.1), ("b", False)), "trades entry 2: delta_w for b must be a finite number",
+     "not_finite"),
 ]
 
 
@@ -189,6 +199,26 @@ def test_trade_errors(trades, message, code):
     with pytest.raises(ValidationError) as err:
         RebalanceProposal(trades=trades)
     assert (str(err.value), err.value.code, err.value.field) == (message, code, "trades")
+
+
+class _Weight(float):
+    pass
+
+
+#: (label, pairs, the checked pairs): numbers that are not a plain float but pass, as floats
+PAIR_NUMBERS = [
+    ("int", (("a", 1), ("b", 0)), (("a", 1.0), ("b", 0.0))),
+    ("float_subclass", (("a", _Weight(0.25)),), (("a", 0.25),)),
+]
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["weights", "trades"])
+@pytest.mark.parametrize("pairs,expected", [case[1:] for case in PAIR_NUMBERS],
+                         ids=[case[0] for case in PAIR_NUMBERS])
+def test_pair_numbers_become_floats(pairs, expected, signed):
+    checked = check_pairs(pairs, "trades" if signed else "weights", signed)
+    assert checked == expected
+    assert [type(w) for _, w in checked] == [float] * len(expected)
 
 
 @pytest.mark.parametrize("build", [
@@ -227,10 +257,6 @@ def _check_pairs_reference(pairs, what, signed=False):
 
 
 class _Id(str):
-    pass
-
-
-class _Weight(float):
     pass
 
 

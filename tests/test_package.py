@@ -98,14 +98,32 @@ def test_asset_index_codes_have_one_home():
     assert _constant_homes("bad_candidate") == ["cascade._asset_map"]
 
 
+def _functions() -> list[tuple[str, ast.FunctionDef]]:
+    """(``module.function``, its node) of every function in src, nested ones too."""
+    return [(f"{path.stem}.{func.name}", func) for path in (SRC / "satfeas").glob("*.py")
+            for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(func, ast.FunctionDef)]
+
+
+def _callers(names: set[str]) -> list[str]:
+    """Each function in src that calls one of ``names`` by name."""
+    return sorted({where for where, func in _functions() for node in ast.walk(func)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id in names})
+
+
 def test_the_asset_index_is_built_by_its_check_alone():
     # every entry point takes an _AssetIndex as checked, so only the check may build one
-    builders = sorted({f"{path.stem}.{func.name}" for path in (SRC / "satfeas").glob("*.py")
-                       for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-                       if isinstance(func, ast.FunctionDef)
-                       for node in ast.walk(func) if isinstance(node, ast.Call)
-                       and isinstance(node.func, ast.Name) and node.func.id == "_AssetIndex"})
-    assert builders == ["cascade._asset_map"]
+    assert _callers({"_AssetIndex"}) == ["cascade._asset_map"]
+
+
+def test_no_plain_pass_words_an_error():
+    # a plain pass gives up on a file it cannot take, and its row loader reads it again and
+    # words the error: so no function named _plain* builds one
+    plain = sorted(where for where, _ in _functions() if where.split(".")[1].startswith("_plain"))
+    assert plain == ["io._plain", "io._plain_candidates", "io._plain_event",
+                     "io._plain_events", "io._plain_pairs"]
+    assert set(plain).isdisjoint(_callers({"ValidationError", "entry_error"}))
 
 
 def test_value_rule_codes_have_one_home():
