@@ -84,49 +84,47 @@ def load_design(path: str | Path) -> SatelliteDesign:
     return SatelliteDesign.from_dict(doc)
 
 
-def _csv_rows(fh: TextIO, p: Path, header: list[str], what: str) -> Iterator[list[str]]:
-    """The CSV reader of ``fh`` past its header: the one header rule of every CSV input."""
-    reader = csv.reader(fh)
-    got = next(reader, None)
-    if got is None:
-        raise ValidationError(f"{what} file {p} is empty", code="bad_header", field=what)
-    if [h.strip() for h in got] != header:
-        raise ValidationError(
-            f"{what} file {p} must have header {','.join(header)!r}, got {','.join(got)!r}",
-            code="bad_header", field=what)
-    return reader
-
-
-def _read_rows(path: str | Path, header: list[str],
-               what: str) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """Each nonblank data row as ``(row number, stripped cells)``, as the file is read.
-
-    The header is checked before the first row is yielded, and each row's
-    field count as it is read. A loader that fails on a row words its error
-    by :func:`_row_error`, which reads the rest first, so a later malformed
-    row or unreadable byte is still reported ahead of a bad value.
-    """
+@contextmanager
+def _csv_rows(path: str | Path, header: list[str], what: str) -> Iterator[Iterator[list[str]]]:
+    """The CSV reader of input file ``what`` past its header: the one header rule of every CSV
+    input. A missing file or a failed read is worded by :func:`_opened`."""
     p = Path(path)
-    width = len(header)
     with _opened(p, what) as fh:
-        reader = _csv_rows(fh, p, header, what)
-        strip = str.strip
-        for lineno, row in enumerate(reader, start=2):
-            cells = tuple(map(strip, row))
-            if not any(cells):
-                continue
-            if len(cells) != width:
-                raise ValidationError(f"{what} row {lineno} has {len(cells)} fields, "
-                                      f"expected {width}", code="bad_row", field=what)
-            yield lineno, cells
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got is None:
+            raise ValidationError(f"{what} file {p} is empty", code="bad_header", field=what)
+        if [h.strip() for h in got] != header:
+            raise ValidationError(
+                f"{what} file {p} must have header {','.join(header)!r}, got {','.join(got)!r}",
+                code="bad_header", field=what)
+        yield reader
 
 
-def _row_error(rows: Iterator, e: ValidationError, what: str, line: int) -> ValidationError:
+def _cells(line: int, row: list[str], width: int, what: str) -> tuple[str, ...] | None:
+    """The stripped cells of data row ``line``, or ``None`` if all are blank: such a row is
+    skipped but counted. A nonblank row of another width is ``bad_row``."""
+    cells = tuple(map(str.strip, row))
+    if not any(cells):
+        return None
+    if len(cells) != width:
+        raise ValidationError(f"{what} row {line} has {len(cells)} fields, expected {width}",
+                              code="bad_row", field=what)
+    return cells
+
+
+def _read_rows(rows: Iterable[tuple[int, list[str]]], width: int, what: str) -> None:
+    """Read the rest of ``rows``, each ``(row number, row)``, checking each row's width."""
+    for line, row in rows:
+        _cells(line, row, width, what)
+
+
+def _row_error(rows: Iterable[tuple[int, list[str]]], e: ValidationError, what: str, line: int,
+               width: int) -> ValidationError:
     """``e`` worded at row ``line`` of file ``what``, once the rest of ``rows`` is read: a
     malformed row or unreadable byte there wins. An entry error, or one naming no field, names
     the file."""
-    for _ in rows:
-        pass
+    _read_rows(rows, width, what)
     field = what if e.index is not None or e.field is None else e.field
     return ValidationError(f"{what} row {line}: {e.args[0]}", e.code, field)
 
@@ -158,110 +156,69 @@ def _parse_member(values: dict[str, Any], key: str, text: str, name: str, code: 
     return values[key]
 
 
-def _plain(path: str | Path, header: list[str], what: str, read: Callable, *args: Any) -> Any:
-    """``read(rows, *args)`` of the data rows of input file ``what``, or ``None`` if it is
-    not plain: the skeleton of every plain pass.
-
-    The file is opened and its header checked by the one header rule, so a
-    missing file or a bad header is worded here as by the row loaders.
-    ``read`` gets the rows as the reader yields them, less the ``[]`` of an
-    empty line. It returns ``None``, or raises, wherever its row loader
-    would not return the same object: a read error, a bad width or value,
-    an entry error. No plain pass words a row's error; the row loader, which
-    reads the file again, is the only one that does.
-    """
-    p = Path(path)
-    with _opened(p, what) as fh:
-        rows = _csv_rows(fh, p, header, what)
-        try:
-            return read(filter(None, rows), *args)  # csv reads an empty line as []
-        except (ValueError, KeyError, *_READ_ERRORS):  # a ValidationError is a ValueError
-            return None
-
-
 def load_candidates(path: str | Path) -> list[Asset]:
-    """Read the candidate universe CSV, one validated asset per row.
+    """Read the candidate universe CSV in one pass, one validated asset per row.
 
     An empty ``round_trip_cost_bps`` cell means the sleeve-level cost
-    applies. Errors carry the offending row number. A plain file is read by
-    :func:`_plain_candidates`; any other is read again by
-    :func:`_load_candidate_rows`, which words its error.
+    applies. Each row is built by one expression of builtins; a row that
+    fails it is skipped if blank, and else parsed again in order to word
+    its first error: the id, then cost, tier, ``adv_usd``, flag, exclusion.
     """
-    assets = _plain(path, CANDIDATE_HEADER, "candidates", _plain_candidates)
-    return _load_candidate_rows(path) if assets is None else assets
-
-
-def _plain_candidates(rows: Iterator[list[str]]) -> list[Asset] | None:
-    """The assets of a plain candidates file: six cells a row, a new nonempty id, and cells
-    that :func:`_load_candidate_rows` takes on its first try."""
     assets: list[Asset] = []
     seen: set[str] = set()
-    strip = str.strip
-    for row in rows:
-        name, tier, adv, cost, gaer, exclusion = map(strip, row)
-        if not name or name in seen:
-            return None
-        seen.add(name)
-        assets.append(Asset(name, _TIERS[tier.upper()], float(adv), _BOOLS[gaer.lower()],
-                            _EXCLUSIONS[exclusion.lower()], float(cost) if cost else None))
-    return assets
-
-
-def _load_candidate_rows(path: str | Path) -> list[Asset]:
-    """Read a candidates CSV row by row: the one reader that words a candidates file's errors,
-    and the reference the plain pass is tested against."""
-    assets: list[Asset] = []
-    seen: set[str] = set()
-    rows = _read_rows(path, CANDIDATE_HEADER, "candidates")
-    for line, (name, tier, adv, cost, gaer, exclusion) in rows:
-        try:
-            if not name or name in seen:  # the id comes first, before any cell is parsed
-                raise entry_error("candidates", 0, name, seen=seen)
-            seen.add(name)
-            try:  # each cell parsed once; no message is built unless a check fails
+    width = len(CANDIDATE_HEADER)
+    with _csv_rows(path, CANDIDATE_HEADER, "candidates") as reader:
+        rows, strip = enumerate(reader, start=2), str.strip
+        for line, row in rows:
+            try:
+                name, tier, adv, cost, gaer, exclusion = map(strip, row)
+                if not name or name in seen:  # worded below, before any cell
+                    raise KeyError(name)
                 asset = Asset(name, _TIERS[tier.upper()], float(adv), _BOOLS[gaer.lower()],
                               _EXCLUSIONS[exclusion.lower()], float(cost) if cost else None)
-            except (KeyError, ValueError):  # parse the row again, in order, to name its error
-                override = _parse_float(cost) if cost else None
-                asset = Asset(name, _parse_member(_TIERS, tier.upper(), tier, "tier", "bad_tier"),
-                              _parse_float(adv), _parse_bool(gaer),
-                              _parse_member(_EXCLUSIONS, exclusion.lower(), exclusion,
-                                            "exclusion", "bad_exclusion"), override)
-        except ValidationError as e:
-            raise _row_error(rows, e, "candidates", line) from None
-        assets.append(asset)
+            except (KeyError, ValueError):  # a ValidationError is a ValueError
+                cells = _cells(line, row, width, "candidates")
+                if cells is None:
+                    continue
+                name, tier, adv, cost, gaer, exclusion = cells
+                try:
+                    if not name or name in seen:
+                        raise entry_error("candidates", 0, name, seen=seen)
+                    override = _parse_float(cost) if cost else None
+                    tier = _parse_member(_TIERS, tier.upper(), tier, "tier", "bad_tier")
+                    asset = Asset(name, tier, _parse_float(adv), _parse_bool(gaer),
+                                  _parse_member(_EXCLUSIONS, exclusion.lower(), exclusion,
+                                                "exclusion", "bad_exclusion"), override)
+                except ValidationError as e:
+                    raise _row_error(rows, e, "candidates", line, width) from None
+            seen.add(name)
+            assets.append(asset)
     return assets
 
 
 def _load_pairs(path: str | Path, header: list[str], what: str, build: Callable) -> Any:
-    """``build`` of the (id, number) rows of a CSV: a plain file's by :func:`_plain_pairs`, any
-    other's by :func:`_load_pair_rows`, which words its error."""
-    result = _plain(path, header, what, _plain_pairs, build)
-    return _load_pair_rows(path, header, what, build) if result is None else result
-
-
-def _plain_pairs(rows: Iterator[list[str]], build: Callable) -> Any:
-    """``build`` of the pairs of a plain file, streamed to it: two cells a row, each number a
-    float literal, and pairs that ``build`` takes."""
-    strip = str.strip
-    return build((strip(name), float(strip(text))) for name, text in rows)
-
-
-def _load_pair_rows(path: str | Path, header: list[str], what: str, build: Callable) -> Any:
-    """``build`` of the (id, number) rows of a CSV, each number parsed before ``build`` checks
-    an id; errors at their row."""
-    rows = _read_rows(path, header, what)
-    pairs, lines = [], array("l")  # row numbers unboxed: kept only to word an entry error
-    for line, (name, text) in rows:
-        try:
-            pairs.append((name, _parse_float(text)))
-        except ValidationError as e:
-            raise _row_error(rows, e, what, line) from None
-        lines.append(line)
+    """``build`` of the (id, number) rows of a CSV, read in one pass: every number is parsed
+    before ``build`` checks an id, and any error is worded at its row."""
+    width, pairs, lines = len(header), [], array("l")  # row numbers kept for an entry error
+    with _csv_rows(path, header, what) as reader:
+        rows, strip = enumerate(reader, start=2), str.strip
+        for line, row in rows:
+            try:
+                name, text = row
+                pairs.append((strip(name), float(text)))
+            except ValueError:
+                cells = _cells(line, row, width, what)
+                if cells is None:
+                    continue
+                try:
+                    pairs.append((cells[0], _parse_float(cells[1])))
+                except ValidationError as e:
+                    raise _row_error(rows, e, what, line, width) from None
+            lines.append(line)
     try:
         return build(pairs)
     except ValidationError as e:  # an entry's error at its row; any other as it is
-        raise (e if e.index is None else _row_error(rows, e, what, lines[e.index])) from None
+        raise (e if e.index is None else _row_error((), e, what, lines[e.index], width)) from None
 
 
 def load_core_weights(path: str | Path) -> tuple[tuple[str, float], ...]:
@@ -270,7 +227,7 @@ def load_core_weights(path: str | Path) -> tuple[tuple[str, float], ...]:
 
 
 def _core_weights(pairs: Iterable[tuple[str, float]]) -> tuple[tuple[str, float], ...]:
-    """The build of a core file, in either pass: its checked pairs, whose weights sum to one."""
+    """The build of a core file: its checked pairs, whose weights sum to one."""
     core = check_pairs(pairs, "core_weights")
     check_normalized((w for _, w in core), "core_weights")
     return core
@@ -284,119 +241,112 @@ def load_proposal_trades(path: str | Path, schedule_due: bool = False,
 
 
 def load_events(path: str | Path) -> list[RebalanceEvent]:
-    """Read an event-stream CSV, one event per run of rows with one date.
+    """Read an event-stream CSV in one pass, one event per run of rows with one date.
 
     Governance flags must agree within a date; dates must be strictly
-    increasing. A plain file is read a date at a time, a column at once, by
-    :func:`_plain_events`. Any other file is read again by
-    :func:`_load_event_rows`, which words its error exactly as if it had
-    been the only reader.
-    """
-    events = _plain(path, EVENT_HEADER, "events", _plain_events)
-    return _load_event_rows(path) if events is None else events
-
-
-def _plain_events(rows: Iterator[list[str]]) -> list[RebalanceEvent] | None:
-    """The events of a plain file, or ``None`` at the first date that is not plain.
-
-    A plain file is one that :func:`_load_event_rows` would load as it is:
-    each nonblank row has five cells, a date's rows are adjacent, its flag
-    cells spell one value each, its trades pass ``RebalanceProposal``, and
-    dates increase. Blank rows may come anywhere, as there. Each date's rows
-    are split into columns and parsed a column at once, so no Python code
-    runs per row but ``check_pairs``, the one rule of a date's trades.
+    increasing. Each date's rows are read, then parsed a column at a time
+    by :func:`_event_columns`; a date that fails there is checked again row
+    by row by :func:`_event_rows`, which builds it or words its first error.
     """
     events: list[RebalanceEvent] = []
-    for text, run in _date_runs(rows):
-        event = _plain_event(text, run, events[-1].date if events else None)
-        if event is None:
-            return None
-        events.append(event)
+    with _csv_rows(path, EVENT_HEADER, "events") as reader:
+        runs = _date_runs(reader)
+        for text, first, run in runs:
+            after = events[-1].date if events else None
+            try:
+                events.append(_event_columns(text, run, after))
+            except ValueError:  # a ValidationError too
+                events.append(_event_rows(text, enumerate(run, first), runs, after))
     return events
 
 
-def _date_runs(rows: Iterator[list[str]]) -> Iterator[tuple[str, list[list[str]]]]:
-    """(stripped date cell, rows) of each run of nonempty rows with one date, as
-    :func:`_load_event_rows` groups them: blank rows are skipped, also inside a run."""
+def _date_runs(reader: Iterator[list[str]]) -> Iterator[tuple[str, int, list[list[str]]]]:
+    """(stripped date cell, row number of its first row, rows) of each run of rows with one
+    date, as read: rows are grouped by their date cell and counted by the groups' lengths.
+    Blank rows inside a run stay in it; those between runs are skipped but counted. If a read
+    fails, the rows not yet yielded are checked first: a malformed row wins over it."""
     strip = str.strip
-    text, run = None, []
-    for key, group in groupby(rows, itemgetter(0)):
-        key = strip(key)
-        if key == text:
-            run += group
-            continue
-        group = list(group)
-        if key or any(map(strip, chain.from_iterable(group))):  # else whitespace-only rows
-            if text is not None:
-                yield text, run
-            text, run = key, group
+    text, first, run, blank, group = None, 2, [], [], []
+    try:
+        for key, rows in groupby(reader, itemgetter(slice(0, 1))):  # [] for an empty line
+            group = []
+            group += rows  # the rows read stay here if a read fails
+            key = strip(key[0]) if key else ""
+            if key == text:
+                run += blank
+                run += group
+                blank = []
+            elif key or any(map(strip, chain.from_iterable(group))):
+                if text is not None:
+                    yield text, first, run
+                first += len(run) + len(blank)
+                text, run, blank = key, group, []
+            else:  # whitespace-only rows
+                blank += group
+    except _READ_ERRORS:
+        _read_rows(chain(enumerate(run, first), enumerate(group, first + len(run) + len(blank))),
+                   len(EVENT_HEADER), "events")
+        raise
     if text is not None:
-        yield text, run
+        yield text, first, run
 
 
-def _plain_event(text: str, rows: list[list[str]], after: date | None) -> RebalanceEvent | None:
-    """The event of one date's ``rows`` if they are plain and the date is past ``after``."""
-    if {*map(len, rows)} != {len(EVENT_HEADER)}:
-        return None
-    _, names, dws, dues, brks = zip(*rows)
-    due, brk = _flag_column(dues), _flag_column(brks)
-    if due is None or brk is None:
-        return None
+def _event_columns(text: str, rows: list[list[str]], after: date | None) -> RebalanceEvent:
+    """The event of one date's ``rows``, parsed a column at a time so no Python code runs per
+    row but ``check_pairs``; a ``ValueError`` unless every row has five cells, each flag column
+    spells one value, the trades pass and the date is past ``after``."""
     day = date.fromisoformat(text)
-    if after is not None and day <= after:
-        return None
-    strip = str.strip
+    if {*map(len, rows)} != {len(EVENT_HEADER)} or after is not None and day <= after:
+        raise ValueError(text)
+    _, names, dws, dues, brks = zip(*rows)
     return RebalanceEvent(day, RebalanceProposal(
-        [*zip(map(strip, names), map(float, map(strip, dws)))], due, brk))
+        [*zip(map(str.strip, names), map(float, dws))], _flag_column(dues),
+        _flag_column(brks)))
 
 
 def _flag_column(cells: tuple[str, ...]) -> bool | None:
-    """The one value that every flag cell of a date spells, or ``None``."""
+    """The one value that every flag cell of a date spells, or ``None``, which
+    ``RebalanceProposal`` rejects."""
     values = {_BOOLS.get(cell.strip().lower()) for cell in {*cells}}
     return values.pop() if len(values) == 1 else None
 
 
-def _load_event_rows(path: str | Path) -> list[RebalanceEvent]:
-    """Read an event-stream CSV in one pass, row by row: the one reader that words an events
-    file's errors, and the reference the plain pass is tested against.
-
-    Rows are grouped as they are read, never copied; each cell is parsed
-    once, and a date's trades are checked once, by its ``RebalanceProposal``.
-    """
-    events: list[RebalanceEvent] = []
-    rows = _read_rows(path, EVENT_HEADER, "events")
-    for day_text, group in groupby(rows, key=lambda row: row[1][0]):
-        trades, lines = [], []
-        for line, (_, name, dw, due, brk) in group:
-            try:
-                if not lines:  # the date's first row sets its date and flags
-                    try:
-                        day = date.fromisoformat(day_text)
-                    except ValueError:
-                        raise ValidationError(f"bad date {day_text!r}", "bad_date") from None
-                    if events and day <= events[-1].date:
-                        raise ValidationError("dates must be strictly increasing",
-                                              "events_out_of_order")
-                    flags = (due, brk)
-                    schedule_due, structural_break = _parse_bool(due), _parse_bool(brk)
-                elif (due, brk) != flags and (_parse_bool(due) != schedule_due
-                                              or _parse_bool(brk) != structural_break):
-                    raise ValidationError(f"governance flags differ within date {day_text}",
-                                          "inconsistent_flags")
-                try:
-                    trades.append((name, float(dw)))
-                except ValueError:
-                    _parse_float(dw)  # words the error
-            except ValidationError as e:
-                raise _row_error(rows, e, "events", line) from None
-            lines.append(line)
+def _event_rows(text: str, rows: Iterator[tuple[int, list[str]]],
+                runs: Iterator[tuple[str, int, list[list[str]]]],
+                after: date | None) -> RebalanceEvent:
+    """The event of one date's ``(row number, row)`` ``rows``, checked row by row: the first
+    sets the date and flags, each later one must agree, and each number is parsed. The first
+    error is worded at its row once the rest of the file, ``runs``, is read."""
+    width = len(EVENT_HEADER)
+    later = chain(rows, chain.from_iterable(enumerate(run, first) for _, first, run in runs))
+    trades, lines = [], []
+    for line, row in rows:
+        cells = _cells(line, row, width, "events")
+        if cells is None:
+            continue
+        _, name, dw, due, brk = cells
         try:
-            proposal = RebalanceProposal(trades, schedule_due, structural_break)
-        except ValidationError as e:  # as in _load_pairs
-            raise (e if e.index is None
-                   else _row_error(rows, e, "events", lines[e.index])) from None
-        events.append(RebalanceEvent(day, proposal))
-    return events
+            if not lines:
+                try:
+                    day = date.fromisoformat(text)
+                except ValueError:
+                    raise ValidationError(f"bad date {text!r}", "bad_date") from None
+                if after is not None and day <= after:
+                    raise ValidationError("dates must be strictly increasing",
+                                          "events_out_of_order")
+                schedule_due, structural_break = _parse_bool(due), _parse_bool(brk)
+            elif _parse_bool(due) != schedule_due or _parse_bool(brk) != structural_break:
+                raise ValidationError(f"governance flags differ within date {text}",
+                                      "inconsistent_flags")
+            trades.append((name, _parse_float(dw)))
+        except ValidationError as e:
+            raise _row_error(later, e, "events", line, width) from None
+        lines.append(line)
+    try:
+        return RebalanceEvent(day, RebalanceProposal(trades, schedule_due, structural_break))
+    except ValidationError as e:  # as in _load_pairs
+        raise (e if e.index is None
+               else _row_error(later, e, "events", lines[e.index], width)) from None
 
 
 _SCALARS = {str, int, float, bool, type(None)}  # exact types: a subclass is walked

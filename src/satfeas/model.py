@@ -407,7 +407,9 @@ class DerivedBounds:
     """Closed-form design bounds implied by the policy inputs alone.
 
     Breadth bounds are evaluated at the effective sleeve size; per-asset
-    weight caps are present only when candidate data was supplied.
+    weight caps are present only when candidate data was supplied. The caps
+    are checked only where a report is read (:func:`from_json`):
+    ``compute_bounds`` builds each in [0,1].
     """
 
     alpha_max_structural: float
@@ -427,13 +429,6 @@ class DerivedBounds:
             if not (k is UNBOUNDED and name == "k_max_econ"):
                 _require(type(k) is int, f"{name} must be an integer", "bad_bound", name)
                 check_domain(k, name, "nonnegative", "bad_bound")
-        for name in ("weight_caps_impact", "weight_caps_participation"):
-            caps = getattr(self, name)  # a cap per candidate: C loops only (a nan sum is nan)
-            values = caps.values() if isinstance(caps, dict) else None
-            _require(caps is None or values is not None and (not values or (
-                {*map(type, values)} <= {float, int} and 0 <= min(values) and max(values) <= 1
-                and not math.isnan(sum(values)))),
-                f"{name} must be null or map ids to numbers in [0,1]", "bad_bound", name)
 
 
 @dataclass(frozen=True)
@@ -497,6 +492,13 @@ def from_json(cls: type, data: Any, what: str) -> Any:
         value = d[key]
         if f.type == "DerivedBounds":
             value = from_json(DerivedBounds, value, f"{what}.{key}")
+            for name in ("weight_caps_impact", "weight_caps_participation"):
+                caps = getattr(value, name)  # a cap per candidate: C loops only (nan sums to nan)
+                values = caps.values() if isinstance(caps, dict) else None
+                _require(caps is None or values is not None and (not values or (
+                    {*map(type, values)} <= {float, int} and 0 <= min(values) and max(values) <= 1
+                    and not math.isnan(sum(values)))),
+                    f"{name} must be null or map ids to numbers in [0,1]", "bad_bound", name)
         elif f.type == "dict[str, LayerVerdict]":
             verdicts = _strict_keys(value, set(LAYERS), f"{what}.{key}")
             value = {name: from_json(LayerVerdict, verdicts[name], f"{what}.{key}.{name}")

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import tracemalloc
+from collections import namedtuple
 from datetime import date
 
 import pytest
@@ -200,7 +201,6 @@ def test_load_candidates_error_table(tmp_path, body, code, message, field):
     assert err.value.code == code
     assert str(err.value) == message.format(path=path)
     assert err.value.field == field
-    _assert_plain_pass_declines("candidates", path, err.value)
 
 
 _ASSET_IDS = st.text("ABCXYZabcxyz0123456789_.-", min_size=1, max_size=8)
@@ -374,19 +374,6 @@ def test_load_events_error_table(tmp_path, body, code, message, field):
     assert err.value.code == code
     assert message in str(err.value)
     assert err.value.field == field
-    _assert_plain_pass_declines("events", path, err.value)
-
-
-def _assert_plain_pass_declines(kind, path, error):
-    """The plain pass of ``kind`` raises ``error`` if it is a header error, the one header rule
-    being the plain pass's too, and else returns ``None``: a row's error is the row loader's."""
-    plain_pass = _passes(kind)[0]
-    if error.code == "bad_header":
-        with pytest.raises(ValidationError) as plain:
-            plain_pass(path)
-        assert (str(plain.value), plain.value.code) == (str(error), error.code)
-    else:
-        assert plain_pass(path) is None
 
 
 #: kind -> (loader, file name in messages, header, a valid row: ``{id}``, ``{value}`` and
@@ -403,24 +390,6 @@ _FAULT_CODES = {"empty id": "bad_id", "duplicate": "duplicate_id", "nan": "not_f
                 "x1": "bad_number", "bad tier": "bad_tier", "zero adv": "adv_must_be_positive",
                 "negative cost": "cost_must_be_nonnegative", "bad flag": "bad_boolean",
                 "bad exclusion": "bad_exclusion"}
-#: kind -> the name in io of its row loader, the one reader that words a row's error
-_ROW_LOADERS = {"candidates": "_load_candidate_rows", "core": "_load_pair_rows",
-                "proposal": "_load_pair_rows", "events": "_load_event_rows"}
-
-
-def _passes(kind):
-    """(plain pass, row loader) of loader ``kind``, each a function of a path; both are looked
-    up in ``satfeas.io`` when called, so a monkeypatch reaches them."""
-    what, header = _FAULT_FILES[kind][1], _FAULT_FILES[kind][2].split(",")
-    io = satfeas.io
-    if kind in ("core", "proposal"):
-        # the builds of load_core_weights and, with both flags off, load_proposal_trades
-        build = io._core_weights if kind == "core" else RebalanceProposal
-        return (lambda path: io._plain(path, header, what, io._plain_pairs, build),
-                lambda path: io._load_pair_rows(path, header, what, build))
-    read = io._plain_candidates if kind == "candidates" else io._plain_events
-    return (lambda path: io._plain(path, header, what, read),
-            lambda path: getattr(io, _ROW_LOADERS[kind])(path))
 
 
 #: the faults of one candidate cell, by name: (cell index, its text).
@@ -543,52 +512,74 @@ def _outcome(load, path):
         return e.code, str(e), e.field
 
 
+#: the error a draw implies: its code, worded at row ``line``
+_Fault = namedtuple("_Fault", "code line")
+
+
+def _assert_loads_as_drawn(kind, lines, path, expected):
+    """Loader ``kind`` reads ``lines`` as the draw implies: ``expected`` is the object built from
+    the drawn cells, or the :data:`_Fault` it raises."""
+    path.write_text("\n".join(lines) + "\n")
+    loader, what = _FAULT_FILES[kind][:2]
+    if isinstance(expected, _Fault):
+        with pytest.raises(ValidationError) as err:
+            loader(path)
+        assert err.value.code == expected.code
+        assert str(err.value).startswith(f"{what} row {expected.line}: ")
+    else:
+        assert loader(path) == expected
+
+
 def _padded(data, cell):
     return " " * data.draw(st.integers(0, 2)) + cell + " " * data.draw(st.integers(0, 2))
 
 
+def _drawn_fault(kind, data):
+    """The lines of a valid ``kind`` file with one bad cell, and its fault."""
+    lines, fault, line = _draw_one_fault(kind, data)
+    return lines, _Fault(_FAULT_CODES[fault], line)
+
+
 def _draw_event_lines(kind, data):
     """A valid events file with blank rows, padded cells and mixed-case flags (``valid``), the
-    same with dates that may repeat or be spelled two ways (``dates``), or one fault."""
+    same with dates that may repeat or be spelled two ways (``dates``), or one fault; and the
+    outcome it implies. Each row has its own id and each date its own flags, so a run of rows
+    with one spelled date is one event, and a run whose date is not past the last is an error."""
     if kind == "fault":
-        return _draw_one_fault("events", data)[0]
+        return _drawn_fault("events", data)
     days = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
     if kind == "valid":
         days = sorted(set(days))
-    lines = [EVENT_HEADER.strip()]
+    lines, runs = [EVENT_HEADER.strip()], []  # runs: [spelled date, its row, day, trades, flags]
+    flags = {day: [data.draw(st.sampled_from(["true", "false"])) for _ in range(2)]
+             for day in days}
     for day in days:
-        flags = [data.draw(st.sampled_from(["true", "false"])) for _ in range(2)]
-        for j in range(data.draw(st.integers(1, 4))):
+        for _ in range(data.draw(st.integers(1, 4))):
             if data.draw(st.booleans()):
                 lines.append(data.draw(st.sampled_from(["", "   ", " , ,,,", ",,,,", " \t"])))
             spelled = (f"2025010{day}" if kind == "dates" and data.draw(st.booleans())
                        else f"2025-01-0{day}")
+            name, dw = f"N{len(lines)}", data.draw(st.floats(-1, 1))
             cases = [data.draw(st.sampled_from([str.lower, str.upper, str.title]))(flag)
-                     for flag in flags]
-            cells = [spelled, f"N{j}", repr(data.draw(st.floats(-1, 1))), *cases]
-            lines.append(",".join(_padded(data, cell) for cell in cells))
-    return lines
+                     for flag in flags[day]]
+            lines.append(",".join(_padded(data, cell)
+                                  for cell in [spelled, name, repr(dw), *cases]))
+            if not runs or runs[-1][0] != spelled:
+                runs.append([spelled, len(lines), date(2025, 1, day), [], flags[day]])
+            runs[-1][3].append((name, dw))
+    for before, run in zip([None, *runs], runs):
+        if before is not None and run[2] <= before[2]:
+            return lines, _Fault("events_out_of_order", run[1])
+    return lines, [RebalanceEvent(day, RebalanceProposal(trades, *(f == "true" for f in flags)))
+                   for _, _, day, trades, flags in runs]
 
 
 @settings(max_examples=150, deadline=None)
 @given(kind=st.sampled_from(["valid", "dates", "fault"]), data=st.data())
-def test_load_events_equals_the_row_loader(tmp_path_factory, kind, data):
-    """Either pass gives what the row loader gives: the same events, or the same error."""
-    path = tmp_path_factory.mktemp("events") / "e.csv"
-    path.write_text("\n".join(_draw_event_lines(kind, data)) + "\n")
-    _assert_both_passes_equal_the_row_loader("events", path, kind == "valid")
-
-
-def _assert_both_passes_equal_the_row_loader(kind, path, plain_takes_it):
-    """Loader ``kind`` gives what its row loader gives: the same object or the same error; its
-    plain pass gives that object or ``None``, and the object if ``plain_takes_it``."""
-    plain_pass, row_loader = _passes(kind)
-    reference = _outcome(row_loader, path)
-    assert _outcome(_FAULT_FILES[kind][0], path) == reference
-    plain = plain_pass(path)
-    assert plain is None or plain == reference
-    if plain_takes_it:
-        assert plain == reference
+def test_load_events_builds_what_was_drawn(tmp_path_factory, kind, data):
+    """The events loader gives the events of the drawn runs, or the error the draw implies."""
+    lines, expected = _draw_event_lines(kind, data)
+    _assert_loads_as_drawn("events", lines, tmp_path_factory.mktemp("events") / "e.csv", expected)
 
 
 #: cells a valid file may hold, each drawn in any case where a spelling map reads it
@@ -598,43 +589,45 @@ _SPELLED = {"tier": ["A", "B", "C"], "flag": ["true", "false"],
 
 def _draw_pair_lines(kind, form, data):
     """A valid file of ``kind`` (not events) with empty lines, padded cells and spellings in
-    mixed case (``valid``); the same with whitespace-only rows too (``spaced``); or one fault."""
+    mixed case (``valid``); the same with whitespace-only rows too (``spaced``); or one fault;
+    and the outcome it implies."""
     if form == "fault":
-        return _draw_one_fault(kind, data)[0]
+        return _drawn_fault(kind, data)
     case = st.sampled_from([str.lower, str.upper, str.title, str.swapcase])
     n = data.draw(st.integers(1, 6))
-    lines = [_FAULT_FILES[kind][2]]
+    lines, built = [_FAULT_FILES[kind][2]], []
     for i in range(n):
         blanks = ["", " ", " ,  ", ",,,,,", "\t"] if form == "spaced" else [""]
         if data.draw(st.booleans()):
             lines.append(data.draw(st.sampled_from(blanks)))
         if kind == "candidates":
-            cost = data.draw(st.none() | st.floats(0, 100))
-            cells = [f"N{i}", data.draw(case)(data.draw(st.sampled_from(_SPELLED["tier"]))),
-                     repr(data.draw(st.floats(1, 1e12))), "" if cost is None else repr(cost),
-                     data.draw(case)(data.draw(st.sampled_from(_SPELLED["flag"]))),
-                     data.draw(case)(data.draw(st.sampled_from(_SPELLED["exclusion"])))]
-        elif kind == "core":
-            cells = [f"N{i}", repr(1 / n)]
+            tier, flag, exclusion = (data.draw(st.sampled_from(_SPELLED[key]))
+                                     for key in ("tier", "flag", "exclusion"))
+            adv, cost = data.draw(st.floats(1, 1e12)), data.draw(st.none() | st.floats(0, 100))
+            cells = [f"N{i}", data.draw(case)(tier), repr(adv), "" if cost is None else repr(cost),
+                     data.draw(case)(flag), data.draw(case)(exclusion)]
+            built.append(Asset(f"N{i}", TierClass(tier), adv, flag == "true",
+                               ExclusionCategory(exclusion), cost))
         else:
-            cells = [f"N{i}", repr(data.draw(st.floats(-1, 1)))]
+            cells = [f"N{i}", repr(1 / n if kind == "core" else data.draw(st.floats(-1, 1)))]
+            built.append((cells[0], float(cells[1])))
         lines.append(",".join(_padded(data, cell) for cell in cells))
-    return lines
+    return lines, {"core": tuple, "proposal": RebalanceProposal}.get(kind, list)(built)
 
 
 @settings(max_examples=150, deadline=None)
 @given(kind=st.sampled_from(["candidates", "core", "proposal"]),
        form=st.sampled_from(["valid", "spaced", "fault"]), data=st.data())
-def test_each_loader_equals_its_row_loader(tmp_path_factory, kind, form, data):
-    """The candidates, core and proposal loaders give what their row loaders give."""
-    path = tmp_path_factory.mktemp(kind) / "f.csv"
-    path.write_text("\n".join(_draw_pair_lines(kind, form, data)) + "\n")
-    _assert_both_passes_equal_the_row_loader(kind, path, form == "valid")
+def test_each_loader_builds_what_was_drawn(tmp_path_factory, kind, form, data):
+    """The candidates, core and proposal loaders give the assets or pairs of the drawn cells,
+    or the error the draw implies."""
+    lines, expected = _draw_pair_lines(kind, form, data)
+    _assert_loads_as_drawn(kind, lines, tmp_path_factory.mktemp(kind) / "f.csv", expected)
 
 
 def test_a_short_row_wins_over_an_unreadable_byte_later_in_its_date(tmp_path):
-    # the plain pass reads a date's rows to its end, past the reader's first chunk, before
-    # it checks any; the row loader stops at the short row
+    # a date's rows are read to its end, past the reader's first chunk, before any is checked;
+    # the read error there must not hide the short row read before it
     rows = b"".join(b"2025-01-01,N%d,0.1,true,false\n" % i for i in range(600))
     path = tmp_path / "e.csv"
     path.write_bytes(EVENT_HEADER.encode() + ROW_A.encode() + b"2025-01-01,B\n" + rows
@@ -644,36 +637,54 @@ def test_a_short_row_wins_over_an_unreadable_byte_later_in_its_date(tmp_path):
     assert (err.value.code, str(err.value)) == ("bad_row", "events row 3 has 2 fields, expected 5")
 
 
-#: plain events files: the generated rows edited as each case says
-_PLAIN_EDITS = {
-    "generated": lambda body: body,
-    "ends in a blank line": lambda body: body + "\n",
-    # inside a date's run, between two dates' runs, and at the end
-    "whitespace-only rows": lambda body: body.replace("\n", "\n  \n , ,,,\n", 1).replace(
-        ",false\n1999-09-04", ",false\n\t\n1999-09-04") + ",,,,\n",
-    "one flag spelled TRUE and true": lambda body: (
-        "1999-01-01,A,0.1,TRUE,False\n1999-01-01,B,0.1,true,false\n" + body),
+def _blank(kind):
+    """A whitespace-only row as wide as a ``kind`` file's."""
+    return ",".join([" "] * (_FAULT_FILES[kind][2].count(",") + 1))
+
+
+#: edits of a generated file's data rows; all but the bad cell leave what it loads unchanged
+_EDITS = {
+    "plain": lambda kind, rows: rows,
+    "mixed-case spellings": lambda kind, rows: [rows[0].upper(), *rows[1:]],
+    "whitespace-only rows at the start": lambda kind, rows: [_blank(kind), "", *rows],
+    # in an events file, inside a date's run and between two runs
+    "whitespace-only rows in the middle": lambda kind, rows: [
+        *rows[:260], " ", _blank(kind), *rows[260:275], "\t", *rows[275:]],
+    "whitespace-only rows at the end": lambda kind, rows: [*rows, _blank(kind), "\t", ""],
+    "one bad cell": lambda kind, rows: [*rows[:260], _bad_number(kind, rows[260]), *rows[261:]],
 }
 
 
-@pytest.mark.parametrize("kind,edit", [
-    *(pytest.param("events", edit, id=edit) for edit in _PLAIN_EDITS),
-    *(pytest.param(kind, edit, id=f"{kind}-{edit}") for kind in ("candidates", "core", "proposal")
-      for edit in ("generated", "ends in a blank line"))])
-def test_a_plain_file_is_loaded_by_the_plain_pass(tmp_path, monkeypatch, kind, edit):
-    header, body = _generated_csv(kind, 500).split("\n", 1)
-    path = write(tmp_path, "f.csv", header + "\n" + _PLAIN_EDITS[edit](body))
-    expected = _passes(kind)[1](path)
+def _bad_number(kind, row):
+    """``row`` of a ``kind`` file with its first number cell spelled ``x``."""
+    cells = row.split(",")
+    cells[1 if kind in ("core", "proposal") else 2] = "x"
+    return ",".join(cells)
 
-    def fail(*args):
-        raise AssertionError(f"a plain {kind} file went to the row loader")
 
-    monkeypatch.setattr(satfeas.io, _ROW_LOADERS[kind], fail)
-    loaded = _FAULT_FILES[kind][0](path)
-    assert loaded == expected
-    # a list, not an iterator: the bench tracer's replay hook takes the events' len() and its
-    # load_events and load_candidates hooks iterate them or take their len()
-    assert type(loaded) is {"core": tuple, "proposal": RebalanceProposal}.get(kind, list)
+@pytest.mark.parametrize("edit", sorted(_EDITS))
+@pytest.mark.parametrize("kind", sorted(_FAULT_FILES))
+def test_each_loader_opens_its_file_once(tmp_path, monkeypatch, kind, edit):
+    loader = _FAULT_FILES[kind][0]
+    header, *rows = _generated_csv(kind, 500).splitlines()
+    path = write(tmp_path, "f.csv", "\n".join([header, *_EDITS[edit](kind, rows)]) + "\n")
+    expected = loader(write(tmp_path, "plain.csv", "\n".join([header, *rows]) + "\n"))
+    opened, real = [], satfeas.io._opened
+
+    def counted(*args):
+        opened.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(satfeas.io, "_opened", counted)
+    loaded = _outcome(loader, path)
+    assert len(opened) == 1
+    if edit == "one bad cell":
+        assert loaded[:2] == ("bad_number", f"{_FAULT_FILES[kind][1]} row 262: 'x' is not a number")
+    else:
+        assert loaded == expected
+        # a list, not an iterator: the bench tracer's replay hook takes the events' len() and
+        # its load_events and load_candidates hooks iterate them or take their len()
+        assert type(loaded) is {"core": tuple, "proposal": RebalanceProposal}.get(kind, list)
 
 
 def test_load_events_ai_fixture_pinned():
@@ -874,6 +885,12 @@ PARSE_REPORT_ERRORS = [
      "bad_bound", "weight_caps_impact"),
     ("impact cap above 1",
      _edit("report", "derived_bounds", "weight_caps_impact", "N0", value=1.5), "bad_bound",
+     "weight_caps_impact"),
+    ("impact cap NaN",
+     _edit("report", "derived_bounds", "weight_caps_impact", "N0", value=math.nan), "bad_bound",
+     "weight_caps_impact"),
+    ("impact cap negative",
+     _edit("report", "derived_bounds", "weight_caps_impact", "N0", value=-0.1), "bad_bound",
      "weight_caps_impact"),
     ("participation caps a number",
      _edit("report", "derived_bounds", "weight_caps_participation", value=0.5), "bad_bound",

@@ -117,15 +117,6 @@ def test_the_asset_index_is_built_by_its_check_alone():
     assert _callers({"_AssetIndex"}) == ["cascade._asset_map"]
 
 
-def test_no_plain_pass_words_an_error():
-    # a plain pass gives up on a file it cannot take, and its row loader reads it again and
-    # words the error: so no function named _plain* builds one
-    plain = sorted(where for where, _ in _functions() if where.split(".")[1].startswith("_plain"))
-    assert plain == ["io._plain", "io._plain_candidates", "io._plain_event",
-                     "io._plain_events", "io._plain_pairs"]
-    assert set(plain).isdisjoint(_callers({"ValidationError", "entry_error"}))
-
-
 def test_value_rule_codes_have_one_home():
     # every flag field and every normalized weight vector is checked by one model helper
     assert _constant_homes("bad_flag") == ["model.check_flag"]
@@ -140,10 +131,11 @@ def test_interval_words_only_in_the_domain_table():
 
 
 def test_row_errors_have_one_home():
-    # a loader words every error met on a row through one helper; the reader words a bad row
+    # a loader words every error met on a row through one helper, and a row of the wrong
+    # width through another
     homes = _constant_homes(lambda constant: isinstance(constant, str)
                             and constant.endswith(" row "))
-    assert homes == ["io._read_rows", "io._row_error"]
+    assert homes == ["io._cells", "io._row_error"]
 
 
 def test_enum_spellings_read_only_in_io():
