@@ -14,9 +14,8 @@ import json
 from array import array
 from contextlib import contextmanager
 from datetime import date
-from itertools import chain, groupby
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -113,20 +112,25 @@ def _cells(line: int, row: list[str], width: int, what: str) -> tuple[str, ...] 
     return cells
 
 
-def _read_rows(rows: Iterable[tuple[int, list[str]]], width: int, what: str) -> None:
-    """Read the rest of ``rows``, each ``(row number, row)``, checking each row's width."""
-    for line, row in rows:
-        _cells(line, row, width, what)
-
-
 def _row_error(rows: Iterable[tuple[int, list[str]]], e: ValidationError, what: str, line: int,
                width: int) -> ValidationError:
     """``e`` worded at row ``line`` of file ``what``, once the rest of ``rows`` is read: a
     malformed row or unreadable byte there wins. An entry error, or one naming no field, names
     the file."""
-    _read_rows(rows, width, what)
+    for later, row in rows:
+        _cells(later, row, width, what)
     field = what if e.index is not None or e.field is None else e.field
     return ValidationError(f"{what} row {line}: {e.args[0]}", e.code, field)
+
+
+def _built(rows: Iterable[tuple[int, list[str]]], what: str, lines: array, width: int,
+           build: Callable, *args: Any) -> Any:
+    """``build(*args)``: an entry's error is worded at its row, ``lines[e.index]``, once the
+    rest of ``rows`` is read; any other error is raised as it is."""
+    try:
+        return build(*args)
+    except ValidationError as e:
+        raise (e if e.index is None else _row_error(rows, e, what, lines[e.index], width)) from None
 
 
 def _parse_float(text: str) -> float:
@@ -215,10 +219,7 @@ def _load_pairs(path: str | Path, header: list[str], what: str, build: Callable)
                 except ValidationError as e:
                     raise _row_error(rows, e, what, line, width) from None
             lines.append(line)
-    try:
-        return build(pairs)
-    except ValidationError as e:  # an entry's error at its row; any other as it is
-        raise (e if e.index is None else _row_error((), e, what, lines[e.index], width)) from None
+    return _built((), what, lines, width, build, pairs)
 
 
 def load_core_weights(path: str | Path) -> tuple[tuple[str, float], ...]:
@@ -244,109 +245,53 @@ def load_events(path: str | Path) -> list[RebalanceEvent]:
     """Read an event-stream CSV in one pass, one event per run of rows with one date.
 
     Governance flags must agree within a date; dates must be strictly
-    increasing. Each date's rows are read, then parsed a column at a time
-    by :func:`_event_columns`; a date that fails there is checked again row
-    by row by :func:`_event_rows`, which builds it or words its first error.
+    increasing. A row that spells its date and flags as the last checked row
+    did is built by one expression; any other row is checked in place: a new
+    date builds the last date's event, then parses its date and flags, and
+    a row of the same date must agree with them.
     """
     events: list[RebalanceEvent] = []
+    width, trades, lines = len(EVENT_HEADER), [], array("l")  # trades and rows of the open date
+    text, spelled = None, (None, None, None)  # its date; the last checked row's raw date, flags
     with _csv_rows(path, EVENT_HEADER, "events") as reader:
-        runs = _date_runs(reader)
-        for text, first, run in runs:
-            after = events[-1].date if events else None
+        rows, strip = enumerate(reader, start=2), str.strip
+        for line, row in rows:
             try:
-                events.append(_event_columns(text, run, after))
-            except ValueError:  # a ValidationError too
-                events.append(_event_rows(text, enumerate(run, first), runs, after))
-    return events
-
-
-def _date_runs(reader: Iterator[list[str]]) -> Iterator[tuple[str, int, list[list[str]]]]:
-    """(stripped date cell, row number of its first row, rows) of each run of rows with one
-    date, as read: rows are grouped by their date cell and counted by the groups' lengths.
-    Blank rows inside a run stay in it; those between runs are skipped but counted. If a read
-    fails, the rows not yet yielded are checked first: a malformed row wins over it."""
-    strip = str.strip
-    text, first, run, blank, group = None, 2, [], [], []
-    try:
-        for key, rows in groupby(reader, itemgetter(slice(0, 1))):  # [] for an empty line
-            group = []
-            group += rows  # the rows read stay here if a read fails
-            key = strip(key[0]) if key else ""
-            if key == text:
-                run += blank
-                run += group
-                blank = []
-            elif key or any(map(strip, chain.from_iterable(group))):
-                if text is not None:
-                    yield text, first, run
-                first += len(run) + len(blank)
-                text, run, blank = key, group, []
-            else:  # whitespace-only rows
-                blank += group
-    except _READ_ERRORS:
-        _read_rows(chain(enumerate(run, first), enumerate(group, first + len(run) + len(blank))),
-                   len(EVENT_HEADER), "events")
-        raise
-    if text is not None:
-        yield text, first, run
-
-
-def _event_columns(text: str, rows: list[list[str]], after: date | None) -> RebalanceEvent:
-    """The event of one date's ``rows``, parsed a column at a time so no Python code runs per
-    row but ``check_pairs``; a ``ValueError`` unless every row has five cells, each flag column
-    spells one value, the trades pass and the date is past ``after``."""
-    day = date.fromisoformat(text)
-    if {*map(len, rows)} != {len(EVENT_HEADER)} or after is not None and day <= after:
-        raise ValueError(text)
-    _, names, dws, dues, brks = zip(*rows)
-    return RebalanceEvent(day, RebalanceProposal(
-        [*zip(map(str.strip, names), map(float, dws))], _flag_column(dues),
-        _flag_column(brks)))
-
-
-def _flag_column(cells: tuple[str, ...]) -> bool | None:
-    """The one value that every flag cell of a date spells, or ``None``, which
-    ``RebalanceProposal`` rejects."""
-    values = {_BOOLS.get(cell.strip().lower()) for cell in {*cells}}
-    return values.pop() if len(values) == 1 else None
-
-
-def _event_rows(text: str, rows: Iterator[tuple[int, list[str]]],
-                runs: Iterator[tuple[str, int, list[list[str]]]],
-                after: date | None) -> RebalanceEvent:
-    """The event of one date's ``(row number, row)`` ``rows``, checked row by row: the first
-    sets the date and flags, each later one must agree, and each number is parsed. The first
-    error is worded at its row once the rest of the file, ``runs``, is read."""
-    width = len(EVENT_HEADER)
-    later = chain(rows, chain.from_iterable(enumerate(run, first) for _, first, run in runs))
-    trades, lines = [], []
-    for line, row in rows:
-        cells = _cells(line, row, width, "events")
-        if cells is None:
-            continue
-        _, name, dw, due, brk = cells
-        try:
-            if not lines:
+                day_cell, name, dw, due, brk = row
+                if day_cell != spelled[0] or due != spelled[1] or brk != spelled[2]:
+                    raise ValueError
+                trades.append((strip(name), float(dw)))
+            except ValueError:
+                cells = _cells(line, row, width, "events")
+                if cells is None:
+                    continue
+                if cells[0] != text and trades:  # its entry error wins over this row's cells
+                    events.append(RebalanceEvent(day, _built(
+                        rows, "events", lines, width, RebalanceProposal, trades, *flags)))
+                    trades, lines = [], array("l")
+                day_cell, name, dw, due, brk = cells
                 try:
-                    day = date.fromisoformat(text)
-                except ValueError:
-                    raise ValidationError(f"bad date {text!r}", "bad_date") from None
-                if after is not None and day <= after:
-                    raise ValidationError("dates must be strictly increasing",
-                                          "events_out_of_order")
-                schedule_due, structural_break = _parse_bool(due), _parse_bool(brk)
-            elif _parse_bool(due) != schedule_due or _parse_bool(brk) != structural_break:
-                raise ValidationError(f"governance flags differ within date {text}",
-                                      "inconsistent_flags")
-            trades.append((name, _parse_float(dw)))
-        except ValidationError as e:
-            raise _row_error(later, e, "events", line, width) from None
-        lines.append(line)
-    try:
-        return RebalanceEvent(day, RebalanceProposal(trades, schedule_due, structural_break))
-    except ValidationError as e:  # as in _load_pairs
-        raise (e if e.index is None
-               else _row_error(later, e, "events", lines[e.index], width)) from None
+                    if not trades:
+                        try:
+                            day = date.fromisoformat(day_cell)
+                        except ValueError:
+                            raise ValidationError(f"bad date {day_cell!r}", "bad_date") from None
+                        if events and day <= events[-1].date:
+                            raise ValidationError("dates must be strictly increasing",
+                                                  "events_out_of_order")
+                        flags = _parse_bool(due), _parse_bool(brk)
+                    elif _parse_bool(due) != flags[0] or _parse_bool(brk) != flags[1]:
+                        raise ValidationError(f"governance flags differ within date {text}",
+                                              "inconsistent_flags")
+                    trades.append((name, _parse_float(dw)))
+                except ValidationError as e:
+                    raise _row_error(rows, e, "events", line, width) from None
+                text, spelled = day_cell, (row[0], row[3], row[4])
+            lines.append(line)
+        if trades:
+            events.append(RebalanceEvent(day, _built(
+                rows, "events", lines, width, RebalanceProposal, trades, *flags)))
+    return events
 
 
 _SCALARS = {str, int, float, bool, type(None)}  # exact types: a subclass is walked

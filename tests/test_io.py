@@ -361,6 +361,12 @@ LOAD_EVENTS_ERRORS = [
      "events row 3: delta_w for B must be a finite number", "events"),
     ("inf delta_w", EVENT_HEADER + "2025-01-01,A,-inf,true,false\n", "not_finite",
      "events row 2: delta_w for A must be a finite number", "events"),
+    ("an entry error wins over a bad cell in the next date",
+     EVENT_HEADER + ROW_A + "2025-01-01,A,0.2,true,false\n2025-01-02,B,x,true,false\n",
+     "duplicate_id", "events row 3: duplicate id 'A'", "events"),
+    ("a short row in the next date wins over an entry error",
+     EVENT_HEADER + ROW_A + "2025-01-01,A,0.2,true,false\n2025-01-02,B\n", "bad_row",
+     "events row 4 has 2 fields, expected 5", "events"),
 ]
 
 
@@ -626,8 +632,8 @@ def test_each_loader_builds_what_was_drawn(tmp_path_factory, kind, form, data):
 
 
 def test_a_short_row_wins_over_an_unreadable_byte_later_in_its_date(tmp_path):
-    # a date's rows are read to its end, past the reader's first chunk, before any is checked;
-    # the read error there must not hide the short row read before it
+    # each row is checked as it is read: the read error later in the date, past the reader's
+    # first chunk, must not hide the short row before it
     rows = b"".join(b"2025-01-01,N%d,0.1,true,false\n" % i for i in range(600))
     path = tmp_path / "e.csv"
     path.write_bytes(EVENT_HEADER.encode() + ROW_A.encode() + b"2025-01-01,B\n" + rows
@@ -635,6 +641,21 @@ def test_a_short_row_wins_over_an_unreadable_byte_later_in_its_date(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_events(path)
     assert (err.value.code, str(err.value)) == ("bad_row", "events row 3 has 2 fields, expected 5")
+
+
+def test_a_plain_events_file_checks_one_row_a_date(tmp_path, monkeypatch):
+    # a row spelled as the last checked row is built without a check: in a plain file only
+    # each date's first row is checked
+    path = write(tmp_path, "e.csv", _generated_csv("events", 20_000))
+    checked, real = [], satfeas.io._cells
+
+    def counted(*args):
+        checked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(satfeas.io, "_cells", counted)
+    assert len(load_events(path)) == 800
+    assert len(checked) <= 800
 
 
 def _blank(kind):
