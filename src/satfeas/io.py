@@ -163,23 +163,24 @@ def _parse_member(values: dict[str, Any], key: str, text: str, name: str, code: 
 def load_candidates(path: str | Path) -> list[Asset]:
     """Read the candidate universe CSV in one pass, one validated asset per row.
 
-    An empty ``round_trip_cost_bps`` cell means the sleeve-level cost
-    applies. Each row is built by one expression of builtins; a row that
-    fails it is skipped if blank, and else parsed again in order to word
-    its first error: the id, then cost, tier, ``adv_usd``, flag, exclusion.
+    An empty ``round_trip_cost_bps`` cell means the sleeve-level cost applies. Each row is
+    built by one expression of builtins, which strips only the id and looks the tier, flag and
+    exclusion cells up as spelled, in maps of this load. A row that fails it is skipped if
+    blank, and else parsed again to word its first error: the id, then cost, tier, ``adv_usd``,
+    flag, exclusion. Its raw cells then join the load's maps: each spelling is checked once.
     """
-    assets: list[Asset] = []
-    seen: set[str] = set()
-    width = len(CANDIDATE_HEADER)
+    assets, seen, width = [], set(), len(CANDIDATE_HEADER)
+    tiers, bools, exclusions = dict(_TIERS), dict(_BOOLS), dict(_EXCLUSIONS)  # raw spellings
     with _csv_rows(path, CANDIDATE_HEADER, "candidates") as reader:
         rows, strip = enumerate(reader, start=2), str.strip
         for line, row in rows:
             try:
-                name, tier, adv, cost, gaer, exclusion = map(strip, row)
+                name, tier, adv, cost, gaer, exclusion = row
+                name = strip(name)
                 if not name or name in seen:  # worded below, before any cell
                     raise KeyError(name)
-                asset = Asset(name, _TIERS[tier.upper()], float(adv), _BOOLS[gaer.lower()],
-                              _EXCLUSIONS[exclusion.lower()], float(cost) if cost else None)
+                asset = Asset(name, tiers[tier], float(adv), bools[gaer], exclusions[exclusion],
+                              float(cost) if cost else None)
             except (KeyError, ValueError):  # a ValidationError is a ValueError
                 cells = _cells(line, row, width, "candidates")
                 if cells is None:
@@ -195,6 +196,8 @@ def load_candidates(path: str | Path) -> list[Asset]:
                                                 "exclusion", "bad_exclusion"), override)
                 except ValidationError as e:
                     raise _row_error(rows, e, "candidates", line, width) from None
+                tiers[row[1]], bools[row[4]] = asset.tier, asset.gaer_admissible
+                exclusions[row[5]] = asset.exclusion
             seen.add(name)
             assets.append(asset)
     return assets
@@ -244,21 +247,23 @@ def load_proposal_trades(path: str | Path, schedule_due: bool = False,
 def load_events(path: str | Path) -> list[RebalanceEvent]:
     """Read an event-stream CSV in one pass, one event per run of rows with one date.
 
-    Governance flags must agree within a date; dates must be strictly
-    increasing. A row that spells its date and flags as the last checked row
-    did is built by one expression; any other row is checked in place: a new
-    date builds the last date's event, then parses its date and flags, and
-    a row of the same date must agree with them.
+    Governance flags must agree within a date; dates must be strictly increasing. A row that
+    spells its date as the last checked row did, and its flags so too or as any checked row
+    spelled the open date's values, is built by one expression. Any other row is checked in
+    place: a new date builds the last date's event, then parses its date and flags, and a row
+    of the same date must agree with them.
     """
     events: list[RebalanceEvent] = []
     width, trades, lines = len(EVENT_HEADER), [], array("l")  # trades and rows of the open date
     text, spelled = None, (None, None, None)  # its date; the last checked row's raw date, flags
+    bools = dict(_BOOLS)  # each checked raw flag cell's value
     with _csv_rows(path, EVENT_HEADER, "events") as reader:
         rows, strip = enumerate(reader, start=2), str.strip
         for line, row in rows:
             try:
                 day_cell, name, dw, due, brk = row
-                if day_cell != spelled[0] or due != spelled[1] or brk != spelled[2]:
+                if day_cell != spelled[0] or (due != spelled[1] or brk != spelled[2]) and (
+                        bools.get(due) is not flags[0] or bools.get(brk) is not flags[1]):
                     raise ValueError
                 trades.append((strip(name), float(dw)))
             except ValueError:
@@ -287,6 +292,7 @@ def load_events(path: str | Path) -> list[RebalanceEvent]:
                 except ValidationError as e:
                     raise _row_error(rows, e, "events", line, width) from None
                 text, spelled = day_cell, (row[0], row[3], row[4])
+                bools[row[3]], bools[row[4]] = flags
             lines.append(line)
         if trades:
             events.append(RebalanceEvent(day, _built(

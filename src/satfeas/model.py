@@ -139,7 +139,7 @@ class ExclusionCategory(str, Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Asset:
     """One candidate sleeve constituent with liquidity and admissibility data.
 
@@ -154,24 +154,37 @@ class Asset:
     exclusion: ExclusionCategory = ExclusionCategory.NONE
     round_trip_cost_bps: float | None = None
 
-    def __post_init__(self):
-        if not (isinstance(self.id, str) and self.id):
+    def __init__(self, id: str, tier: TierClass, adv_usd: float, gaer_admissible: bool,
+                 exclusion: ExclusionCategory = ExclusionCategory.NONE,
+                 round_trip_cost_bps: float | None = None) -> None:
+        # checked in field order, a plain float or bool first: a loader builds one Asset a row
+        adv, cost = adv_usd, round_trip_cost_bps
+        if not (isinstance(id, str) and id):
             raise ValidationError("id must be a nonempty string", "bad_id", "id")
-        if not isinstance(self.tier, TierClass):
+        if not isinstance(tier, TierClass):
             raise ValidationError("tier must be a TierClass", "bad_tier", "tier")
-        # tests inline, a plain float or bool first: a loader builds one Asset per row
-        adv, cost = self.adv_usd, self.round_trip_cost_bps
         if not ((type(adv) is float and math.isfinite(adv) or _is_finite(adv)) and adv > 0):
             check_domain(adv, "adv_usd", "positive", "adv_must_be_positive")
-        if type(self.gaer_admissible) is not bool:
-            check_flag(self.gaer_admissible, "gaer_admissible")
-        if not isinstance(self.exclusion, ExclusionCategory):
+        if type(gaer_admissible) is not bool:
+            check_flag(gaer_admissible, "gaer_admissible")
+        if not isinstance(exclusion, ExclusionCategory):
             raise ValidationError("exclusion must be an ExclusionCategory", "bad_exclusion",
                                   "exclusion")
         if cost is not None and not ((type(cost) is float and math.isfinite(cost)
                                       or _is_finite(cost)) and cost >= 0):
             check_domain(cost, "round_trip_cost_bps", "nonnegative", "cost_must_be_nonnegative",
                          optional=True)
+        set_id, set_tier, set_adv, set_gaer, set_exclusion, set_cost = _ASSET_SETTERS
+        set_id(self, id)
+        set_tier(self, tier)
+        set_adv(self, adv)
+        set_gaer(self, gaer_admissible)
+        set_exclusion(self, exclusion)
+        set_cost(self, cost)
+
+
+#: The ``__set__`` of each ``Asset`` slot, in field order, bound once.
+_ASSET_SETTERS = tuple(getattr(Asset, f.name).__set__ for f in fields(Asset))
 
 
 @dataclass(frozen=True)

@@ -658,6 +658,65 @@ def test_a_plain_events_file_checks_one_row_a_date(tmp_path, monkeypatch):
     assert len(checked) <= 800
 
 
+def _counted_cells(monkeypatch):
+    """The argument tuples of each ``io._cells`` call from now on: each is one checked row."""
+    checked, real = [], satfeas.io._cells
+
+    def counted(*args):
+        checked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(satfeas.io, "_cells", counted)
+    return checked
+
+
+def test_an_events_file_of_alternating_flag_case_checks_one_row_a_date(tmp_path, monkeypatch):
+    # a flag cell spelled as any checked row spelled it, with the open date's value, is built
+    # without a check: past the first row of each new spelling, one row a date is checked
+    header, *rows = _generated_csv("events", 20_000).splitlines()
+    alternating = [row.upper() if i % 2 else row for i, row in enumerate(rows)]
+    plain = load_events(write(tmp_path, "plain.csv", "\n".join([header, *rows]) + "\n"))
+    checked = _counted_cells(monkeypatch)
+    path = write(tmp_path, "e.csv", "\n".join([header, *alternating]) + "\n")
+    assert load_events(path) == plain
+    assert len(plain) == 800
+    assert len(checked) <= 800 + 2  # and one row for each of "TRUE" and "FALSE"
+
+
+#: spellings of the tier, flag and exclusion cells of a candidates row, drawn in turn
+_RESPELT = [str.lower, str.upper, str.title, lambda c: f" {c}", lambda c: f"{c}\t ",
+            lambda c: f"  {c.swapcase()} "]
+
+
+def _respelt(line, i):
+    """Candidates ``line`` with its tier, flag and exclusion cells spelled the ``i``-th way."""
+    cells = line.split(",")
+    for k in (1, 4, 5):
+        cells[k] = _RESPELT[(i + k) % len(_RESPELT)](cells[k])
+    return ",".join(cells)
+
+
+def test_respelt_candidates_load_as_their_canonical_twin_and_check_each_spelling_once(
+        tmp_path, monkeypatch):
+    header, *rows = _generated_csv("candidates", 3_000).splitlines()
+    respelt = [_respelt(row, i) for i, row in enumerate(rows)]
+    maps = satfeas.io._TIERS, satfeas.io._BOOLS, satfeas.io._EXCLUSIONS
+    before = [dict(m) for m in maps]
+    twin = load_candidates(write(tmp_path, "plain.csv", "\n".join([header, *rows]) + "\n"))
+    checked = _counted_cells(monkeypatch)
+    loaded = load_candidates(write(tmp_path, "c.csv", "\n".join([header, *respelt]) + "\n"))
+    assert loaded == twin
+    # a row is checked only for a raw cell no row before it spelled so
+    spellings = {(k, row.split(",")[k]) for row in respelt for k in (1, 4, 5)}
+    assert 0 < len(checked) <= len(spellings) < 60
+    # the load's spelling maps are its own: no module map, and so no enum, learns a spelling
+    assert [dict(m) for m in maps] == before
+    for enum, spelling in ((TierClass, "a"), (ExclusionCategory, "NONE"),
+                           (ExclusionCategory, " none")):
+        with pytest.raises(ValueError):
+            enum(spelling)
+
+
 def _blank(kind):
     """A whitespace-only row as wide as a ``kind`` file's."""
     return ",".join([" "] * (_FAULT_FILES[kind][2].count(",") + 1))

@@ -1,21 +1,26 @@
 """Construction validation and serialization round-trips for the domain types."""
 
+import inspect
 import math
 import sys
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satfeas import (
+    Asset,
     EconParams,
     EntropyParams,
+    ExclusionCategory,
     FeasibilityParams,
     ImpactParams,
     LayerVerdict,
     RebalanceProposal,
     SatelliteDesign,
     StructuralParams,
+    TierClass,
     ValidationError,
     assign_tier_weights,
     breadth_bound_econ,
@@ -443,3 +448,72 @@ FLAG_CHECKS = [
 def test_flag_checks(flag, call, x):
     want = None if isinstance(x, bool) else ("bad_flag", flag, f"{flag} must be a boolean")
     assert _error_of(call, x) == want
+
+
+# --- the Asset surface: a hand-written constructor over the dataclass fields --------------
+
+def test_asset_signature_lists_its_fields_in_order_with_their_defaults():
+    params = inspect.signature(Asset).parameters
+    assert [(p.name, p.default) for p in params.values()] == [
+        (f.name, inspect.Parameter.empty if f.default is MISSING else f.default)
+        for f in fields(Asset)]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+
+
+def test_asset_is_frozen_and_slotted():
+    asset = make_asset()
+    for f in fields(Asset):
+        with pytest.raises(FrozenInstanceError):
+            setattr(asset, f.name, getattr(asset, f.name))
+    assert not hasattr(asset, "__dict__")
+    assert "__post_init__" not in vars(Asset)
+    assert Asset.__init__.__code__.co_filename == sys.modules[Asset.__module__].__file__
+
+
+def test_asset_keyword_and_positional_construction_agree():
+    args = ("X", TierClass.B, 2.5e6, False, ExclusionCategory.THEMATIC_ETF, 3.0)
+    by_position, by_name = Asset(*args), Asset(**dict(zip(_ASSET_FIELDS, args)))
+    assert by_position == by_name and hash(by_position) == hash(by_name)
+    assert [getattr(by_name, name) for name in _ASSET_FIELDS] == list(args)
+    short = Asset("X", TierClass.B, 2.5e6, False)
+    assert (short.exclusion, short.round_trip_cost_bps) == (ExclusionCategory.NONE, None)
+    assert short == Asset(id="X", tier=TierClass.B, adv_usd=2.5e6, gaer_admissible=False)
+
+
+def test_asset_replace_revalidates():
+    asset = make_asset()
+    assert replace(asset, adv_usd=7.0) == make_asset(adv_usd=7.0)
+    with pytest.raises(ValidationError) as err:
+        replace(asset, adv_usd=-1.0)
+    assert err.value.code == "adv_must_be_positive"
+
+
+_ASSET_FIELDS = ("id", "tier", "adv_usd", "gaer_admissible", "exclusion", "round_trip_cost_bps")
+_GOOD_ASSET = ("X", TierClass.A, 5e6, True, ExclusionCategory.NONE, None)
+
+#: (bad value of each field, in field order; the error each one raises when it is the first).
+ASSET_FIELD_ERRORS = [
+    (("", "A", -1.0, "yes", "none", -1.0),
+     [("bad_id", "id", "id must be a nonempty string"),
+      ("bad_tier", "tier", "tier must be a TierClass"),
+      ("adv_must_be_positive", "adv_usd", "adv_usd must be positive"),
+      ("bad_flag", "gaer_admissible", "gaer_admissible must be a boolean"),
+      ("bad_exclusion", "exclusion", "exclusion must be an ExclusionCategory"),
+      ("cost_must_be_nonnegative", "round_trip_cost_bps",
+       "round_trip_cost_bps must be nonnegative when present")]),
+    ((3, None, math.nan, 1, ExclusionCategory, math.inf),
+     [("bad_id", "id", "id must be a nonempty string"),
+      ("bad_tier", "tier", "tier must be a TierClass"),
+      ("not_finite", "adv_usd", "adv_usd must be a finite number"),
+      ("bad_flag", "gaer_admissible", "gaer_admissible must be a boolean"),
+      ("bad_exclusion", "exclusion", "exclusion must be an ExclusionCategory"),
+      ("not_finite", "round_trip_cost_bps", "round_trip_cost_bps must be a finite number")]),
+]
+
+
+@pytest.mark.parametrize("first", range(len(_ASSET_FIELDS)), ids=_ASSET_FIELDS)
+@pytest.mark.parametrize("bad,errors", ASSET_FIELD_ERRORS, ids=["out-of-range", "mistyped"])
+def test_asset_words_its_first_bad_field(bad, errors, first):
+    # every field from ``first`` on is bad: the checks run in field order
+    args = _GOOD_ASSET[:first] + bad[first:]
+    assert _error_of(lambda _: Asset(*args), None) == errors[first]
