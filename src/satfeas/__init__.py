@@ -42,7 +42,7 @@ from .model import (
     Unbounded,
     ValidationError,
 )
-from .replay import RebalanceEvent, ReplayStats, replay, replay_steps
+from .replay import RebalanceEvent, ReplayStats, replay
 from .tiering import assign_tier_weights, eligibility_filter
 
 __version__ = "0.1.0"
@@ -86,7 +86,6 @@ __all__ = [
     "max_weight_participation",
     "min_weight_change",
     "replay",
-    "replay_steps",
     "run_cascade",
     "weight_entropy",
 ]

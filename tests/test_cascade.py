@@ -31,7 +31,6 @@ from satfeas import (
     filter_rebalance,
     impact_cost,
     replay,
-    replay_steps,
     run_cascade,
 )
 from satfeas.cascade import _binding_layer
@@ -556,7 +555,6 @@ CANDIDATE_ENTRY_POINTS = {
     "compute_bounds": lambda assets: compute_bounds(make_params(), assets),
     "filter_rebalance": lambda assets: filter_rebalance(_DUE, make_params(), assets),
     "replay": lambda assets: replay(_DUE_EVENTS, make_params(), _EMPTY, assets),
-    "replay_steps": lambda assets: list(replay_steps(_DUE_EVENTS, make_params(), _EMPTY, assets)),
 }
 
 _LIQUID, _ILLIQUID = make_asset(id="A", adv_usd=1e12), make_asset(id="A", adv_usd=1.0)

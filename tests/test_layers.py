@@ -5,7 +5,7 @@ import sys
 from decimal import Context, Decimal
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from satfeas import (
@@ -83,6 +83,15 @@ class TestImpactCost:
 _POSITIVE = st.floats(min_value=5e-324, max_value=sys.float_info.max)
 _UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 _OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+def _steps(lo, hi, open_lo=False):
+    """Two floats ``x <= y`` in the interval from ``lo`` to ``hi``: often one ulp apart, where
+    a rounding or a path switch would break an order first."""
+    x = st.floats(lo, hi, exclude_min=open_lo)
+    return st.one_of(x.map(lambda v: (v, min(math.nextafter(v, math.inf), hi))),
+                     st.tuples(x, x).map(sorted))
+
 
 #: Decimal arithmetic far past float precision, for the exact value of a law.
 _EXACT = Context(prec=60)
@@ -273,6 +282,23 @@ class TestBreadthEcon:
         assert k * dw <= alpha
         assert (k + 1) * dw > alpha
 
+    @given(alphas=_steps(0.0, 1.0), crts=_steps(0.0, sys.float_info.max, open_lo=True),
+           epss=_steps(0.0, sys.float_info.max))
+    @settings(max_examples=200)
+    def test_monotone_in_each_input(self, alphas, crts, epss):
+        # never falls as alpha or C_rt rise, never rises as eps rises; UNBOUNDED is the top
+        (a1, a2), (c1, c2), (e1, e2) = alphas, crts, epss
+        assume(e2 / c1 <= sys.float_info.max)  # EconParams rejects a threshold that overflows
+
+        def bound(alpha, crt, eps):
+            k = breadth_bound_econ(alpha, EconParams(crt, eps))
+            return math.inf if k is UNBOUNDED else k
+
+        base = bound(a1, c1, e1)
+        assert bound(a2, c1, e1) >= base
+        assert bound(a1, c2, e1) >= base
+        assert bound(a1, c1, e2) <= base
+
 
 class TestStructural:
     def test_hand_cases(self):
@@ -286,16 +312,13 @@ class TestStructural:
         assert effective_alpha(StructuralParams(0.05, 0.5, 0.0, 0.08)) == pytest.approx(0.08)
         assert effective_alpha(StructuralParams(0.05, 0.5, 0.0, 0.0)) == 0.0
 
-    @given(l1=st.floats(min_value=0.0, max_value=1.0),
-           bump=st.floats(min_value=1.0, max_value=3.0),
-           d=st.floats(min_value=0.05, max_value=1.0))
-    @settings(max_examples=100)
-    def test_monotone_in_loss_and_drawdown(self, l1, bump, d):
-        lo = alpha_max_structural(StructuralParams(l1, d))
-        hi = alpha_max_structural(StructuralParams(min(l1 * bump, 1.0), d))
-        assert hi >= lo
-        deeper = alpha_max_structural(StructuralParams(l1, min(d * bump, 1.0)))
-        assert deeper <= lo
+    @given(losses=_steps(0.0, 1.0), drawdowns=_steps(0.0, 1.0, open_lo=True))
+    @settings(max_examples=200)
+    def test_monotone_in_loss_and_drawdown(self, losses, drawdowns):
+        (l1, l2), (d1, d2) = losses, drawdowns
+        base = alpha_max_structural(StructuralParams(l1, d1))
+        assert alpha_max_structural(StructuralParams(l2, d1)) >= base
+        assert alpha_max_structural(StructuralParams(l1, d2)) <= base
 
 
 class TestEntropy:
@@ -385,6 +408,9 @@ class TestBreadthEntropy:
         assert breadth_bound_entropy(0.1, EntropyParams(0.3)) == 2
         assert breadth_bound_entropy(0.5, EntropyParams(0.0)) == 0
         assert breadth_bound_entropy(0.12, EntropyParams(0.5)) == 7
+        # not monotone in alpha, as the paper's alpha * exp(dH_max / alpha) is not
+        assert breadth_bound_entropy(0.10, EntropyParams(0.5)) == 14
+        assert breadth_bound_entropy(0.15, EntropyParams(0.5)) == 4
 
     def test_empty_sleeve_admits_no_names(self):
         assert breadth_bound_entropy(0.0, EntropyParams(1.0)) == 0
@@ -411,13 +437,11 @@ class TestBreadthEntropy:
         if k < BREADTH_CEILING:
             assert entropy_increment_approx(alpha, k + 1) > delta_h_max
 
-    @given(alpha=st.floats(min_value=0.01, max_value=1.0),
-           dh=st.floats(min_value=0.0, max_value=1.5),
-           extra=st.floats(min_value=0.0, max_value=1.0))
-    @settings(max_examples=150)
-    def test_nondecreasing_in_budget(self, alpha, dh, extra):
-        lo = breadth_bound_entropy(alpha, EntropyParams(dh))
-        hi = breadth_bound_entropy(alpha, EntropyParams(dh + extra))
+    @given(alpha=st.floats(min_value=0.0, max_value=1.0),
+           budgets=_steps(0.0, sys.float_info.max))
+    @settings(max_examples=200)
+    def test_nondecreasing_in_budget(self, alpha, budgets):
+        lo, hi = (breadth_bound_entropy(alpha, EntropyParams(dh)) for dh in budgets)
         assert hi >= lo
 
 

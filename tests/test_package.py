@@ -39,8 +39,7 @@ PUBLIC_NAMES = [
     "breadth_bound_entropy", "compute_bounds", "config_from_dict", "effective_alpha",
     "eligibility_filter", "entropy_increment_approx", "entropy_increment_exact",
     "filter_rebalance", "impact_cost", "load_config", "max_weight_impact",
-    "max_weight_participation", "min_weight_change", "replay", "replay_steps", "run_cascade",
-    "weight_entropy",
+    "max_weight_participation", "min_weight_change", "replay", "run_cascade", "weight_entropy",
 ]
 
 
