@@ -116,7 +116,7 @@ class CascadeInput:
 
 def compute_bounds(
     params: FeasibilityParams,
-    candidates: Iterable[Asset] | Mapping[str, Asset] | None = None,
+    candidates: Iterable[Asset] | None = None,
 ) -> DerivedBounds:
     """Closed-form design bounds from the policy inputs.
 
@@ -153,7 +153,7 @@ def run_cascade(inp: CascadeInput) -> tuple[FeasibilityReport, SatelliteDesign]:
     re-evaluating a synthesized design returns the same report.
     """
     params = inp.params
-    eligible, _rejected = eligibility_filter(inp.candidates)
+    eligible = eligibility_filter(inp.candidates)
     bounds = compute_bounds(params, inp._by_id)
     design = inp.design if inp.design is not None else _synthesize(inp, eligible, bounds)
     members = [(asset, w) for asset, (_id, w) in
@@ -353,18 +353,12 @@ class _AssetIndex(dict):
     __slots__ = ()
 
 
-def _asset_map(assets: Iterable[Asset] | Mapping[str, Asset]) -> _AssetIndex:
+def _asset_map(assets: Iterable[Asset]) -> _AssetIndex:
     """Index assets by id, the one check of a candidate collection: each an ``Asset`` with a
-    new id. An index it built is returned as is; any other mapping must key each asset by its
-    id, and is checked and indexed anew."""
+    new id. An index it built is returned as is. Any other mapping iterates as its keys, so it
+    is ``bad_candidate``: pass its ``values()``."""
     if isinstance(assets, _AssetIndex):
         return assets
-    if isinstance(assets, Mapping):  # checked as a list of its values, once its keys are
-        for key, a in assets.items():
-            if isinstance(a, Asset) and key != a.id:
-                raise ValidationError(f"candidates key {key!r} is not the id of its asset "
-                                      f"{a.id!r}", code="bad_candidate", field="candidates")
-        assets = assets.values()
     by_id = _AssetIndex()
     for a in assets:
         if not isinstance(a, Asset):
@@ -389,7 +383,7 @@ def _members(pairs: Iterable[tuple[str, float]], by_id: _AssetIndex,
 def filter_rebalance(
     proposal: RebalanceProposal,
     params: FeasibilityParams,
-    assets: Iterable[Asset] | Mapping[str, Asset],
+    assets: Iterable[Asset],
 ) -> tuple[list[tuple[str, float]], list[tuple[tuple[str, float], str]]]:
     """Partition proposed trades into executed and suppressed-with-reason.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .cascade import _asset_map, _members, filter_rebalance
 from .model import (
@@ -65,7 +65,7 @@ def replay(
     events: Iterable[RebalanceEvent],
     params: FeasibilityParams,
     initial: SatelliteDesign,
-    assets: Iterable[Asset] | Mapping[str, Asset],
+    assets: Iterable[Asset],
 ) -> ReplayStats:
     """Aggregate an event stream, any iterable of events read once, into suppression statistics.
 

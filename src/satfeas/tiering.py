@@ -39,24 +39,13 @@ def eligibility_reason(asset: Asset) -> str | None:
     return None
 
 
-def eligibility_filter(
-    candidates: Sequence[Asset],
-) -> tuple[list[Asset], list[tuple[Asset, str]]]:
-    """Split candidates into eligible assets and rejects with reasons.
+def eligibility_filter(candidates: Sequence[Asset]) -> list[Asset]:
+    """The candidates :func:`eligibility_reason` gives no reason, in input order.
 
-    Eligible means :func:`eligibility_reason` gives no reason. Input order
-    is preserved on both sides, and filtering the eligible output again
-    returns it unchanged. Ids are not checked here: ``CascadeInput`` does.
+    Filtering the output again returns it unchanged. Ids are not checked
+    here: ``CascadeInput`` does.
     """
-    eligible: list[Asset] = []
-    rejected: list[tuple[Asset, str]] = []
-    for a in candidates:
-        reason = eligibility_reason(a)
-        if reason is None:
-            eligible.append(a)
-        else:
-            rejected.append((a, reason))
-    return eligible, rejected
+    return [a for a in candidates if eligibility_reason(a) is None]
 
 
 def assign_tier_weights(

@@ -3,14 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from satfeas import (
-    Asset,
+from satfeas import Asset, TierClass
+from satfeas.model import (
     EconParams,
     EntropyParams,
     FeasibilityParams,
     ImpactParams,
     StructuralParams,
-    TierClass,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

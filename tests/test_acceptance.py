@@ -12,27 +12,27 @@ import random
 import pytest
 
 from satfeas import (
-    Asset,
     CascadeInput,
-    EntropyParams,
     ExclusionCategory,
     RebalanceEvent,
     RebalanceProposal,
     SatelliteDesign,
     TierClass,
-    breadth_bound_entropy,
-    entropy_increment_approx,
-    entropy_increment_exact,
     filter_rebalance,
-    impact_cost,
-    max_weight_impact,
     replay,
     run_cascade,
-    weight_entropy,
 )
 from satfeas.cli import main
 from satfeas.io import emit_report
-from satfeas.model import ImpactParams
+from satfeas.layers import (
+    breadth_bound_entropy,
+    entropy_increment_approx,
+    entropy_increment_exact,
+    impact_cost,
+    max_weight_impact,
+    weight_entropy,
+)
+from satfeas.model import EntropyParams
 
 from conftest import FIXTURES, GOLDEN, check_cli_json, make_asset, make_params
 
@@ -109,13 +109,13 @@ def test_criterion_3_economic_no_trade_region():
                 dw = rng.uniform(-0.4, 0.4)
             trades.append((name, dw))
         proposal = RebalanceProposal(trades=tuple(trades), schedule_due=True)
-        executed, suppressed = filter_rebalance(proposal, params, assets)
+        executed, suppressed = filter_rebalance(proposal, params, assets.values())
         for name, dw in executed:
             crt = assets[name].round_trip_cost_bps or params.econ.round_trip_cost_bps
             assert abs(dw) * crt >= eps * (1 - 1e-12)
             # no leakage: an executed trade passes the filter on its own too
             alone = RebalanceProposal(trades=((name, dw),), schedule_due=True)
-            assert filter_rebalance(alone, params, assets) == ([(name, dw)], [])
+            assert filter_rebalance(alone, params, assets.values()) == ([(name, dw)], [])
             assert impact_cost(params.aum_usd * abs(dw), assets[name].adv_usd,
                                params.impact) <= params.impact.impact_cap
             checked += 1
@@ -165,7 +165,7 @@ def test_criterion_4_physical_inverse_consistency():
 
 
 def test_criterion_5_tier_weight_contract():
-    from satfeas import assign_tier_weights
+    from satfeas.tiering import assign_tier_weights
 
     rng = random.Random(555)
     for _ in range(1000):

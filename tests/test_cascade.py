@@ -14,28 +14,30 @@ from hypothesis import strategies as st
 from satfeas import (
     Asset,
     CascadeInput,
-    EconParams,
-    EntropyParams,
     ExclusionCategory,
-    FeasibilityParams,
-    ImpactParams,
-    LayerVerdict,
     RebalanceEvent,
     RebalanceProposal,
     SatelliteDesign,
-    StructuralParams,
     TierClass,
     ValidationError,
     compute_bounds,
     config_from_dict,
     filter_rebalance,
-    impact_cost,
     replay,
     run_cascade,
 )
-from satfeas.cascade import _binding_layer
+from satfeas.cascade import _asset_map, _binding_layer
 from satfeas.io import emit_report, load_candidates, parse_report
-from satfeas.model import UNBOUNDED
+from satfeas.layers import impact_cost, min_weight_change
+from satfeas.model import (
+    UNBOUNDED,
+    EconParams,
+    EntropyParams,
+    FeasibilityParams,
+    ImpactParams,
+    LayerVerdict,
+    StructuralParams,
+)
 
 from conftest import FIXTURES, make_asset, make_params, strict_json
 
@@ -281,12 +283,12 @@ _NONNEGATIVE = st.floats(min_value=0.0, max_value=sys.float_info.max)
 
 
 @st.composite
-def cascade_inputs(draw):
-    """A CascadeInput anywhere in the validated domain, extreme floats included."""
+def feasibility_params(draw):
+    """FeasibilityParams anywhere in the validated domain, extreme floats included."""
     lo, hi = sorted((draw(_CLOSED_UNIT), draw(_CLOSED_UNIT)))
     cost, effect = draw(_POSITIVE), draw(_NONNEGATIVE)
     assume(effect / cost <= sys.float_info.max)  # EconParams rejects a larger action threshold
-    params = FeasibilityParams(
+    return FeasibilityParams(
         aum_usd=draw(_POSITIVE), turnover_fraction=draw(_UNIT),
         impact=ImpactParams(c=draw(_POSITIVE),
                             delta=draw(st.floats(min_value=5e-324, max_value=1.0,
@@ -296,6 +298,12 @@ def cascade_inputs(draw):
         structural=StructuralParams(loss_tolerance=draw(_CLOSED_UNIT), max_drawdown=draw(_UNIT),
                                     alpha_policy_min=lo, alpha_policy_max=hi),
         entropy=EntropyParams(delta_h_max=draw(_NONNEGATIVE)))
+
+
+@st.composite
+def cascade_inputs(draw):
+    """A CascadeInput anywhere in the validated domain, extreme floats included."""
+    params = draw(feasibility_params())
     candidates = tuple(
         Asset(id=f"N{i}", tier=draw(st.sampled_from(TierClass)), adv_usd=draw(_POSITIVE),
               gaer_admissible=draw(st.just(True) | st.booleans()),
@@ -487,23 +495,6 @@ class TestFilterRebalance:
         assert (str(err.value), err.value.code, err.value.field) == \
             ("proposal references unknown asset id 'ghost'", "unknown_asset_id", "proposal")
 
-    def test_a_mapping_must_key_each_asset_by_its_id(self):
-        # a trade of CHIP1 must not run on FAB1's ADV and cost because a caller keyed it so,
-        # nor may the cascade blame the design it synthesized from mis-keyed candidates
-        assets = load_candidates(FIXTURES / "ai_candidates.csv")
-        fab1 = next(a for a in assets if a.id == "FAB1")
-        proposal = RebalanceProposal(trades=(("CHIP1", 0.01),), schedule_due=True)
-        with pytest.raises(ValidationError) as err:
-            filter_rebalance(proposal, make_params(), {"CHIP1": fab1})
-        assert (str(err.value), err.value.code, err.value.field) == (
-            "candidates key 'CHIP1' is not the id of its asset 'FAB1'", "bad_candidate",
-            "candidates")
-        cfg = config_from_dict(json.loads((FIXTURES / "ai_config.json").read_text()))
-        with pytest.raises(ValidationError) as err:
-            run_cascade(CascadeInput(candidates={"X" + a.id: a for a in assets},
-                                     params=cfg.params))
-        assert (err.value.code, err.value.field) == ("bad_candidate", "candidates")
-
     def test_partition_property(self):
         rng = random.Random(99)
         assets = [make_asset(id=f"a{i}", adv_usd=rng.uniform(1e5, 1e9)) for i in range(30)]
@@ -533,7 +524,7 @@ class TestFilterRebalance:
             trades = tuple((f"a{i}", rng.uniform(-0.5, 0.5))
                            for i in rng.sample(range(20), rng.randint(1, 8)))
             proposal = RebalanceProposal(trades=trades, schedule_due=True)
-            executed, suppressed = filter_rebalance(proposal, params, assets)
+            executed, suppressed = filter_rebalance(proposal, params, assets.values())
             econ = params.econ
             for (_name, dw), reason in suppressed:
                 if reason == "below_action_resolution":
@@ -543,6 +534,40 @@ class TestFilterRebalance:
                 impact = impact_cost(params.aum_usd * abs(dw), assets[name].adv_usd,
                                      params.impact)
                 assert impact <= params.impact.impact_cap
+
+
+@given(params=feasibility_params(), adv=_POSITIVE, cost=st.none() | _NONNEGATIVE,
+       factor=st.none() | st.floats(min_value=1.0, max_value=1e300), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_an_executed_trade_stays_executed_when_a_limit_loosens(params, adv, cost, factor, data):
+    # a higher impact cap or participation cap (at most 1), or a smaller AUM, each raised or
+    # lowered by one ulp (factor None) or by the factor
+    asset = make_asset(id="A", adv_usd=adv, round_trip_cost_bps=cost)
+    dw_min = min_weight_change(params.econ, cost)  # trades just above it reach the caps
+    near = (st.floats(min_value=dw_min, max_value=min(4 * dw_min, sys.float_info.max))
+            if dw_min < math.inf else st.nothing())
+    dw = data.draw(near | st.floats(min_value=-1.0, max_value=1.0)
+                   | st.floats(allow_nan=False, allow_infinity=False), label="dw")
+    proposal = RebalanceProposal(trades=(("A", dw),), schedule_due=True)
+    executed = filter_rebalance(proposal, params, [asset])
+    if executed != ([("A", dw)], []):
+        return
+
+    def up(x, limit):
+        return min(math.nextafter(x, math.inf) if factor is None else x * factor, limit)
+
+    impact = params.impact
+    aum = math.nextafter(params.aum_usd, 0.0) if factor is None else params.aum_usd / factor
+    looser = [
+        dataclasses.replace(params, impact=dataclasses.replace(
+            impact, impact_cap=up(impact.impact_cap, sys.float_info.max))),
+        dataclasses.replace(params, aum_usd=max(aum, 5e-324)),
+    ]
+    if impact.participation_cap is not None:
+        looser.append(dataclasses.replace(params, impact=dataclasses.replace(
+            impact, participation_cap=up(impact.participation_cap, 1.0))))
+    for loose in looser:
+        assert filter_rebalance(proposal, loose, [asset]) == executed
 
 
 _DUE = RebalanceProposal(trades=(("A", 0.1),), schedule_due=True)
@@ -566,11 +591,12 @@ _LIQUID, _ILLIQUID = make_asset(id="A", adv_usd=1e12), make_asset(id="A", adv_us
     ([_LIQUID, _ILLIQUID], "candidates entry 2: duplicate id 'A'", "duplicate_id"),
     ([_ILLIQUID, _LIQUID], "candidates entry 2: duplicate id 'A'", "duplicate_id"),
     ([_LIQUID, "B"], "candidates must be Asset instances", "bad_candidate"),
+    # a mapping iterates as its keys, so no key can name the asset a trade of it meets
     ({"A": _LIQUID, "B": "B"}, "candidates must be Asset instances", "bad_candidate"),
-    # a mapping names the asset a trade of its key meets: it must be the asset of that id
-    ({"B": _LIQUID}, "candidates key 'B' is not the id of its asset 'A'", "bad_candidate"),
+    ({"B": _LIQUID}, "candidates must be Asset instances", "bad_candidate"),
+    ({"A": _LIQUID}, "candidates must be Asset instances", "bad_candidate"),
 ], ids=["duplicate, liquid first", "duplicate, illiquid first", "not an Asset",
-        "a mapping to not an Asset", "a mapping not keyed by id"])
+        "a mapping to not an Asset", "a mapping not keyed by id", "a mapping keyed by id"])
 def test_every_entry_point_checks_candidates_alike(entry, assets, message, code):
     with pytest.raises(ValidationError) as err:
         CANDIDATE_ENTRY_POINTS[entry](assets)
@@ -579,6 +605,7 @@ def test_every_entry_point_checks_candidates_alike(entry, assets, message, code)
 
 @pytest.mark.parametrize("entry", CANDIDATE_ENTRY_POINTS)
 def test_every_entry_point_takes_an_indexed_mapping(entry):
-    # a mapping that keys each asset by its id gives the list's result
+    # the index the candidate check builds gives the list's result; a plain mapping is
+    # bad_candidate (above)
     call = CANDIDATE_ENTRY_POINTS[entry]
-    assert call({"A": _LIQUID}) == call([_LIQUID])
+    assert call(_asset_map([_LIQUID])) == call([_LIQUID])

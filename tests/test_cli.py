@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satfeas import UNBOUNDED
 from satfeas.cascade import _asset_map
 from satfeas.cli import main
 from satfeas.io import (
@@ -26,6 +25,7 @@ from satfeas.io import (
     emit_report,
     parse_report,
 )
+from satfeas.model import UNBOUNDED
 
 from conftest import FIXTURES, GOLDEN, check_cli_json, strict_json
 

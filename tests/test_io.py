@@ -15,11 +15,9 @@ from hypothesis import strategies as st
 
 import satfeas.io
 from satfeas import (
-    UNBOUNDED,
     Asset,
     CascadeInput,
     ExclusionCategory,
-    LayerVerdict,
     RebalanceEvent,
     RebalanceProposal,
     SatelliteDesign,
@@ -42,7 +40,7 @@ from satfeas.io import (
     load_proposal_trades,
     parse_report,
 )
-from satfeas.model import to_json
+from satfeas.model import UNBOUNDED, LayerVerdict, to_json
 
 from conftest import FIXTURES, make_asset, make_params
 

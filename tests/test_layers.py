@@ -8,29 +8,22 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from satfeas import (
-    UNBOUNDED,
-    EconParams,
-    EntropyParams,
-    ImpactParams,
-    RebalanceProposal,
-    StructuralParams,
-    ValidationError,
+from satfeas import RebalanceProposal, ValidationError, filter_rebalance
+from satfeas.layers import (
+    BREADTH_CEILING,
     alpha_max_structural,
     breadth_bound_econ,
     breadth_bound_entropy,
     effective_alpha,
     entropy_increment_approx,
     entropy_increment_exact,
-    filter_rebalance,
     impact_cost,
     max_weight_impact,
     max_weight_participation,
     min_weight_change,
     weight_entropy,
 )
-
-from satfeas.layers import BREADTH_CEILING
+from satfeas.model import UNBOUNDED, EconParams, EntropyParams, ImpactParams, StructuralParams
 
 from conftest import make_asset, make_params
 

@@ -11,24 +11,31 @@ from hypothesis import strategies as st
 
 from satfeas import (
     Asset,
-    EconParams,
-    EntropyParams,
     ExclusionCategory,
-    FeasibilityParams,
-    ImpactParams,
-    LayerVerdict,
     RebalanceProposal,
     SatelliteDesign,
-    StructuralParams,
     TierClass,
     ValidationError,
-    assign_tier_weights,
+)
+from satfeas.layers import (
     breadth_bound_econ,
     breadth_bound_entropy,
     entropy_increment_approx,
     entropy_increment_exact,
 )
-from satfeas.model import _is_finite, check_kappas, check_pairs, entry_error, to_json
+from satfeas.model import (
+    EconParams,
+    EntropyParams,
+    ImpactParams,
+    LayerVerdict,
+    StructuralParams,
+    _is_finite,
+    check_kappas,
+    check_pairs,
+    entry_error,
+    to_json,
+)
+from satfeas.tiering import assign_tier_weights
 
 from conftest import make_asset, make_params
 

@@ -1,6 +1,7 @@
-"""Package surface: stdlib-only imports and an export list that resolves."""
+"""Package surface: stdlib-only imports, an export list that resolves, a README that runs."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +9,10 @@ from pathlib import Path
 
 import satfeas
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import GOLDEN
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 #: Prints the top-level modules that importing the CLI loads, one per line.
 _IMPORT_CLI = """
@@ -19,27 +23,26 @@ print("\\n".join(sorted({name.split(".")[0] for name in set(sys.modules) - befor
 """
 
 
-def test_cli_imports_only_the_standard_library():
-    # a fresh interpreter: this test process has pytest and hypothesis loaded
+def _run_fresh(code: str) -> str:
+    """The stdout of ``code`` run by a fresh interpreter from the repo root, src on its path."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
-    loaded = subprocess.run([sys.executable, "-c", _IMPORT_CLI], env=env, check=True,
-                            capture_output=True, text=True).stdout.split()
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_imports_only_the_standard_library():
+    # a fresh interpreter: this test process has pytest and hypothesis loaded
+    loaded = _run_fresh(_IMPORT_CLI).split()
     assert "satfeas" in loaded
     assert [m for m in loaded if m != "satfeas" and m not in sys.stdlib_module_names] == []
 
 
 #: The public surface: adding or removing an export is an edit to this list.
 PUBLIC_NAMES = [
-    "Asset", "CascadeInput", "DerivedBounds", "EconParams", "EntropyParams",
-    "ExclusionCategory", "FeasibilityParams", "FeasibilityReport", "ImpactParams", "LAYERS",
-    "LayerVerdict", "RebalanceEvent", "RebalanceProposal", "ReplayStats", "RunConfig",
-    "SatelliteDesign", "StructuralParams", "TierClass", "UNBOUNDED", "Unbounded",
-    "ValidationError", "alpha_max_structural", "assign_tier_weights", "breadth_bound_econ",
-    "breadth_bound_entropy", "compute_bounds", "config_from_dict", "effective_alpha",
-    "eligibility_filter", "entropy_increment_approx", "entropy_increment_exact",
-    "filter_rebalance", "impact_cost", "load_config", "max_weight_impact",
-    "max_weight_participation", "min_weight_change", "replay", "run_cascade", "weight_entropy",
+    "Asset", "CascadeInput", "ExclusionCategory", "RebalanceEvent", "RebalanceProposal",
+    "SatelliteDesign", "TierClass", "ValidationError", "compute_bounds", "config_from_dict",
+    "filter_rebalance", "load_config", "replay", "run_cascade",
 ]
 
 
@@ -50,6 +53,17 @@ def test_public_surface_is_pinned():
 def test_every_exported_name_resolves():
     assert len(set(satfeas.__all__)) == len(satfeas.__all__)
     assert [name for name in satfeas.__all__ if not hasattr(satfeas, name)] == []
+
+
+def test_the_readme_library_example_runs():
+    # the snippet imports from the root: it fails if a name it uses leaves the surface
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("\n## Library\n"):]
+    start = section.index("```python\n") + len("```python\n")
+    snippet = section[start:section.index("```", start)]
+    golden = json.loads((GOLDEN / "ai_report.json").read_text())
+    constituents = tuple(map(tuple, golden["design"]["constituents"]))
+    assert _run_fresh(snippet) == f"{golden['report']['binding_layer']} {constituents}\n"
 
 
 #: Codes of the list-entry rules, whose one home is ``satfeas/model.py``.

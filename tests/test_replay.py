@@ -12,7 +12,6 @@ from satfeas import (
     CascadeInput,
     RebalanceEvent,
     RebalanceProposal,
-    ReplayStats,
     SatelliteDesign,
     ValidationError,
     filter_rebalance,
@@ -21,6 +20,7 @@ from satfeas import (
 )
 from satfeas.config import load_config
 from satfeas.io import load_candidates, load_events
+from satfeas.replay import ReplayStats
 
 from conftest import FIXTURES, make_asset, make_params
 

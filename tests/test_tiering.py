@@ -7,14 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from satfeas import (
-    ExclusionCategory,
-    SatelliteDesign,
-    TierClass,
-    ValidationError,
-    assign_tier_weights,
-    eligibility_filter,
-)
+from satfeas import ExclusionCategory, SatelliteDesign, TierClass, ValidationError
+from satfeas.tiering import assign_tier_weights, eligibility_filter, eligibility_reason
 
 from conftest import make_asset
 
@@ -22,14 +16,13 @@ from conftest import make_asset
 class TestEligibilityFilter:
     def test_clean_pass_through(self):
         a = make_asset(id="a")
-        eligible, rejected = eligibility_filter([a])
-        assert eligible == [a] and rejected == []
+        assert eligibility_filter([a]) == [a]
+        assert eligibility_reason(a) is None
 
     def test_domain_filter(self):
         b = make_asset(id="b", gaer=False)
-        eligible, rejected = eligibility_filter([b])
-        assert eligible == []
-        assert rejected == [(b, "gaer_inadmissible")]
+        assert eligibility_filter([b]) == []
+        assert eligibility_reason(b) == "gaer_inadmissible"
 
     def test_exclusion_categories(self):
         cases = {
@@ -41,22 +34,21 @@ class TestEligibilityFilter:
         for category, reason in cases.items():
             bad = make_asset(id="c", exclusion=category)
             ok = make_asset(id="d")
-            eligible, rejected = eligibility_filter([bad, ok])
-            assert eligible == [ok]
-            assert rejected == [(bad, reason)]
+            assert eligibility_filter([bad, ok]) == [ok]
+            assert eligibility_reason(bad) == reason
+        # domain admissibility is checked before the exclusion category
+        both = make_asset(id="e", gaer=False, exclusion=ExclusionCategory.THEMATIC_ETF)
+        assert eligibility_reason(both) == "gaer_inadmissible"
 
     def test_order_preserved(self):
         assets = [make_asset(id=f"x{i}", gaer=(i % 2 == 0)) for i in range(6)]
-        eligible, rejected = eligibility_filter(assets)
-        assert [a.id for a in eligible] == ["x0", "x2", "x4"]
-        assert [a.id for a, _ in rejected] == ["x1", "x3", "x5"]
+        assert [a.id for a in eligibility_filter(assets)] == ["x0", "x2", "x4"]
 
     def test_idempotent(self):
         assets = [make_asset(id="a"), make_asset(id="b", gaer=False),
                   make_asset(id="c", exclusion=ExclusionCategory.THEMATIC_ETF)]
-        eligible, _ = eligibility_filter(assets)
-        again, rejected = eligibility_filter(eligible)
-        assert again == eligible and rejected == []
+        eligible = eligibility_filter(assets)
+        assert eligibility_filter(eligible) == eligible == [assets[0]]
 
 
 def _sleeve(tiers):
