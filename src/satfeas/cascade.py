@@ -35,7 +35,7 @@ checking a synthesized design returns the report that synthesis printed.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -125,14 +125,18 @@ def compute_bounds(
     when candidates are supplied, checked as ``CascadeInput`` checks its
     candidates unless they are the index that check built.
     """
+    return _bounds(params, None if candidates is None else _asset_map(candidates).values())
+
+
+def _bounds(params: FeasibilityParams, assets: Collection[Asset] | None) -> DerivedBounds:
+    """:func:`compute_bounds` of assets already checked, with a cap per asset (none when absent)."""
     a_eff = effective_alpha(params.structural)
     caps_impact = None
     caps_part = None
-    if candidates is not None:
-        by_id = _asset_map(candidates)
-        caps_impact = {name: max_weight_impact(a, params) for name, a in by_id.items()}
+    if assets is not None:
+        caps_impact = {a.id: max_weight_impact(a, params) for a in assets}
         if params.impact.participation_cap is not None:
-            caps_part = {name: max_weight_participation(a, params) for name, a in by_id.items()}
+            caps_part = {a.id: max_weight_participation(a, params) for a in assets}
     return DerivedBounds(
         alpha_max_structural=alpha_max_structural(params.structural),
         alpha_effective=a_eff,
@@ -154,10 +158,11 @@ def run_cascade(inp: CascadeInput) -> tuple[FeasibilityReport, SatelliteDesign]:
     """
     params = inp.params
     eligible = eligibility_filter(inp.candidates)
-    bounds = compute_bounds(params, inp._by_id)
-    design = inp.design if inp.design is not None else _synthesize(inp, eligible, bounds)
-    members = [(asset, w) for asset, (_id, w) in
-               zip(_members(design.constituents, inp._by_id, "design"), design.constituents)]
+    design = (inp.design if inp.design is not None
+              else _synthesize(inp, eligible, _bounds(params, None)))
+    assets = _members(design.constituents, inp._by_id, "design")
+    bounds = _bounds(params, assets)  # the members' caps: the physical verdict reads no other
+    members = [(asset, w) for asset, (_id, w) in zip(assets, design.constituents)]
     ineligible = [asset for asset, _w in members if eligibility_reason(asset) is not None]
 
     notes: list[str] = []

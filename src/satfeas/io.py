@@ -279,6 +279,8 @@ def load_events(path: str | Path) -> list[RebalanceEvent]:
                     if not trades:
                         try:
                             day = date.fromisoformat(day_cell)
+                            if day.isoformat() != day_cell:  # from 3.11 it reads 20250331 too
+                                raise ValueError
                         except ValueError:
                             raise ValidationError(f"bad date {day_cell!r}", "bad_date") from None
                         if events and day <= events[-1].date:

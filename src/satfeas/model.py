@@ -420,9 +420,10 @@ class DerivedBounds:
     """Closed-form design bounds implied by the policy inputs alone.
 
     Breadth bounds are evaluated at the effective sleeve size; per-asset
-    weight caps are present only when candidate data was supplied. The caps
-    are checked only where a report is read (:func:`from_json`):
-    ``compute_bounds`` builds each in [0,1].
+    weight caps are present only when candidate data was supplied: every
+    candidate's from ``compute_bounds``, the design's members' in a report.
+    The caps are checked only where a report is read (:func:`from_json`),
+    a non-member's included: ``compute_bounds`` builds each in [0,1].
     """
 
     alpha_max_structural: float
@@ -506,7 +507,7 @@ def from_json(cls: type, data: Any, what: str) -> Any:
         if f.type == "DerivedBounds":
             value = from_json(DerivedBounds, value, f"{what}.{key}")
             for name in ("weight_caps_impact", "weight_caps_participation"):
-                caps = getattr(value, name)  # a cap per candidate: C loops only (nan sums to nan)
+                caps = getattr(value, name)  # a cap per member: C loops only (nan sums to nan)
                 values = caps.values() if isinstance(caps, dict) else None
                 _require(caps is None or values is not None and (not values or (
                     {*map(type, values)} <= {float, int} and 0 <= min(values) and max(values) <= 1

@@ -570,6 +570,76 @@ def test_an_executed_trade_stays_executed_when_a_limit_loosens(params, adv, cost
         assert filter_rebalance(proposal, loose, [asset]) == executed
 
 
+@given(inp=cascade_inputs())
+@settings(max_examples=100, deadline=None)
+def test_a_reports_caps_are_its_members_rows_of_the_bounds_table(inp):
+    report, design = run_cascade(inp)
+    table = compute_bounds(inp.params, inp.candidates)
+    bounds = report.derived_bounds
+    ids = {name for name, _ in design.constituents}
+    for key in ("weight_caps_impact", "weight_caps_participation"):
+        caps, rows = getattr(bounds, key), getattr(table, key)
+        assert caps is None if rows is None else caps.keys() == ids
+        for name, cap in (caps or {}).items():
+            assert cap.hex() == rows[name].hex()
+    no_caps = {"weight_caps_impact": None, "weight_caps_participation": None}
+    assert dataclasses.replace(bounds, **no_caps) == dataclasses.replace(table, **no_caps)
+
+
+_SWITCH = make_params(aum_usd=180678072.5746075, turnover_fraction=0.5035854973339161,
+                      c=1.147528455760593, delta=0.9792020758872617,
+                      impact_cap=0.04744014744303143)
+_AT_SWITCH = 2.2250738585072626e-308  # one ulp less AUM gives the cap 2.2250738585072014e-308
+
+
+# the impact cap falls as AUM falls by one ulp past its switch to log space: the member at its
+# cap still passes
+@example(inp=CascadeInput(candidates=(make_asset(id="A", adv_usd=5.239961538813079e-299),),
+                          params=_SWITCH, design=SatelliteDesign(
+                              theme="t", alpha=_AT_SWITCH, constituents=(("A", _AT_SWITCH),))),
+         factor=None)
+@given(inp=cascade_inputs(), factor=st.none() | st.floats(min_value=1.0, max_value=1e300))
+@settings(max_examples=100, deadline=None)
+def test_a_passing_layer_stays_passing_when_a_knob_loosens(inp, factor):
+    # on the check path, a fixed design against a higher impact cap, participation cap (at
+    # most 1), loss tolerance or policy cap (each at most 1), entropy budget or sleeve cost, or
+    # a smaller AUM or effect threshold, each moved by one ulp (factor None) or by the factor
+    report, design = run_cascade(inp)
+    inp = dataclasses.replace(inp, design=design)
+
+    def up(x, limit):
+        return min(math.nextafter(x, math.inf) if factor is None else x * factor, limit)
+
+    def down(x, limit):
+        return max(math.nextafter(x, 0.0) if factor is None else x / factor, limit)
+
+    params = inp.params
+    impact, econ, structural = params.impact, params.econ, params.structural
+    top = sys.float_info.max
+    looser = [
+        dataclasses.replace(params, impact=dataclasses.replace(
+            impact, impact_cap=up(impact.impact_cap, top))),
+        dataclasses.replace(params, aum_usd=down(params.aum_usd, 5e-324)),
+        dataclasses.replace(params, structural=dataclasses.replace(
+            structural, loss_tolerance=up(structural.loss_tolerance, 1.0))),
+        dataclasses.replace(params, structural=dataclasses.replace(
+            structural, alpha_policy_max=up(structural.alpha_policy_max, 1.0))),
+        dataclasses.replace(params, entropy=EntropyParams(
+            delta_h_max=up(params.entropy.delta_h_max, top))),
+        dataclasses.replace(params, econ=dataclasses.replace(
+            econ, min_effect_bps=down(econ.min_effect_bps, 0.0))),
+        dataclasses.replace(params, econ=dataclasses.replace(
+            econ, round_trip_cost_bps=up(econ.round_trip_cost_bps, top))),
+    ]
+    if impact.participation_cap is not None:
+        looser.append(dataclasses.replace(params, impact=dataclasses.replace(
+            impact, participation_cap=up(impact.participation_cap, 1.0))))
+    passed = [name for name, verdict in report.layer_verdicts.items() if verdict.passed]
+    for loose in looser:
+        verdicts = run_cascade(dataclasses.replace(inp, params=loose))[0].layer_verdicts
+        assert [name for name in passed if not verdicts[name].passed] == []
+
+
 _DUE = RebalanceProposal(trades=(("A", 0.1),), schedule_due=True)
 _DUE_EVENTS = [RebalanceEvent(date(2025, 6, 30), _DUE)]
 _EMPTY = SatelliteDesign(theme="t", alpha=0.0, constituents=())

@@ -23,6 +23,7 @@ from satfeas.io import (
     EVENT_HEADER,
     PROPOSAL_HEADER,
     emit_report,
+    load_design,
     parse_report,
 )
 from satfeas.model import UNBOUNDED
@@ -151,6 +152,22 @@ class TestDesignAndCheck:
         report_path.write_text(json.dumps(doc))
         assert run(capsys, "check", "--config", AI_CONFIG, "--candidates", AI_CANDIDATES,
                    "--design", str(report_path)) == (1, "", f"error: {message}\n")
+
+    def test_a_report_with_the_caps_of_non_members_still_loads(self, capsys, tmp_path):
+        # a report that also caps candidates outside its design, as every report did before
+        # reports carried their members' caps only: those caps are checked, then never read
+        golden = (GOLDEN / "defense_report.json").read_text()
+        doc = json.loads(golden)
+        bounds = doc["report"]["derived_bounds"]
+        bounds["weight_caps_impact"].update(DEFETF1=0.19999999999999996, OPAQ1=0.8999999999999999)
+        bounds["weight_caps_participation"].update(DEFETF1=1.0, OPAQ1=1.0)
+        old = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        report_path = tmp_path / "report.json"
+        report_path.write_text(old)
+        assert load_design(report_path) == parse_report(golden)[1]
+        assert run(capsys, "check", "--config", DEF_CONFIG, "--candidates", DEF_CANDIDATES,
+                   "--design", str(report_path), "--format", "json") == (0, golden, "")
+        assert emit_report(*parse_report(old), "json") == old.encode()
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "design", "--config", AI_CONFIG,
@@ -366,9 +383,14 @@ class TestExtremeInputs:
         printed = json.loads(out)
         json.dumps(printed, allow_nan=False)
         bounds = printed if command == "bounds" else printed["report"]["derived_bounds"]
-        caps = [*bounds["weight_caps_impact"].values(),
-                *(bounds["weight_caps_participation"] or {}).values()]
-        assert len(caps) in (3, 6) and set(caps) == {cap}
+        maps = [bounds["weight_caps_impact"], *filter(None, [bounds["weight_caps_participation"]])]
+        caps = [value for table in maps for value in table.values()]
+        if command == "bounds":  # the table of every candidate
+            assert len(caps) in (3, 6)
+        else:  # a report's caps are its members'
+            ids = {name for name, _ in printed["design"]["constituents"]}
+            assert ids and all(table.keys() == ids for table in maps)
+        assert set(caps) == {cap}
 
     @pytest.mark.parametrize("doc,adv,key,law", [
         # (1e-300) ** 2 underflows to zero; the law gives 1e12 / (1e-290 * 0.5) * 1e-600

@@ -335,6 +335,11 @@ LOAD_EVENTS_ERRORS = [
      "events row 6: 'x' is not a number", "events"),
     ("bad date", EVENT_HEADER + ROW_A + "2025-13-01,B,0.1,true,false\n", "bad_date",
      "events row 3: bad date '2025-13-01'", "events"),
+    # Python 3.11's date.fromisoformat reads both; a date is YYYY-MM-DD on every version
+    ("compact date", EVENT_HEADER + ROW_A + "20250102,B,0.1,true,false\n", "bad_date",
+     "events row 3: bad date '20250102'", "events"),
+    ("week date", EVENT_HEADER + "2025-W14-1,A,0.1,true,false\n", "bad_date",
+     "events row 2: bad date '2025-W14-1'", "events"),
     ("bad boolean on a group's first row", EVENT_HEADER + "2025-01-01,A,0.1,true,nope\n",
      "bad_boolean", "events row 2: expected true or false, got 'nope'", "events"),
     ("bad boolean later in a group", EVENT_HEADER + ROW_A + "2025-01-01,B,0.1,yes,false\n",
@@ -546,9 +551,10 @@ def _drawn_fault(kind, data):
 
 def _draw_event_lines(kind, data):
     """A valid events file with blank rows, padded cells and mixed-case flags (``valid``), the
-    same with dates that may repeat or be spelled two ways (``dates``), or one fault; and the
+    same with dates that may repeat or be spelled compactly (``dates``), or one fault; and the
     outcome it implies. Each row has its own id and each date its own flags, so a run of rows
-    with one spelled date is one event, and a run whose date is not past the last is an error."""
+    with one spelled date is one event; the first run whose date is compact or not past the
+    last is an error."""
     if kind == "fault":
         return _drawn_fault("events", data)
     days = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
@@ -572,6 +578,8 @@ def _draw_event_lines(kind, data):
                 runs.append([spelled, len(lines), date(2025, 1, day), [], flags[day]])
             runs[-1][3].append((name, dw))
     for before, run in zip([None, *runs], runs):
+        if run[0] != run[2].isoformat():
+            return lines, _Fault("bad_date", run[1])
         if before is not None and run[2] <= before[2]:
             return lines, _Fault("events_out_of_order", run[1])
     return lines, [RebalanceEvent(day, RebalanceProposal(trades, *(f == "true" for f in flags)))
