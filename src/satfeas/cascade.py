@@ -134,9 +134,9 @@ def _bounds(params: FeasibilityParams, assets: Collection[Asset] | None) -> Deri
     caps_impact = None
     caps_part = None
     if assets is not None:
-        caps_impact = {a.id: max_weight_impact(a, params) for a in assets}
+        caps_impact = max_weight_impact(assets, params)
         if params.impact.participation_cap is not None:
-            caps_part = {a.id: max_weight_participation(a, params) for a in assets}
+            caps_part = max_weight_participation(assets, params)
     return DerivedBounds(
         alpha_max_structural=alpha_max_structural(params.structural),
         alpha_effective=a_eff,

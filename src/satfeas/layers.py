@@ -19,7 +19,7 @@ that each bound is the exact integer inverse of its forward constraint.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .model import (
     UNBOUNDED,
@@ -58,56 +58,77 @@ def impact_cost(traded_notional_usd: float, adv_usd: float, params) -> float:
     return params.c * (traded_notional_usd / adv_usd) ** params.delta
 
 
-def max_weight_impact(asset: Asset, params: FeasibilityParams) -> float:
-    """Largest portfolio weight whose envelope trade stays within the impact cap.
+def _log_space(terms: list[float]) -> float:
+    """``min(exp(sum(terms)), 1)`` with the sum taken exactly: a cap in log space."""
+    return math.exp(min(math.fsum(terms), 0.0))
+
+
+def max_weight_impact(assets: Iterable[Asset], params: FeasibilityParams) -> dict[str, float]:
+    """Largest portfolio weight per asset whose envelope trade stays within the impact cap.
 
     Inverts the impact law at ``Q = A * w * tau``, giving
     ``w <= (V / (A * tau)) * (I_cap / c) ** (1/delta)``, clamped to [0, 1]
-    because the raw formula can exceed one at small portfolio scale. Where an
+    because the raw formula can exceed one at small portfolio scale. Returns
+    the caps by id in input order. The envelope ``A * tau`` and the power are
+    the same for every asset, so they are computed once per call. Where an
     intermediate is not a normal float (it underflowed, lost precision to a
     subnormal or overflowed), the law is inverted in log space instead.
     """
     imp = params.impact
     ratio = imp.impact_cap / imp.c
     envelope = params.aum_usd * params.turnover_fraction
+    direct = False  # whether an asset can take the direct path: a normal envelope and power
     if _MIN_NORMAL <= ratio < math.inf and _MIN_NORMAL <= envelope < math.inf:
         try:
             power = ratio ** (1.0 / imp.delta)
         except OverflowError:
             power = math.inf
-        liquidity = asset.adv_usd / envelope
-        raw = liquidity * power
-        if _MIN_NORMAL <= power < math.inf and _MIN_NORMAL <= liquidity < math.inf \
-                and raw >= _MIN_NORMAL:
-            return min(raw, 1.0)
+        direct = _MIN_NORMAL <= power < math.inf
     # log(I_cap / c) from the rounded ratio where it is normal, as the direct path uses it
     log_ratio = (math.log(ratio) if _MIN_NORMAL <= ratio < math.inf
                  else math.log(imp.impact_cap) - math.log(imp.c))
-    return math.exp(min(math.fsum([math.log(asset.adv_usd), -math.log(params.aum_usd),
-                                   -math.log(params.turnover_fraction),
-                                   log_ratio / imp.delta]), 0.0))
+    tail = [-math.log(params.aum_usd), -math.log(params.turnover_fraction),
+            log_ratio / imp.delta]
+    caps = {}
+    for asset in assets:
+        if direct:
+            liquidity = asset.adv_usd / envelope
+            raw = liquidity * power
+            if _MIN_NORMAL <= liquidity < math.inf and raw >= _MIN_NORMAL:
+                caps[asset.id] = raw if raw < 1.0 else 1.0
+                continue
+        caps[asset.id] = _log_space([math.log(asset.adv_usd), *tail])
+    return caps
 
 
-def max_weight_participation(asset: Asset, params: FeasibilityParams) -> float:
-    """Weight cap implied by a participation limit ``Q/V <= phi``.
+def max_weight_participation(assets: Iterable[Asset],
+                             params: FeasibilityParams) -> dict[str, float]:
+    """Weight cap per asset implied by a participation limit ``Q/V <= phi``.
 
-    Returns ``phi * V / (A * tau)`` clamped to [0, 1], in log space where an
-    intermediate is not a normal float. Requires a configured participation cap.
+    Returns ``phi * V / (A * tau)`` clamped to [0, 1] by id in input order,
+    in log space where an intermediate is not a normal float. Requires a
+    configured participation cap.
     """
     phi = params.impact.participation_cap
     if phi is None:
         raise ValidationError("participation cap is not configured",
                               code="participation_cap_not_configured",
                               field="impact.participation_cap")
-    allowed = phi * asset.adv_usd
     envelope = params.aum_usd * params.turnover_fraction
-    if _MIN_NORMAL <= allowed < math.inf and _MIN_NORMAL <= envelope < math.inf:
-        raw = allowed / envelope
-        if raw >= _MIN_NORMAL:
-            return min(raw, 1.0)
-    return math.exp(min(math.fsum([math.log(phi), math.log(asset.adv_usd),
-                                   -math.log(params.aum_usd),
-                                   -math.log(params.turnover_fraction)]), 0.0))
+    direct = _MIN_NORMAL <= envelope < math.inf
+    log_phi = math.log(phi)
+    tail = [-math.log(params.aum_usd), -math.log(params.turnover_fraction)]
+    caps = {}
+    for asset in assets:
+        if direct:
+            allowed = phi * asset.adv_usd
+            if _MIN_NORMAL <= allowed < math.inf:
+                raw = allowed / envelope
+                if raw >= _MIN_NORMAL:
+                    caps[asset.id] = raw if raw < 1.0 else 1.0
+                    continue
+        caps[asset.id] = _log_space([log_phi, math.log(asset.adv_usd), *tail])
+    return caps
 
 
 def min_weight_change(econ: EconParams, cost_bps: float | None = None) -> float:

@@ -153,7 +153,7 @@ def test_criterion_4_physical_inverse_consistency():
             impact_cap=rng.uniform(1e-4, 0.05),
         )
         asset = make_asset(adv_usd=rng.uniform(1e5, 1e9))
-        cap = max_weight_impact(asset, params)
+        cap = max_weight_impact([asset], params)[asset.id]
         if not 0.0 < cap < 1.0:
             continue  # clamp active: the inverse identity is out of scope
         traded = params.aum_usd * cap * params.turnover_fraction

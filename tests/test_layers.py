@@ -23,7 +23,16 @@ from satfeas.layers import (
     min_weight_change,
     weight_entropy,
 )
-from satfeas.model import UNBOUNDED, EconParams, EntropyParams, ImpactParams, StructuralParams
+from satfeas.model import (
+    _MIN_NORMAL,
+    UNBOUNDED,
+    Asset,
+    EconParams,
+    EntropyParams,
+    FeasibilityParams,
+    ImpactParams,
+    StructuralParams,
+)
 
 from conftest import make_asset, make_params
 
@@ -99,27 +108,119 @@ def _assert_is_law(weight_cap, log_law):
     assert weight_cap > 0 or law < sys.float_info.min
 
 
+# The per-asset cap functions as they were before the batch kernel, unchanged but for
+# their names: a slow reference the batch must equal bit for bit.
+def _impact_cap_of(asset: Asset, params: FeasibilityParams) -> float:
+    """Largest portfolio weight whose envelope trade stays within the impact cap.
+
+    Inverts the impact law at ``Q = A * w * tau``, giving
+    ``w <= (V / (A * tau)) * (I_cap / c) ** (1/delta)``, clamped to [0, 1]
+    because the raw formula can exceed one at small portfolio scale. Where an
+    intermediate is not a normal float (it underflowed, lost precision to a
+    subnormal or overflowed), the law is inverted in log space instead.
+    """
+    imp = params.impact
+    ratio = imp.impact_cap / imp.c
+    envelope = params.aum_usd * params.turnover_fraction
+    if _MIN_NORMAL <= ratio < math.inf and _MIN_NORMAL <= envelope < math.inf:
+        try:
+            power = ratio ** (1.0 / imp.delta)
+        except OverflowError:
+            power = math.inf
+        liquidity = asset.adv_usd / envelope
+        raw = liquidity * power
+        if _MIN_NORMAL <= power < math.inf and _MIN_NORMAL <= liquidity < math.inf \
+                and raw >= _MIN_NORMAL:
+            return min(raw, 1.0)
+    # log(I_cap / c) from the rounded ratio where it is normal, as the direct path uses it
+    log_ratio = (math.log(ratio) if _MIN_NORMAL <= ratio < math.inf
+                 else math.log(imp.impact_cap) - math.log(imp.c))
+    return math.exp(min(math.fsum([math.log(asset.adv_usd), -math.log(params.aum_usd),
+                                   -math.log(params.turnover_fraction),
+                                   log_ratio / imp.delta]), 0.0))
+
+
+def _participation_cap_of(asset: Asset, params: FeasibilityParams) -> float:
+    """Weight cap implied by a participation limit ``Q/V <= phi``.
+
+    Returns ``phi * V / (A * tau)`` clamped to [0, 1], in log space where an
+    intermediate is not a normal float. Requires a configured participation cap.
+    """
+    phi = params.impact.participation_cap
+    if phi is None:
+        raise ValidationError("participation cap is not configured",
+                              code="participation_cap_not_configured",
+                              field="impact.participation_cap")
+    allowed = phi * asset.adv_usd
+    envelope = params.aum_usd * params.turnover_fraction
+    if _MIN_NORMAL <= allowed < math.inf and _MIN_NORMAL <= envelope < math.inf:
+        raw = allowed / envelope
+        if raw >= _MIN_NORMAL:
+            return min(raw, 1.0)
+    return math.exp(min(math.fsum([math.log(phi), math.log(asset.adv_usd),
+                                   -math.log(params.aum_usd),
+                                   -math.log(params.turnover_fraction)]), 0.0))
+
+
+#: The validated ADV range the batch property draws from, subnormals included.
+_ADV = st.floats(min_value=5e-324, max_value=1e308)
+
+
+def _ulps(x, k):
+    """``x`` moved ``k`` ulps (down when negative), kept within the ADV range."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else 0.0)
+    return min(max(x, 5e-324), 1e308)
+
+
+@st.composite
+def _cap_batches(draw):
+    """``(make_params knobs, ADVs)`` over the validated domain. Some ADVs sit within a few
+    ulps of an ADV at which a row switches between the direct and the log-space path."""
+    typical = _POSITIVE | st.floats(1e-3, 1e9)  # more often a power both paths can share
+    knobs = draw(st.fixed_dictionaries({
+        "aum_usd": typical, "turnover_fraction": _UNIT, "c": typical, "delta": _OPEN_UNIT,
+        "impact_cap": typical, "participation_cap": st.none() | _UNIT}))
+    envelope = knobs["aum_usd"] * knobs["turnover_fraction"]
+    try:
+        power = (knobs["impact_cap"] / knobs["c"]) ** (1.0 / knobs["delta"])
+    except OverflowError:
+        power = math.inf
+    phi = knobs["participation_cap"] or 1.0
+    # where adv / envelope, the raw impact cap, phi * adv or the raw participation cap
+    # crosses the smallest normal float
+    switches = [sys.float_info.min * envelope, sys.float_info.min / phi,
+                sys.float_info.min * envelope / phi]
+    if power > 0:
+        switches.append(sys.float_info.min * envelope / power)
+    switches = [x for x in switches if 5e-324 <= x <= 1e308]
+    near = st.builds(_ulps, st.sampled_from(switches), st.integers(-2, 2)) if switches else _ADV
+    return knobs, draw(st.lists(_ADV | near, max_size=6))
+
+
 class TestWeightCaps:
     def test_impact_cap_hand_case(self):
         params = make_params(aum_usd=1e5, turnover_fraction=0.5, impact_cap=0.01,
                              c=0.1, delta=0.5)
-        assert max_weight_impact(make_asset(adv_usd=1e6), params) == pytest.approx(0.2, abs=1e-12)
+        a = make_asset(adv_usd=1e6)
+        assert max_weight_impact([a], params)[a.id] == pytest.approx(0.2, abs=1e-12)
 
     def test_impact_cap_equal_tolerance_and_coefficient(self):
         params = make_params(aum_usd=1e7, turnover_fraction=1.0, impact_cap=0.1,
                              c=0.1, delta=0.7)
-        assert max_weight_impact(make_asset(adv_usd=2e6), params) == pytest.approx(
-            2e6 / 1e7, abs=1e-12)
+        a = make_asset(adv_usd=2e6)
+        assert max_weight_impact([a], params)[a.id] == pytest.approx(2e6 / 1e7, abs=1e-12)
 
     def test_impact_cap_small_liquidity_large_aum(self):
         params = make_params(aum_usd=1e8, turnover_fraction=1.0, impact_cap=0.001,
                              c=0.1, delta=0.5)
-        assert max_weight_impact(make_asset(adv_usd=1e6), params) == pytest.approx(
-            1e-6, abs=1e-15)
+        a = make_asset(adv_usd=1e6)
+        assert max_weight_impact([a], params)[a.id] == pytest.approx(1e-6, abs=1e-15)
 
     def test_impact_cap_clamped_to_one(self):
         params = make_params(aum_usd=1e3, turnover_fraction=0.5)
-        assert max_weight_impact(make_asset(adv_usd=1e9), params) == 1.0
+        a = make_asset(adv_usd=1e9)
+        assert max_weight_impact([a], params)[a.id] == 1.0
 
     @pytest.mark.parametrize("aum,c,delta,cap,adv", [
         (1e5, 0.01, 0.001, 1.0, 1e6),  # 100 ** 1000 overflows the power
@@ -127,24 +228,26 @@ class TestWeightCaps:
     ])
     def test_impact_cap_in_log_space_when_the_power_overflows(self, aum, c, delta, cap, adv):
         params = make_params(aum_usd=aum, c=c, delta=delta, impact_cap=cap)
-        assert max_weight_impact(make_asset(adv_usd=adv), params) == 1.0
+        a = make_asset(adv_usd=adv)
+        assert max_weight_impact([a], params)[a.id] == 1.0
 
     def test_participation_hand_cases(self):
         params = make_params(aum_usd=1e5, turnover_fraction=1.0, participation_cap=0.05)
-        assert max_weight_participation(make_asset(adv_usd=1e6), params) == pytest.approx(
-            0.5, abs=1e-12)
+        a = make_asset(adv_usd=1e6)
+        assert max_weight_participation([a], params)[a.id] == pytest.approx(0.5, abs=1e-12)
         params = make_params(aum_usd=1e6, turnover_fraction=0.5, participation_cap=0.1)
-        assert max_weight_participation(make_asset(adv_usd=5e5), params) == pytest.approx(
-            0.1, abs=1e-12)
+        a = make_asset(adv_usd=5e5)
+        assert max_weight_participation([a], params)[a.id] == pytest.approx(0.1, abs=1e-12)
 
     def test_participation_full_adv_unit_scale(self):
         params = make_params(aum_usd=1e6, turnover_fraction=1.0, participation_cap=1.0)
-        assert max_weight_participation(make_asset(adv_usd=1e6), params) == 1.0
+        a = make_asset(adv_usd=1e6)
+        assert max_weight_participation([a], params)[a.id] == 1.0
 
     def test_participation_requires_configuration(self):
         params = make_params(participation_cap=None)
         with pytest.raises(ValidationError) as err:
-            max_weight_participation(make_asset(), params)
+            max_weight_participation([make_asset()], params)
         assert err.value.code == "participation_cap_not_configured"
 
     def test_trade_exactly_at_the_participation_cap_executes(self):
@@ -167,9 +270,9 @@ class TestWeightCaps:
     def test_monotone_in_liquidity_and_scale(self, v, scale, aum, cap):
         base = make_params(aum_usd=aum, impact_cap=cap)
         a1, a2 = make_asset(adv_usd=v), make_asset(adv_usd=v * scale)
-        assert max_weight_impact(a2, base) >= max_weight_impact(a1, base)
+        assert max_weight_impact([a2], base)[a2.id] >= max_weight_impact([a1], base)[a1.id]
         bigger = make_params(aum_usd=aum * scale, impact_cap=cap)
-        assert max_weight_impact(a1, bigger) <= max_weight_impact(a1, base)
+        assert max_weight_impact([a1], bigger)[a1.id] <= max_weight_impact([a1], base)[a1.id]
 
     @given(aum=_POSITIVE, tau=_UNIT, c=_POSITIVE, delta=_OPEN_UNIT, cap=_POSITIVE,
            phi=_UNIT, adv=_POSITIVE)
@@ -191,10 +294,49 @@ class TestWeightCaps:
         log_ratio = (ln(ratio) if sys.float_info.min <= ratio < math.inf
                      else _EXACT.subtract(ln(cap), ln(c)))
         scale = _EXACT.subtract(ln(adv), _EXACT.add(ln(aum), ln(tau)))
-        _assert_is_law(max_weight_impact(asset, params),
+        _assert_is_law(max_weight_impact([asset], params)[asset.id],
                        _EXACT.add(scale, _EXACT.divide(log_ratio, Decimal(delta))))
-        _assert_is_law(max_weight_participation(asset, params), _EXACT.add(scale, ln(phi)))
+        _assert_is_law(max_weight_participation([asset], params)[asset.id],
+                       _EXACT.add(scale, ln(phi)))
 
+
+    @given(batch=_cap_batches())
+    @example(batch=({"c": 1.147528455760593, "delta": 0.9792020758872617,  # ROADMAP item 18
+                     "impact_cap": 0.04744014744303143, "turnover_fraction": 0.5035854973339161,
+                     "aum_usd": 180678072.57460746, "participation_cap": None},
+                    [5.239961538813079e-299, 1e6]))
+    @example(batch=({"aum_usd": 19647.69073638976, "turnover_fraction": 0.14139989708822695,
+                     "participation_cap": 0.4355022864277579},  # ROADMAP item 18
+                    [1.4194320230019276e-304, 1e6]))
+    @example(batch=({"c": 0.186, "delta": 0.518, "impact_cap": 1.014,  # the second switch
+                     "turnover_fraction": 0.836, "aum_usd": 38679.432133176924},
+                    [7.195e-304, 1e6]))
+    @example(batch=({"c": 0.01, "delta": 0.001, "impact_cap": 1.0,  # 100 ** 1000 overflows
+                     "participation_cap": 0.5}, [1e6, 5e-324, 1e308]))
+    @example(batch=({"c": 1.0, "impact_cap": 1e-310, "participation_cap": 0.5},  # ratio
+                    [1e6, 1e308, 5e-324]))
+    @example(batch=({"aum_usd": 1e-310, "participation_cap": 0.5},  # envelope 5e-311
+                    [1e-300, 1.0, 1e308]))
+    @example(batch=({"participation_cap": 0.01}, [4.975e6, 5e6, 1e7]))  # around the clamp
+    @example(batch=({"participation_cap": 0.5}, []))
+    @example(batch=({"participation_cap": None}, []))
+    @settings(max_examples=200, deadline=None)
+    def test_batch_caps_are_the_per_asset_caps_bit_for_bit(self, batch):
+        """Each table is the per-asset reference's caps, in input order, bit for bit; with
+        no participation cap configured, the participation table raises, an empty one too."""
+        knobs, advs = batch
+        params = make_params(**knobs)
+        assets = [make_asset(id=f"N{i}", adv_usd=adv) for i, adv in enumerate(advs)]
+        hexed = lambda caps: [(k, v.hex()) for k, v in caps.items()]  # noqa: E731
+        assert hexed(max_weight_impact(assets, params)) == [
+            (a.id, _impact_cap_of(a, params).hex()) for a in assets]
+        if knobs.get("participation_cap") is None:
+            with pytest.raises(ValidationError) as err:
+                max_weight_participation(assets, params)
+            assert err.value.code == "participation_cap_not_configured"
+        else:
+            assert hexed(max_weight_participation(assets, params)) == [
+                (a.id, _participation_cap_of(a, params).hex()) for a in assets]
 
 def _filter_one(trade, cost_bps=None):
     """``filter_rebalance`` of one open-window trade on asset "a" at eps 5 bp, C_rt 50 bp."""
@@ -438,7 +580,7 @@ class TestBreadthEntropy:
         assert hi >= lo
 
 
-_UNIT = ImpactParams(c=1.0, delta=0.5, impact_cap=1.0)
+_UNIT_LAW = ImpactParams(c=1.0, delta=0.5, impact_cap=1.0)
 
 
 @pytest.mark.parametrize("call,code,field", [
@@ -448,13 +590,13 @@ _UNIT = ImpactParams(c=1.0, delta=0.5, impact_cap=1.0)
     (lambda: entropy_increment_approx(0.1, 0), "k_out_of_range", "k"),
     (lambda: entropy_increment_exact([0.5, 0.5], 1.0, 2), "alpha_out_of_range", "alpha"),
     (lambda: entropy_increment_exact([0.5, 0.5], 0.1, 0), "k_out_of_range", "k"),
-    (lambda: impact_cost(-1.0, 1e6, _UNIT), "notional_must_be_nonnegative",
+    (lambda: impact_cost(-1.0, 1e6, _UNIT_LAW), "notional_must_be_nonnegative",
      "traded_notional_usd"),
-    (lambda: impact_cost(math.nan, 1e6, _UNIT), "notional_must_be_nonnegative",
+    (lambda: impact_cost(math.nan, 1e6, _UNIT_LAW), "notional_must_be_nonnegative",
      "traded_notional_usd"),
     # the ADV rule of Asset: a finite number, then positive
-    (lambda: impact_cost(1e6, math.inf, _UNIT), "not_finite", "adv_usd"),
-    (lambda: impact_cost(1e6, True, _UNIT), "not_finite", "adv_usd"),
+    (lambda: impact_cost(1e6, math.inf, _UNIT_LAW), "not_finite", "adv_usd"),
+    (lambda: impact_cost(1e6, True, _UNIT_LAW), "not_finite", "adv_usd"),
     (lambda: weight_entropy([1.5, -0.5]), "weight_must_be_nonnegative", "weights"),
 ], ids=["econ alpha", "entropy alpha", "approx alpha", "approx k", "exact alpha", "exact k",
         "negative notional", "nan notional", "infinite adv", "boolean adv", "negative weight"])
