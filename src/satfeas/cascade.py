@@ -414,10 +414,12 @@ def filter_rebalance(
     suppressed: list[tuple[tuple[str, float], str]] = []
     econ, impact, aum = params.econ, params.impact, params.aum_usd
     phi = impact.participation_cap
+    sleeve_min = min_weight_change(econ)
     for trade, asset in zip(proposal.trades, traded):
         dw = trade[1]
         notional = aum * abs(dw)
-        if not abs(dw) >= min_weight_change(econ, asset.round_trip_cost_bps):
+        cost = asset.round_trip_cost_bps
+        if not abs(dw) >= (sleeve_min if cost is None else min_weight_change(econ, cost)):
             reason = REASON_RESOLUTION
         elif impact_cost(notional, asset.adv_usd, impact) > impact.impact_cap:
             reason = REASON_IMPACT

@@ -11,6 +11,7 @@ Exit codes: 0 success (and admissible for check/design), 2 inadmissible,
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import Sequence
 
@@ -151,6 +152,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    # The engine builds only acyclic data, so the cyclic collector would rescan every
+    # loaded row and free nothing it built; the caller's setting is restored on every exit.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         code, out = _COMMANDS[args.command](args)
         sys.stdout.buffer.write(out)
@@ -158,6 +163,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValidationError, OSError) as e:  # OSError: the write to stdout
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
     return code
 
 

@@ -19,6 +19,7 @@ that each bound is the exact integer inverse of its forward constraint.
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Iterable, Sequence
 
 from .model import (
@@ -48,7 +49,8 @@ def impact_cost(traded_notional_usd: float, adv_usd: float, params) -> float:
     Evaluates the concave law ``c * (Q/V)**delta``; zero trades cost zero.
     ``params`` only needs ``c`` and ``delta`` attributes (an ImpactParams).
     """
-    if not (_is_finite(adv_usd) and adv_usd > 0):  # inline, as in Asset: called per trade
+    if not ((type(adv_usd) is float and math.isfinite(adv_usd) or _is_finite(adv_usd))
+            and adv_usd > 0):  # inline, as in Asset: called per trade
         check_domain(adv_usd, "adv_usd", "positive", "adv_must_be_positive")
     if not traded_notional_usd >= 0:
         raise ValidationError("traded notional must be nonnegative",
@@ -202,7 +204,8 @@ def weight_entropy(weights: Sequence[float]) -> float:
     if min(weights) < 0:
         raise ValidationError("weights must be nonnegative",
                               code="weight_must_be_nonnegative", field="weights")
-    return -math.fsum(w * math.log(w) for w in weights if w > 0) + 0.0
+    positive = [*filter(None, weights)]  # finite and nonnegative: drops exactly the zeros
+    return -math.fsum(map(mul, positive, map(math.log, positive))) + 0.0
 
 
 def entropy_increment_approx(alpha: float, k: int) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
+from operator import itemgetter
 from typing import Iterable
 
 from .cascade import _asset_map, _members, filter_rebalance
@@ -93,7 +94,7 @@ def replay(
         executed_n += len(executed)
         for _trade, reason in suppressed:
             by_reason[reason] = by_reason.get(reason, 0) + 1
-        turnover += weight_sum(abs(dw) for _, dw in executed)
+        turnover += weight_sum(map(abs, map(itemgetter(1), executed)))
         for name, dw in executed:
             max_participation = max(max_participation,
                                     params.aum_usd * abs(dw) / asset(name).adv_usd)

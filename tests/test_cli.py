@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io as _io
 import json
 import math
@@ -609,6 +610,74 @@ def run_isolated(argv):
 def argv_for(command, paths, flags=()):
     return [command, *(arg for flag in COMMAND_INPUTS[command]
                        for arg in (f"--{flag}", str(paths[flag]))), *flags]
+
+
+def write_large_inputs(tmp_path):
+    """The AI-fixture inputs grown to 2,005 candidates, 2,002 core weights, 2,003 proposed
+    trades and 204 event dates; the config and design are the fixture's."""
+    tmp_path.mkdir()
+    paths = write_ai_inputs(tmp_path)
+    ids = [f"G{i:04d}" for i in range(2000)]
+    grown = {"candidates": [f"{name},{'ABC'[i % 3]},{1e6 + i!r},,true,none"
+                            for i, name in enumerate(ids)],
+             "core-weights": [f"{name},0.0" for name in ids],
+             "proposal": [f"{name},{0.001 * (-1) ** i!r}" for i, name in enumerate(ids)],
+             "events": [f"{date(2026, 1, 1) + timedelta(days=d)},{ids[(5 * d + t) % 2000]},"
+                        f"0.002,{'true' if d % 2 else 'false'},false"
+                        for d in range(200) for t in range(5)]}
+    for flag, rows in grown.items():
+        with paths[flag].open("a", encoding="utf-8") as fh:
+            fh.write("".join(row + "\n" for row in rows))
+    return paths
+
+
+class TestCyclicCollector:
+    """``main`` runs a command with the cyclic collector off and gives the caller's setting back;
+    the engine builds no cycles, so the garbage a call leaves does not grow with its input."""
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("was_enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case,expected", [
+        ("report", 0), ("inadmissible", 2), ("invalid", 1), ("usage", 1)])
+    def test_main_restores_the_callers_setting(self, tmp_path, collector, was_enabled,
+                                               case, expected):
+        paths = write_ai_inputs(tmp_path)
+        argv = {"report": argv_for("check", paths),
+                "inadmissible": argv_for("check", paths),
+                "invalid": ["bounds", "--config", write_config(tmp_path, {"impact": {"c": -1}})],
+                "usage": ["bounds", "--format", "json"]}[case]
+        if case == "inadmissible":
+            paths["design"].write_text(json.dumps(
+                {"theme": "ai", "alpha": 0.12, "constituents": [["CHIP1", 0.12]],
+                 "kappa_a": 1.5, "kappa_c": 0.5}))
+        (gc.enable if was_enabled else gc.disable)()
+        code, _out, err = run_isolated(argv)
+        assert gc.isenabled() is was_enabled
+        assert code == expected and ("error: " in err) is (expected == 1)
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_INPUTS))
+    def test_garbage_does_not_grow_with_the_input(self, tmp_path, collector, command):
+        flags = ["--format", "json", *(["--schedule-due"] if command == "filter-rebalance"
+                                       else [])]
+        small = argv_for(command, write_ai_inputs(tmp_path), flags)
+        large = argv_for(command, write_large_inputs(tmp_path / "large"), flags)
+        garbage = []
+        for argv in (small, large):
+            gc.collect()
+            gc.disable()
+            code, _out, err = run_isolated(argv)
+            garbage.append(gc.collect())
+            gc.enable()
+            assert code in (0, 2) and err == ""
+        assert garbage[0] == garbage[1]
 
 
 class TestInputFiles:

@@ -456,6 +456,19 @@ class TestStructural:
         assert alpha_max_structural(StructuralParams(l1, d2)) <= base
 
 
+@st.composite
+def _normalized_with_zeros(draw):
+    """A weight vector summing to 1 within tolerance, with zeros (``0``, ``0.0``, ``-0.0``),
+    subnormals and int entries among positive floats, in drawn order."""
+    raws = draw(st.lists(st.floats(min_value=1e-300, max_value=1e300), max_size=12))
+    total = math.fsum(raws)
+    weights = [r / total for r in raws] if raws and total < math.inf else [1]
+    fillers = st.sampled_from([0, 0.0, -0.0, 5e-324, 2**-1074 * 7, 2**-1023])
+    for filler in draw(st.lists(fillers, max_size=8)):
+        weights.insert(draw(st.integers(0, len(weights))), filler)
+    return weights
+
+
 class TestEntropy:
     def test_degenerate_distribution(self):
         assert weight_entropy([1.0]) == 0.0
@@ -515,6 +528,16 @@ class TestEntropy:
         mixture = [0.09] * 10 + [0.05] * 2
         oracle = -math.fsum(w * math.log(w) for w in mixture) - math.log(10)
         assert entropy_increment_exact(core, 0.1, 2) == pytest.approx(oracle, abs=1e-9)
+
+    @settings(max_examples=200)
+    @given(weights=_normalized_with_zeros())
+    @example([1])
+    @example([0, 1, 0.0, -0.0])
+    @example([0.5, 0.5, 5e-324, -0.0, 0])
+    @example([1.0 - 2**-52, 2**-53, 2**-1074 * 3])
+    def test_entropy_is_the_generator_sum_bit_for_bit(self, weights):
+        reference = -math.fsum(w * math.log(w) for w in weights if w > 0) + 0.0
+        assert weight_entropy(weights).hex() == reference.hex()
 
     @given(
         n=st.integers(min_value=1, max_value=20),
