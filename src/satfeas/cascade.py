@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Collection, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .layers import (
@@ -64,6 +63,7 @@ from .model import (
     SatelliteDesign,
     Unbounded,
     ValidationError,
+    _Record,
     check_kappas,
     entry_error,
 )
@@ -84,34 +84,28 @@ def _fmt(x: float) -> str:
     return format(x, ".10g")
 
 
-@dataclass(frozen=True)
-class CascadeInput:
+class CascadeInput(_Record):
     """Everything one cascade evaluation needs.
 
     When ``design`` is absent the cascade synthesizes one, then evaluates it
     as it would the same design supplied here; ``core_weights`` (a
     normalized core composition) is optional and only feeds the exact
-    entropy-increment diagnostic.
+    entropy-increment diagnostic. ``_by_id`` holds the candidates by id; it is no field.
     """
 
-    candidates: tuple[Asset, ...]
-    params: FeasibilityParams
-    kappa_a: float = 1.0
-    kappa_c: float = 1.0
-    theme: str = "unspecified"
-    design: SatelliteDesign | None = None
-    core_weights: tuple[float, ...] | None = None
-    _by_id: _AssetIndex = field(init=False, repr=False, compare=False)  # candidates by id
-
-    def __post_init__(self):
-        object.__setattr__(self, "_by_id", _asset_map(self.candidates))
-        object.__setattr__(self, "candidates", tuple(self._by_id.values()))
-        check_kappas(self.kappa_a, self.kappa_c)
-        if self.design is not None and not isinstance(self.design, SatelliteDesign):
+    def __init__(self, candidates: tuple[Asset, ...], params: FeasibilityParams,
+                 kappa_a: float = 1.0, kappa_c: float = 1.0, theme: str = "unspecified",
+                 design: SatelliteDesign | None = None,
+                 core_weights: tuple[float, ...] | None = None) -> None:
+        by_id: _AssetIndex = _asset_map(candidates)
+        check_kappas(kappa_a, kappa_c)
+        if design is not None and not isinstance(design, SatelliteDesign):
             raise ValidationError("design must be a SatelliteDesign", code="bad_design",
                                   field="design")
-        if self.core_weights is not None:
-            object.__setattr__(self, "core_weights", tuple(self.core_weights))
+        self.__dict__.update(candidates=tuple(by_id.values()), params=params, kappa_a=kappa_a,
+                             kappa_c=kappa_c, theme=theme, design=design,
+                             core_weights=None if core_weights is None else tuple(core_weights),
+                             _by_id=by_id)
 
 
 def compute_bounds(

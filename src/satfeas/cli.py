@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .cascade import CascadeInput, compute_bounds, filter_rebalance, run_cascade
 from .config import RunConfig, load_config
@@ -169,5 +169,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     return code
 
 
+def entry() -> NoReturn:
+    """The process entry of ``python -m satfeas.cli`` and the ``satfeas`` script: exit with
+    :func:`main`'s code.
+
+    The heap is frozen first, so the interpreter's exit collections skip every object that
+    start-up and the command left, which reference counting frees as modules are torn down.
+    ``main`` never freezes: an in-process caller keeps a normal heap.
+    """
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

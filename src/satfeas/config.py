@@ -9,7 +9,6 @@ object is a valid config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -21,6 +20,7 @@ from .model import (
     ImpactParams,
     StructuralParams,
     ValidationError,
+    _Record,
     check_kappas,
 )
 
@@ -39,16 +39,14 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """Validated policy inputs plus tilt parameters and data-file paths."""
 
-    params: FeasibilityParams
-    kappa_a: float
-    kappa_c: float
-    theme: str
-    candidates_path: str | None = None
-    core_weights_path: str | None = None
+    def __init__(self, params: FeasibilityParams, kappa_a: float, kappa_c: float, theme: str,
+                 candidates_path: str | None = None,
+                 core_weights_path: str | None = None) -> None:
+        self.__dict__.update(params=params, kappa_a=kappa_a, kappa_c=kappa_c, theme=theme,
+                             candidates_path=candidates_path, core_weights_path=core_weights_path)
 
 
 def _number(value: Any, key: str) -> float:

@@ -306,7 +306,7 @@ _SCALARS = {str, int, float, bool, type(None)}  # exact types: a subclass is wal
 
 
 def _indented(value: Any, pad: str) -> str:
-    """``value`` (dataclasses by to_json) as ``json_bytes`` words it at indent ``pad``: each
+    """``value`` (records by to_json) as ``json_bytes`` words it at indent ``pad``: each
     container of scalars, or list of nonempty rows of scalars, is one C encoder call."""
     value = to_json(value)
     if not isinstance(value, (dict, list, tuple)) or not value:
@@ -328,7 +328,7 @@ def _indented(value: Any, pad: str) -> str:
 
 
 def json_bytes(doc: Any) -> bytes:
-    """``doc`` as stable-key-ordered, indented JSON ending in a newline (dataclasses by to_json).
+    """``doc`` as stable-key-ordered, indented JSON ending in a newline (records by to_json).
 
     The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2, default=to_json)``
     (mapping keys are strings), but mostly from the C encoder, which ``indent`` turns off:

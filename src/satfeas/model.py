@@ -3,6 +3,8 @@
 Every type validates its invariants at construction time and is frozen
 afterwards, so instances are safe to share across concurrent evaluators.
 Constructors raise :class:`ValidationError` naming the offending field.
+The types are records (:class:`_Record`): each ``__init__`` is written out
+and its parameters are the fields, so no method is generated at import.
 
 All weights are fractions of total portfolio value; cost-like quantities
 carry a ``_bps`` suffix (1 bp = 1e-4 as a fraction) and are converted at
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from typing import Any, Callable, Container, Iterable, Mapping
 
@@ -121,6 +122,58 @@ def check_flag(x: Any, name: str) -> None:
         raise ValidationError(f"{name} must be a boolean", "bad_flag", name)
 
 
+def _params(init: Callable[..., None]) -> tuple[str, ...]:
+    """The parameter names of ``init`` after ``self``, in order: a record's fields."""
+    code = init.__code__
+    return code.co_varnames[1:code.co_argcount]
+
+
+class _Record:
+    """The frozen base of the model types: a record's fields are its ``__init__``'s parameters.
+
+    Each subclass's ``__init__`` validates its arguments and stores them in one step. The rest
+    follows from the field list, as a frozen dataclass has it: ``_fields`` and
+    ``__match_args__``, no assignment, equality within a class by the field values, their hash,
+    the ``QualName(a=1, b=2)`` repr, and ``__replace__`` (``copy.replace``) and ``__reduce__``
+    (copy and pickle), both of which build anew through ``__init__`` and so re-validate.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls.__match_args__ = _params(cls.__init__)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        from dataclasses import FrozenInstanceError  # only this error path pays for the import
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __replace__(self, **changes: Any) -> Any:
+        return type(self)(**dict(zip(self._fields, self._values())) | changes)
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
 class TierClass(str, Enum):
     """Economic role of a constituent along the thematic value chain."""
 
@@ -139,20 +192,12 @@ class ExclusionCategory(str, Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Asset:
+class Asset(_Record):
     """One candidate sleeve constituent with liquidity and admissibility data.
 
     ``round_trip_cost_bps`` optionally overrides the sleeve-level round-trip
     friction for this asset; ``None`` means use the sleeve value.
     """
-
-    id: str
-    tier: TierClass
-    adv_usd: float
-    gaer_admissible: bool
-    exclusion: ExclusionCategory = ExclusionCategory.NONE
-    round_trip_cost_bps: float | None = None
 
     def __init__(self, id: str, tier: TierClass, adv_usd: float, gaer_admissible: bool,
                  exclusion: ExclusionCategory = ExclusionCategory.NONE,
@@ -182,97 +227,85 @@ class Asset:
         set_exclusion(self, exclusion)
         set_cost(self, cost)
 
+    __slots__ = _params(__init__)
+
 
 #: The ``__set__`` of each ``Asset`` slot, in field order, bound once.
-_ASSET_SETTERS = tuple(getattr(Asset, f.name).__set__ for f in fields(Asset))
+_ASSET_SETTERS = tuple(getattr(Asset, name).__set__ for name in Asset._fields)
 
 
-@dataclass(frozen=True)
-class ImpactParams:
+class ImpactParams(_Record):
     """Concave market-impact law parameters, in fractional-return units."""
 
-    c: float
-    delta: float
-    impact_cap: float
-    participation_cap: float | None = None
-
-    def __post_init__(self):
-        check_domain(self.c, "c", "positive", "c_must_be_positive")
-        check_domain(self.delta, "delta", "(0,1)", "delta_out_of_range")
-        check_domain(self.impact_cap, "impact_cap", "positive", "impact_cap_must_be_positive")
-        check_domain(self.participation_cap, "participation_cap", "(0,1]",
+    def __init__(self, c: float, delta: float, impact_cap: float,
+                 participation_cap: float | None = None) -> None:
+        check_domain(c, "c", "positive", "c_must_be_positive")
+        check_domain(delta, "delta", "(0,1)", "delta_out_of_range")
+        check_domain(impact_cap, "impact_cap", "positive", "impact_cap_must_be_positive")
+        check_domain(participation_cap, "participation_cap", "(0,1]",
                      "participation_cap_out_of_range", optional=True)
+        self.__dict__.update(c=c, delta=delta, impact_cap=impact_cap,
+                             participation_cap=participation_cap)
 
 
-@dataclass(frozen=True)
-class EconParams:
+class EconParams(_Record):
     """Cost-dominance threshold inputs: round-trip friction and minimum effect."""
 
-    round_trip_cost_bps: float
-    min_effect_bps: float = 0.0
-
-    def __post_init__(self):
-        check_domain(self.round_trip_cost_bps, "round_trip_cost_bps", "positive",
+    def __init__(self, round_trip_cost_bps: float, min_effect_bps: float = 0.0) -> None:
+        check_domain(round_trip_cost_bps, "round_trip_cost_bps", "positive",
                      "cost_must_be_positive")
-        check_domain(self.min_effect_bps, "min_effect_bps", "nonnegative",
+        check_domain(min_effect_bps, "min_effect_bps", "nonnegative",
                      "effect_must_be_nonnegative")
-        _require(self.min_effect_bps / self.round_trip_cost_bps <= _FLOAT_MAX,
+        _require(min_effect_bps / round_trip_cost_bps <= _FLOAT_MAX,
                  "min_effect_bps / round_trip_cost_bps overflows the float range",
                  "action_threshold_overflows", "min_effect_bps")
+        self.__dict__.update(round_trip_cost_bps=round_trip_cost_bps,
+                             min_effect_bps=min_effect_bps)
 
 
-@dataclass(frozen=True)
-class StructuralParams:
+class StructuralParams(_Record):
     """Optionality budget: tolerable loss, failure drawdown, and policy caps."""
 
-    loss_tolerance: float
-    max_drawdown: float
-    alpha_policy_min: float = 0.0
-    alpha_policy_max: float = 1.0
-
-    def __post_init__(self):
-        check_domain(self.loss_tolerance, "loss_tolerance", "[0,1]", "loss_tolerance_out_of_range")
-        check_domain(self.max_drawdown, "max_drawdown", "(0,1]", "max_drawdown_out_of_range")
-        _finite(self.alpha_policy_min, "alpha_policy_min")
-        _finite(self.alpha_policy_max, "alpha_policy_max")
-        _require(0 <= self.alpha_policy_min <= self.alpha_policy_max <= 1,
+    def __init__(self, loss_tolerance: float, max_drawdown: float,
+                 alpha_policy_min: float = 0.0, alpha_policy_max: float = 1.0) -> None:
+        check_domain(loss_tolerance, "loss_tolerance", "[0,1]", "loss_tolerance_out_of_range")
+        check_domain(max_drawdown, "max_drawdown", "(0,1]", "max_drawdown_out_of_range")
+        _finite(alpha_policy_min, "alpha_policy_min")
+        _finite(alpha_policy_max, "alpha_policy_max")
+        _require(0 <= alpha_policy_min <= alpha_policy_max <= 1,
                  "alpha policy range must satisfy 0 <= alpha_policy_min <= alpha_policy_max <= 1",
                  "alpha_policy_out_of_range", "alpha_policy_min")
+        self.__dict__.update(loss_tolerance=loss_tolerance, max_drawdown=max_drawdown,
+                             alpha_policy_min=alpha_policy_min, alpha_policy_max=alpha_policy_max)
 
 
-@dataclass(frozen=True)
-class EntropyParams:
+class EntropyParams(_Record):
     """Complexity budget: allowed portfolio weight-entropy increment, in nats."""
 
-    delta_h_max: float
-
-    def __post_init__(self):
-        check_domain(self.delta_h_max, "delta_h_max", "nonnegative",
+    def __init__(self, delta_h_max: float) -> None:
+        check_domain(delta_h_max, "delta_h_max", "nonnegative",
                      "entropy_budget_must_be_nonnegative")
+        self.__dict__.update(delta_h_max=delta_h_max)
 
 
-@dataclass(frozen=True)
-class FeasibilityParams:
+class FeasibilityParams(_Record):
     """All policy inputs of the four feasibility layers plus portfolio scale.
 
     ``turnover_fraction`` is the per-rebalance turnover envelope applied
     uniformly; asset-level round-trip-cost overrides live on :class:`Asset`.
     """
 
-    aum_usd: float
-    turnover_fraction: float
-    impact: ImpactParams
-    econ: EconParams
-    structural: StructuralParams
-    entropy: EntropyParams
-
-    def __post_init__(self):
-        check_domain(self.aum_usd, "aum_usd", "positive", "aum_must_be_positive")
-        check_domain(self.turnover_fraction, "turnover_fraction", "(0,1]", "turnover_out_of_range")
-        for name, typ in (("impact", ImpactParams), ("econ", EconParams),
-                          ("structural", StructuralParams), ("entropy", EntropyParams)):
-            _require(isinstance(getattr(self, name), typ),
-                     f"{name} must be a {typ.__name__}", "bad_section", name)
+    def __init__(self, aum_usd: float, turnover_fraction: float, impact: ImpactParams,
+                 econ: EconParams, structural: StructuralParams, entropy: EntropyParams) -> None:
+        check_domain(aum_usd, "aum_usd", "positive", "aum_must_be_positive")
+        check_domain(turnover_fraction, "turnover_fraction", "(0,1]", "turnover_out_of_range")
+        for name, value, typ in (("impact", impact, ImpactParams), ("econ", econ, EconParams),
+                                 ("structural", structural, StructuralParams),
+                                 ("entropy", entropy, EntropyParams)):
+            _require(isinstance(value, typ), f"{name} must be a {typ.__name__}", "bad_section",
+                     name)
+        self.__dict__.update(aum_usd=aum_usd, turnover_fraction=turnover_fraction, impact=impact,
+                             econ=econ, structural=structural, entropy=entropy)
 
 
 def check_kappas(kappa_a: float, kappa_c: float) -> None:
@@ -348,47 +381,40 @@ def check_pairs(pairs: Iterable[tuple[str, float]], what: str,
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SatelliteDesign:
+class SatelliteDesign(_Record):
     """A concrete proposed sleeve: size, constituents, and tier tilts."""
 
-    theme: str
-    alpha: float
-    constituents: tuple[tuple[str, float], ...]
-    kappa_a: float = 1.0
-    kappa_c: float = 1.0
-
-    def __post_init__(self):
-        _require(isinstance(self.theme, str), "theme must be a string", "bad_theme", "theme")
-        check_domain(self.alpha, "alpha", "[0,1]", "alpha_out_of_range")
-        object.__setattr__(self, "constituents", check_pairs(self.constituents, "constituents"))
-        check_kappas(self.kappa_a, self.kappa_c)
-        total = weight_sum(w for _, w in self.constituents)
-        _require(abs(total - self.alpha) <= WEIGHT_TOL,
-                 f"constituent weights sum to {total!r}, expected alpha={self.alpha!r}",
+    def __init__(self, theme: str, alpha: float, constituents: tuple[tuple[str, float], ...],
+                 kappa_a: float = 1.0, kappa_c: float = 1.0) -> None:
+        _require(isinstance(theme, str), "theme must be a string", "bad_theme", "theme")
+        check_domain(alpha, "alpha", "[0,1]", "alpha_out_of_range")
+        constituents = check_pairs(constituents, "constituents")
+        check_kappas(kappa_a, kappa_c)
+        total = weight_sum(w for _, w in constituents)
+        _require(abs(total - alpha) <= WEIGHT_TOL,
+                 f"constituent weights sum to {total!r}, expected alpha={alpha!r}",
                  "weights_do_not_sum_to_alpha", "constituents")
+        self.__dict__.update(theme=theme, alpha=alpha, constituents=constituents,
+                             kappa_a=kappa_a, kappa_c=kappa_c)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SatelliteDesign":
         return from_json(cls, data, "design")
 
 
-@dataclass(frozen=True)
-class RebalanceProposal:
+class RebalanceProposal(_Record):
     """Per-asset weight changes plus the governance context they arrive in."""
 
-    trades: tuple[tuple[str, float], ...]
-    schedule_due: bool = False
-    structural_break: bool = False
+    def __init__(self, trades: tuple[tuple[str, float], ...], schedule_due: bool = False,
+                 structural_break: bool = False) -> None:
+        trades = check_pairs(trades, "trades", signed=True)
+        check_flag(schedule_due, "schedule_due")
+        check_flag(structural_break, "structural_break")
+        self.__dict__.update(trades=trades, schedule_due=schedule_due,
+                             structural_break=structural_break)
 
-    def __post_init__(self):
-        object.__setattr__(self, "trades", check_pairs(self.trades, "trades", signed=True))
-        check_flag(self.schedule_due, "schedule_due")
-        check_flag(self.structural_break, "structural_break")
 
-
-@dataclass(frozen=True)
-class LayerVerdict:
+class LayerVerdict(_Record):
     """Pass/fail for one feasibility layer plus its distance to the boundary.
 
     ``margin`` is the signed distance to the constraint boundary in the
@@ -398,25 +424,21 @@ class LayerVerdict:
     a vacuous layer with nothing to measure.
     """
 
-    passed: bool
-    margin: float | None
-    normalized_margin: float | None
-    bound: float | Unbounded | None = None
-    usage: float | None = None
-    detail: str | None = None
-
-    def __post_init__(self):
-        check_flag(self.passed, "passed")
-        for name in ("margin", "normalized_margin", "bound", "usage"):
-            v = getattr(self, name)
+    def __init__(self, passed: bool, margin: float | None, normalized_margin: float | None,
+                 bound: float | Unbounded | None = None, usage: float | None = None,
+                 detail: str | None = None) -> None:
+        check_flag(passed, "passed")
+        for name, v in (("margin", margin), ("normalized_margin", normalized_margin),
+                        ("bound", bound), ("usage", usage)):
             ok = v is None or _is_finite(v) or (name == "bound" and v is UNBOUNDED)
             _require(ok, f"{name} must be a number or null", "bad_number", name)
-        _require(self.detail is None or isinstance(self.detail, str),
+        _require(detail is None or isinstance(detail, str),
                  "detail must be a string or null", "bad_detail", "detail")
+        self.__dict__.update(passed=passed, margin=margin, normalized_margin=normalized_margin,
+                             bound=bound, usage=usage, detail=detail)
 
 
-@dataclass(frozen=True)
-class DerivedBounds:
+class DerivedBounds(_Record):
     """Closed-form design bounds implied by the policy inputs alone.
 
     Breadth bounds are evaluated at the effective sleeve size; per-asset
@@ -426,52 +448,48 @@ class DerivedBounds:
     a non-member's included: ``compute_bounds`` builds each in [0,1].
     """
 
-    alpha_max_structural: float
-    alpha_effective: float
-    delta_w_min: float
-    k_max_econ: int | Unbounded
-    k_max_entropy: int
-    weight_caps_impact: dict[str, float] | None = None
-    weight_caps_participation: dict[str, float] | None = None
-
-    def __post_init__(self):
-        for name in ("alpha_max_structural", "alpha_effective"):
-            check_domain(getattr(self, name), name, "[0,1]", "alpha_out_of_range")
-        check_domain(self.delta_w_min, "delta_w_min", "nonnegative", "bad_bound")
-        for name in ("k_max_econ", "k_max_entropy"):
-            k = getattr(self, name)
+    def __init__(self, alpha_max_structural: float, alpha_effective: float, delta_w_min: float,
+                 k_max_econ: int | Unbounded, k_max_entropy: int,
+                 weight_caps_impact: dict[str, float] | None = None,
+                 weight_caps_participation: dict[str, float] | None = None) -> None:
+        for name, alpha in (("alpha_max_structural", alpha_max_structural),
+                            ("alpha_effective", alpha_effective)):
+            check_domain(alpha, name, "[0,1]", "alpha_out_of_range")
+        check_domain(delta_w_min, "delta_w_min", "nonnegative", "bad_bound")
+        for name, k in (("k_max_econ", k_max_econ), ("k_max_entropy", k_max_entropy)):
             if not (k is UNBOUNDED and name == "k_max_econ"):
                 _require(type(k) is int, f"{name} must be an integer", "bad_bound", name)
                 check_domain(k, name, "nonnegative", "bad_bound")
+        self.__dict__.update(alpha_max_structural=alpha_max_structural,
+                             alpha_effective=alpha_effective, delta_w_min=delta_w_min,
+                             k_max_econ=k_max_econ, k_max_entropy=k_max_entropy,
+                             weight_caps_impact=weight_caps_impact,
+                             weight_caps_participation=weight_caps_participation)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(_Record):
     """Per-layer verdicts, derived bounds, and binding-constraint attribution.
 
     ``admissible`` is true exactly when every layer verdict passed; the
     report is a pure function of the evaluation inputs.
     """
 
-    admissible: bool
-    layer_verdicts: dict[str, LayerVerdict]
-    derived_bounds: DerivedBounds
-    binding_layer: str
-    notes: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        _require(set(self.layer_verdicts) == set(LAYERS),
+    def __init__(self, admissible: bool, layer_verdicts: dict[str, LayerVerdict],
+                 derived_bounds: DerivedBounds, binding_layer: str,
+                 notes: tuple[str, ...] = ()) -> None:
+        _require(set(layer_verdicts) == set(LAYERS),
                  f"layer_verdicts must cover exactly {LAYERS}", "bad_layers", "layer_verdicts")
-        _require(self.binding_layer in LAYERS, "binding_layer must name a layer",
+        _require(binding_layer in LAYERS, "binding_layer must name a layer",
                  "bad_binding_layer", "binding_layer")
-        conj = all(v.passed for v in self.layer_verdicts.values())
-        _require(self.admissible == conj,
+        conj = all(v.passed for v in layer_verdicts.values())
+        _require(admissible == conj,
                  "admissible must equal the conjunction of layer verdicts",
                  "admissibility_mismatch", "admissible")
-        _require(isinstance(self.notes, (list, tuple))
-                 and all(isinstance(note, str) for note in self.notes),
+        _require(isinstance(notes, (list, tuple)) and all(isinstance(note, str) for note in notes),
                  "notes must be a list of strings", "bad_notes", "notes")
-        object.__setattr__(self, "notes", tuple(self.notes))
+        self.__dict__.update(admissible=admissible, layer_verdicts=layer_verdicts,
+                             derived_bounds=derived_bounds, binding_layer=binding_layer,
+                             notes=tuple(notes))
 
 
 #: JSON keys that differ from their field names.
@@ -479,7 +497,7 @@ _JSON_KEYS = {"layer_verdicts": "layers"}
 
 
 def to_json(value: Any) -> Any:
-    """``value`` as JSON data: a dataclass becomes the dict of its fields, each converted.
+    """``value`` as JSON data: a record becomes the dict of its fields, each converted.
 
     ``UNBOUNDED`` becomes "unbounded"; anything else (tuples, the per-asset cap
     dicts) passes unchanged. ``io.json_bytes`` applies it to every value it
@@ -487,9 +505,9 @@ def to_json(value: Any) -> Any:
     """
     if isinstance(value, Unbounded):
         return "unbounded"
-    if is_dataclass(value):
-        return {_JSON_KEYS.get(f.name, f.name): to_json(getattr(value, f.name))
-                for f in fields(value)}
+    if isinstance(value, _Record):
+        return {_JSON_KEYS.get(name, name): to_json(getattr(value, name))
+                for name in value._fields}
     return value
 
 
@@ -499,27 +517,29 @@ def from_json(cls: type, data: Any, what: str) -> Any:
     "unbounded" is restored only on fields annotated ``Unbounded``; the derived
     bounds and the per-layer verdicts (in cascade order) are decoded in turn.
     """
-    keyed = [(f, _JSON_KEYS.get(f.name, f.name)) for f in fields(cls)]
+    types = cls.__init__.__annotations__  # strings, as this module postpones annotations
+    keyed = [(name, _JSON_KEYS.get(name, name)) for name in cls._fields]
     d = _strict_keys(data, {key for _, key in keyed}, what)
     kwargs = {}
-    for f, key in keyed:
-        value = d[key]
-        if f.type == "DerivedBounds":
+    for name, key in keyed:
+        value, typ = d[key], types[name]
+        if typ == "DerivedBounds":
             value = from_json(DerivedBounds, value, f"{what}.{key}")
-            for name in ("weight_caps_impact", "weight_caps_participation"):
-                caps = getattr(value, name)  # a cap per member: C loops only (nan sums to nan)
+            for caps_name in ("weight_caps_impact", "weight_caps_participation"):
+                caps = getattr(value, caps_name)  # a cap per member: C loops only (nan sums to nan)
                 values = caps.values() if isinstance(caps, dict) else None
                 _require(caps is None or values is not None and (not values or (
                     {*map(type, values)} <= {float, int} and 0 <= min(values) and max(values) <= 1
                     and not math.isnan(sum(values)))),
-                    f"{name} must be null or map ids to numbers in [0,1]", "bad_bound", name)
-        elif f.type == "dict[str, LayerVerdict]":
+                    f"{caps_name} must be null or map ids to numbers in [0,1]", "bad_bound",
+                    caps_name)
+        elif typ == "dict[str, LayerVerdict]":
             verdicts = _strict_keys(value, set(LAYERS), f"{what}.{key}")
-            value = {name: from_json(LayerVerdict, verdicts[name], f"{what}.{key}.{name}")
-                     for name in LAYERS}
-        elif "Unbounded" in f.type and value == "unbounded":
+            value = {layer: from_json(LayerVerdict, verdicts[layer], f"{what}.{key}.{layer}")
+                     for layer in LAYERS}
+        elif "Unbounded" in typ and value == "unbounded":
             value = UNBOUNDED
-        kwargs[f.name] = value
+        kwargs[name] = value
     return cls(**kwargs)
 
 

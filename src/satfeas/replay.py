@@ -8,7 +8,6 @@ Replays over the same inputs produce identical statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
 from operator import itemgetter
 from typing import Iterable
@@ -21,45 +20,45 @@ from .model import (
     SatelliteDesign,
     ValidationError,
     _finite,
+    _Record,
     weight_sum,
 )
 
 
-@dataclass(frozen=True)
-class RebalanceEvent:
+_date = date  # the type: RebalanceEvent's ``date`` parameter shadows the name
+
+
+class RebalanceEvent(_Record):
     """One dated rebalance proposal; streams must be strictly date-increasing."""
 
-    date: date
-    proposal: RebalanceProposal
-
-    def __post_init__(self):
-        if not isinstance(self.date, date):
+    def __init__(self, date: date, proposal: RebalanceProposal) -> None:
+        if not isinstance(date, _date):
             raise ValidationError("event date must be a datetime.date",
                                   code="bad_date", field="date")
-        if not isinstance(self.proposal, RebalanceProposal):
+        if not isinstance(proposal, RebalanceProposal):
             raise ValidationError("event proposal must be a RebalanceProposal",
                                   code="bad_proposal", field="proposal")
+        self.__dict__.update(date=date, proposal=proposal)
 
 
-@dataclass(frozen=True)
-class ReplayStats:
+class ReplayStats(_Record):
     """Aggregate turnover-suppression statistics over an event stream."""
 
-    events_total: int
-    trades_proposed: int
-    trades_executed: int
-    trades_suppressed_by_reason: dict[str, int]
-    gross_turnover_executed: float
-    max_participation_observed: float
-
-    def __post_init__(self):
-        suppressed = sum(self.trades_suppressed_by_reason.values())
-        if self.trades_executed + suppressed != self.trades_proposed:
+    def __init__(self, events_total: int, trades_proposed: int, trades_executed: int,
+                 trades_suppressed_by_reason: dict[str, int], gross_turnover_executed: float,
+                 max_participation_observed: float) -> None:
+        suppressed = sum(trades_suppressed_by_reason.values())
+        if trades_executed + suppressed != trades_proposed:
             raise ValidationError(
                 "executed plus suppressed trade counts must equal proposed",
                 code="stats_inconsistent", field="trades_proposed")
-        _finite(self.gross_turnover_executed, "gross_turnover_executed")
-        _finite(self.max_participation_observed, "max_participation_observed")
+        _finite(gross_turnover_executed, "gross_turnover_executed")
+        _finite(max_participation_observed, "max_participation_observed")
+        self.__dict__.update(events_total=events_total, trades_proposed=trades_proposed,
+                             trades_executed=trades_executed,
+                             trades_suppressed_by_reason=trades_suppressed_by_reason,
+                             gross_turnover_executed=gross_turnover_executed,
+                             max_participation_observed=max_participation_observed)
 
 
 def replay(

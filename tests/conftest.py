@@ -31,6 +31,11 @@ def check_cli_json(argv, out):
         strict_json(out)
 
 
+def replace(obj, **changes):
+    """``obj`` with ``changes``, built anew and so re-validated (``copy.replace`` from 3.13)."""
+    return obj.__replace__(**changes)
+
+
 def make_params(
     aum_usd=1e5,
     turnover_fraction=0.5,

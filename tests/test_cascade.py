@@ -1,6 +1,5 @@
 """Cascade composition, binding attribution, and the rebalance filter."""
 
-import dataclasses
 import json
 import math
 import random
@@ -39,7 +38,7 @@ from satfeas.model import (
     StructuralParams,
 )
 
-from conftest import FIXTURES, make_asset, make_params, strict_json
+from conftest import FIXTURES, make_asset, make_params, replace, strict_json
 
 
 def ai_input(eps=2.0, candidates=None, **overrides):
@@ -325,7 +324,7 @@ def cascade_inputs(draw):
 
 def checking(pairs, alpha=0.1, **overrides):
     """``ai_input`` at the AI fixture's effect threshold, validating a design of ``pairs``."""
-    return dataclasses.replace(ai_input(eps=0.2, **overrides), design=SatelliteDesign(
+    return replace(ai_input(eps=0.2, **overrides), design=SatelliteDesign(
         theme="t", alpha=alpha, constituents=pairs))
 
 
@@ -344,7 +343,7 @@ class TestDesignThenCheck:
         assert (report.admissible, report.binding_layer) == (False, "epistemic")
         assert report.layer_verdicts["structural"].passed
         assert design.constituents == (("CHIP1", design.alpha),)
-        checked = run_cascade(dataclasses.replace(inp, design=design))
+        checked = run_cascade(replace(inp, design=design))
         assert emit_report(*checked, "json") == emit_report(report, design, "json")
 
     @example(inp=ai_input(eps=0.2, delta_h_max=0.0))
@@ -355,7 +354,7 @@ class TestDesignThenCheck:
     @settings(max_examples=150, deadline=None)
     def test_evaluating_the_returned_design_is_a_fixed_point(self, inp):
         report, design = run_cascade(inp)
-        assert run_cascade(dataclasses.replace(inp, design=design)) == (report, design)
+        assert run_cascade(replace(inp, design=design)) == (report, design)
 
 
 class TestVerdictDomain:
@@ -559,12 +558,12 @@ def test_an_executed_trade_stays_executed_when_a_limit_loosens(params, adv, cost
     impact = params.impact
     aum = math.nextafter(params.aum_usd, 0.0) if factor is None else params.aum_usd / factor
     looser = [
-        dataclasses.replace(params, impact=dataclasses.replace(
+        replace(params, impact=replace(
             impact, impact_cap=up(impact.impact_cap, sys.float_info.max))),
-        dataclasses.replace(params, aum_usd=max(aum, 5e-324)),
+        replace(params, aum_usd=max(aum, 5e-324)),
     ]
     if impact.participation_cap is not None:
-        looser.append(dataclasses.replace(params, impact=dataclasses.replace(
+        looser.append(replace(params, impact=replace(
             impact, participation_cap=up(impact.participation_cap, 1.0))))
     for loose in looser:
         assert filter_rebalance(proposal, loose, [asset]) == executed
@@ -583,7 +582,7 @@ def test_a_reports_caps_are_its_members_rows_of_the_bounds_table(inp):
         for name, cap in (caps or {}).items():
             assert cap.hex() == rows[name].hex()
     no_caps = {"weight_caps_impact": None, "weight_caps_participation": None}
-    assert dataclasses.replace(bounds, **no_caps) == dataclasses.replace(table, **no_caps)
+    assert replace(bounds, **no_caps) == replace(table, **no_caps)
 
 
 _SWITCH = make_params(aum_usd=180678072.5746075, turnover_fraction=0.5035854973339161,
@@ -605,7 +604,7 @@ def test_a_passing_layer_stays_passing_when_a_knob_loosens(inp, factor):
     # most 1), loss tolerance or policy cap (each at most 1), entropy budget or sleeve cost, or
     # a smaller AUM or effect threshold, each moved by one ulp (factor None) or by the factor
     report, design = run_cascade(inp)
-    inp = dataclasses.replace(inp, design=design)
+    inp = replace(inp, design=design)
 
     def up(x, limit):
         return min(math.nextafter(x, math.inf) if factor is None else x * factor, limit)
@@ -617,26 +616,26 @@ def test_a_passing_layer_stays_passing_when_a_knob_loosens(inp, factor):
     impact, econ, structural = params.impact, params.econ, params.structural
     top = sys.float_info.max
     looser = [
-        dataclasses.replace(params, impact=dataclasses.replace(
+        replace(params, impact=replace(
             impact, impact_cap=up(impact.impact_cap, top))),
-        dataclasses.replace(params, aum_usd=down(params.aum_usd, 5e-324)),
-        dataclasses.replace(params, structural=dataclasses.replace(
+        replace(params, aum_usd=down(params.aum_usd, 5e-324)),
+        replace(params, structural=replace(
             structural, loss_tolerance=up(structural.loss_tolerance, 1.0))),
-        dataclasses.replace(params, structural=dataclasses.replace(
+        replace(params, structural=replace(
             structural, alpha_policy_max=up(structural.alpha_policy_max, 1.0))),
-        dataclasses.replace(params, entropy=EntropyParams(
+        replace(params, entropy=EntropyParams(
             delta_h_max=up(params.entropy.delta_h_max, top))),
-        dataclasses.replace(params, econ=dataclasses.replace(
+        replace(params, econ=replace(
             econ, min_effect_bps=down(econ.min_effect_bps, 0.0))),
-        dataclasses.replace(params, econ=dataclasses.replace(
+        replace(params, econ=replace(
             econ, round_trip_cost_bps=up(econ.round_trip_cost_bps, top))),
     ]
     if impact.participation_cap is not None:
-        looser.append(dataclasses.replace(params, impact=dataclasses.replace(
+        looser.append(replace(params, impact=replace(
             impact, participation_cap=up(impact.participation_cap, 1.0))))
     passed = [name for name, verdict in report.layer_verdicts.items() if verdict.passed]
     for loose in looser:
-        verdicts = run_cascade(dataclasses.replace(inp, params=loose))[0].layer_verdicts
+        verdicts = run_cascade(replace(inp, params=loose))[0].layer_verdicts
         assert [name for name in passed if not verdicts[name].passed] == []
 
 

@@ -631,6 +631,19 @@ def write_large_inputs(tmp_path):
     return paths
 
 
+def exit_case_argv(tmp_path, case):
+    """The argv of one exit path of ``main`` on the AI-fixture inputs; ``case`` names it."""
+    paths = write_ai_inputs(tmp_path)
+    if case == "inadmissible":
+        paths["design"].write_text(json.dumps(
+            {"theme": "ai", "alpha": 0.12, "constituents": [["CHIP1", 0.12]],
+             "kappa_a": 1.5, "kappa_c": 0.5}))
+    return {"report": argv_for("check", paths),
+            "inadmissible": argv_for("check", paths),
+            "invalid": ["bounds", "--config", write_config(tmp_path, {"impact": {"c": -1}})],
+            "usage": ["bounds", "--format", "json"]}[case]
+
+
 class TestCyclicCollector:
     """``main`` runs a command with the cyclic collector off and gives the caller's setting back;
     the engine builds no cycles, so the garbage a call leaves does not grow with its input."""
@@ -649,18 +662,11 @@ class TestCyclicCollector:
         ("report", 0), ("inadmissible", 2), ("invalid", 1), ("usage", 1)])
     def test_main_restores_the_callers_setting(self, tmp_path, collector, was_enabled,
                                                case, expected):
-        paths = write_ai_inputs(tmp_path)
-        argv = {"report": argv_for("check", paths),
-                "inadmissible": argv_for("check", paths),
-                "invalid": ["bounds", "--config", write_config(tmp_path, {"impact": {"c": -1}})],
-                "usage": ["bounds", "--format", "json"]}[case]
-        if case == "inadmissible":
-            paths["design"].write_text(json.dumps(
-                {"theme": "ai", "alpha": 0.12, "constituents": [["CHIP1", 0.12]],
-                 "kappa_a": 1.5, "kappa_c": 0.5}))
+        argv = exit_case_argv(tmp_path, case)
         (gc.enable if was_enabled else gc.disable)()
         code, _out, err = run_isolated(argv)
         assert gc.isenabled() is was_enabled
+        assert gc.get_freeze_count() == 0  # only the process entry freezes, after main
         assert code == expected and ("error: " in err) is (expected == 1)
 
     @pytest.mark.parametrize("command", sorted(COMMAND_INPUTS))
@@ -678,6 +684,28 @@ class TestCyclicCollector:
             gc.enable()
             assert code in (0, 2) and err == ""
         assert garbage[0] == garbage[1]
+
+
+class TestProcessEntry:
+    """``python -m satfeas.cli`` runs ``main``, then freezes the heap before it exits: its streams
+    and exit code are ``main``'s in process, a large output's included."""
+
+    @pytest.mark.parametrize("case,expected", [
+        ("report", 0), ("invalid", 1), ("inadmissible", 2), ("large", 0)])
+    def test_a_fresh_process_prints_what_main_prints(self, tmp_path, case, expected):
+        if case == "large":  # the bounds JSON of a 2,005-candidate universe, one cap per name
+            argv = argv_for("bounds", write_large_inputs(tmp_path / "large"), ["--format", "json"])
+        else:
+            argv = exit_case_argv(tmp_path, case)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-m", "satfeas.cli", *argv], env=env,
+                              capture_output=True)
+        code, out, err = run_isolated(argv)
+        assert code == expected
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (code, out, err)
+        if case == "large":
+            assert len(strict_json(out)["weight_caps_impact"]) == 2005
 
 
 class TestInputFiles:

@@ -1,11 +1,11 @@
 """Strict-schema config parsing."""
 
 import json
-from dataclasses import asdict
 
 import pytest
 
 from satfeas import ValidationError, config_from_dict, load_config
+from satfeas.model import to_json
 
 
 class TestLoadConfig:
@@ -106,7 +106,7 @@ class TestLoadConfig:
             "candidates": "u.csv",
         }
         cfg = config_from_dict(data)
-        back = {**asdict(cfg.params), "theme": cfg.theme,
+        back = {**to_json(cfg.params), "theme": cfg.theme,
                 "tilts": {"kappa_a": cfg.kappa_a, "kappa_c": cfg.kappa_c},
                 "candidates": cfg.candidates_path, "core_weights": cfg.core_weights_path}
         assert back == {**data, "core_weights": None}

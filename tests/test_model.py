@@ -1,9 +1,12 @@
 """Construction validation and serialization round-trips for the domain types."""
 
+import copy
 import inspect
 import math
+import pickle
 import sys
-from dataclasses import MISSING, FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError
+from datetime import date
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +26,15 @@ from satfeas.layers import (
     entropy_increment_approx,
     entropy_increment_exact,
 )
+from satfeas.cascade import CascadeInput
+from satfeas.config import RunConfig
 from satfeas.model import (
+    LAYERS,
+    UNBOUNDED,
+    DerivedBounds,
     EconParams,
     EntropyParams,
+    FeasibilityReport,
     ImpactParams,
     LayerVerdict,
     StructuralParams,
@@ -35,9 +44,10 @@ from satfeas.model import (
     entry_error,
     to_json,
 )
+from satfeas.replay import RebalanceEvent, ReplayStats
 from satfeas.tiering import assign_tier_weights
 
-from conftest import make_asset, make_params
+from conftest import make_asset, make_params, replace
 
 
 class TestValidation:
@@ -457,21 +467,27 @@ def test_flag_checks(flag, call, x):
     assert _error_of(call, x) == want
 
 
-# --- the Asset surface: a hand-written constructor over the dataclass fields --------------
+# --- the Asset surface: a hand-written constructor whose parameters are the fields -------
 
 def test_asset_signature_lists_its_fields_in_order_with_their_defaults():
     params = inspect.signature(Asset).parameters
+    empty = inspect.Parameter.empty
     assert [(p.name, p.default) for p in params.values()] == [
-        (f.name, inspect.Parameter.empty if f.default is MISSING else f.default)
-        for f in fields(Asset)]
+        ("id", empty), ("tier", empty), ("adv_usd", empty), ("gaer_admissible", empty),
+        ("exclusion", ExclusionCategory.NONE), ("round_trip_cost_bps", None)]
+    assert Asset._fields == tuple(params) == _ASSET_FIELDS
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
 
 
 def test_asset_is_frozen_and_slotted():
     asset = make_asset()
-    for f in fields(Asset):
-        with pytest.raises(FrozenInstanceError):
-            setattr(asset, f.name, getattr(asset, f.name))
+    for name in _ASSET_FIELDS:
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(asset, name, getattr(asset, name))
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(asset, name)
+    assert asset == make_asset()
+    assert Asset.__slots__ == _ASSET_FIELDS
     assert not hasattr(asset, "__dict__")
     assert "__post_init__" not in vars(Asset)
     assert Asset.__init__.__code__.co_filename == sys.modules[Asset.__module__].__file__
@@ -493,6 +509,10 @@ def test_asset_replace_revalidates():
     with pytest.raises(ValidationError) as err:
         replace(asset, adv_usd=-1.0)
     assert err.value.code == "adv_must_be_positive"
+    if sys.version_info >= (3, 13):  # the stdlib protocol
+        assert copy.replace(asset, adv_usd=7.0) == make_asset(adv_usd=7.0)
+        with pytest.raises(ValidationError):
+            copy.replace(asset, adv_usd=-1.0)
 
 
 _ASSET_FIELDS = ("id", "tier", "adv_usd", "gaer_admissible", "exclusion", "round_trip_cost_bps")
@@ -524,3 +544,137 @@ def test_asset_words_its_first_bad_field(bad, errors, first):
     # every field from ``first`` on is bad: the checks run in field order
     args = _GOOD_ASSET[:first] + bad[first:]
     assert _error_of(lambda _: Asset(*args), None) == errors[first]
+
+
+# --- record parity: every model type behaves as the frozen dataclass it replaces -----------
+
+def _record_samples():
+    """One instance of each record type and its repr, recorded from the dataclass types."""
+    params = make_params(participation_cap=0.2)
+    asset = make_asset(round_trip_cost_bps=3.0)
+    design = SatelliteDesign("ai", 0.1, (("X", 0.1),), 1.5, 0.5)
+    proposal = RebalanceProposal((("X", 0.01), ("Y", -0.02)), True)
+    bounds = DerivedBounds(0.1, 0.1, 0.005, UNBOUNDED, 7, {"X": 0.25}, None)
+    verdicts = {name: LayerVerdict(True, 1.0, 0.5) for name in LAYERS}
+    verdict_repr = ("LayerVerdict(passed=True, margin=1.0, normalized_margin=0.5, bound=None, "
+                    "usage=None, detail=None)")
+    impact_repr = "ImpactParams(c=0.1, delta=0.5, impact_cap=0.01, participation_cap=0.2)"
+    econ_repr = "EconParams(round_trip_cost_bps=25.0, min_effect_bps=2.0)"
+    structural_repr = ("StructuralParams(loss_tolerance=0.05, max_drawdown=0.5, "
+                       "alpha_policy_min=0.1, alpha_policy_max=0.15)")
+    params_repr = (f"FeasibilityParams(aum_usd=100000.0, turnover_fraction=0.5, "
+                   f"impact={impact_repr}, econ={econ_repr}, structural={structural_repr}, "
+                   f"entropy=EntropyParams(delta_h_max=0.5))")
+    asset_repr = ("Asset(id='X', tier=<TierClass.A: 'A'>, adv_usd=5000000.0, "
+                  "gaer_admissible=True, exclusion=<ExclusionCategory.NONE: 'none'>, "
+                  "round_trip_cost_bps=3.0)")
+    design_repr = ("SatelliteDesign(theme='ai', alpha=0.1, constituents=(('X', 0.1),), "
+                   "kappa_a=1.5, kappa_c=0.5)")
+    proposal_repr = ("RebalanceProposal(trades=(('X', 0.01), ('Y', -0.02)), schedule_due=True, "
+                     "structural_break=False)")
+    bounds_repr = ("DerivedBounds(alpha_max_structural=0.1, alpha_effective=0.1, "
+                   "delta_w_min=0.005, k_max_econ=unbounded, k_max_entropy=7, "
+                   "weight_caps_impact={'X': 0.25}, weight_caps_participation=None)")
+    return [
+        (asset, asset_repr),
+        (params.impact, impact_repr),
+        (params.econ, econ_repr),
+        (params.structural, structural_repr),
+        (params.entropy, "EntropyParams(delta_h_max=0.5)"),
+        (params, params_repr),
+        (design, design_repr),
+        (proposal, proposal_repr),
+        (LayerVerdict(True, 1.0, 0.5, UNBOUNDED, 2.0, "ok"),
+         "LayerVerdict(passed=True, margin=1.0, normalized_margin=0.5, bound=unbounded, "
+         "usage=2.0, detail='ok')"),
+        (bounds, bounds_repr),
+        (FeasibilityReport(True, verdicts, bounds, "economic", ("n1",)),
+         "FeasibilityReport(admissible=True, layer_verdicts={"
+         + ", ".join(f"'{name}': {verdict_repr}" for name in LAYERS)
+         + f"}}, derived_bounds={bounds_repr}, binding_layer='economic', notes=('n1',))"),
+        (CascadeInput((asset,), params, design=design, core_weights=[1.0]),
+         f"CascadeInput(candidates=({asset_repr},), params={params_repr}, kappa_a=1.0, "
+         f"kappa_c=1.0, theme='unspecified', design={design_repr}, core_weights=(1.0,))"),
+        (RunConfig(params, 1.5, 0.5, "ai", "c.csv"),
+         f"RunConfig(params={params_repr}, kappa_a=1.5, kappa_c=0.5, theme='ai', "
+         f"candidates_path='c.csv', core_weights_path=None)"),
+        (RebalanceEvent(date(2026, 1, 2), proposal),
+         f"RebalanceEvent(date=datetime.date(2026, 1, 2), proposal={proposal_repr})"),
+        (ReplayStats(1, 2, 1, {"governance_gate": 1}, 0.01, 0.002),
+         "ReplayStats(events_total=1, trades_proposed=2, trades_executed=1, "
+         "trades_suppressed_by_reason={'governance_gate': 1}, gross_turnover_executed=0.01, "
+         "max_participation_observed=0.002)"),
+    ]
+
+
+RECORD_SAMPLES = _record_samples()
+_SAMPLE_IDS = [type(obj).__name__ for obj, _ in RECORD_SAMPLES]
+#: The types with a dict field: their hash raises, as a frozen dataclass's does.
+_UNHASHABLE = {"DerivedBounds", "FeasibilityReport", "ReplayStats"}
+#: Per type, a field and a value its constructor rejects there; ``RunConfig`` checks nothing.
+_BAD_FIELD = {"Asset": ("id", ""), "ImpactParams": ("c", -1.0), "EconParams": ("round_trip_cost_bps", -1.0),
+              "StructuralParams": ("loss_tolerance", 2.0), "EntropyParams": ("delta_h_max", -1.0),
+              "FeasibilityParams": ("aum_usd", -1.0), "SatelliteDesign": ("theme", 3),
+              "RebalanceProposal": ("trades", 3), "LayerVerdict": ("passed", 1),
+              "DerivedBounds": ("alpha_effective", 2.0),
+              "FeasibilityReport": ("admissible", False), "CascadeInput": ("candidates", [3]),
+              "RebalanceEvent": ("date", "2026-01-02"), "ReplayStats": ("trades_proposed", 5)}
+
+
+def test_every_record_type_is_sampled():
+    assert len(set(_SAMPLE_IDS)) == len(_SAMPLE_IDS) == 15
+    assert set(_SAMPLE_IDS) == {*_BAD_FIELD, "RunConfig"}
+
+
+@pytest.mark.parametrize("obj,text", RECORD_SAMPLES, ids=_SAMPLE_IDS)
+def test_record_repr_is_the_dataclass_repr(obj, text):
+    assert repr(obj) == text
+
+
+@pytest.mark.parametrize("obj,_text", RECORD_SAMPLES, ids=_SAMPLE_IDS)
+def test_record_equality_and_hash(obj, _text):
+    twin = replace(obj)
+    assert twin is not obj and twin == obj and not twin != obj
+    assert obj.__eq__(tuple(getattr(obj, name) for name in obj._fields)) is NotImplemented
+    if type(obj).__name__ in _UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(obj)
+    else:
+        assert hash(twin) == hash(obj)
+
+
+@pytest.mark.parametrize("roundtrip", [copy.copy, copy.deepcopy,
+                                       lambda obj: pickle.loads(pickle.dumps(obj))],
+                         ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("obj,_text", RECORD_SAMPLES, ids=_SAMPLE_IDS)
+def test_record_copies_are_equal_and_revalidated(obj, _text, roundtrip):
+    back = roundtrip(obj)
+    assert type(back) is type(obj) and back == obj and repr(back) == repr(obj)
+    if type(obj).__name__ in _BAD_FIELD:
+        # a copy is built by the constructor: a value forced past it is rejected again
+        object.__setattr__(back, *_BAD_FIELD[type(obj).__name__])
+        with pytest.raises(ValidationError):
+            roundtrip(back)
+
+
+@pytest.mark.parametrize("obj,_text", RECORD_SAMPLES, ids=_SAMPLE_IDS)
+def test_record_match_args_are_its_fields(obj, _text):
+    names = tuple(inspect.signature(type(obj)).parameters)
+    assert type(obj).__match_args__ == type(obj)._fields == names
+    cls = type(obj)
+    match obj:
+        case cls(first):
+            assert first is getattr(obj, names[0])
+        case _:
+            pytest.fail("a class pattern with one positional field does not match")
+
+
+def test_record_replace_revalidates_and_rejects_unknown_fields():
+    design = RECORD_SAMPLES[6][0]
+    with pytest.raises(ValidationError) as err:
+        replace(design, alpha=0.2)
+    assert err.value.code == "weights_do_not_sum_to_alpha"
+    with pytest.raises(TypeError):
+        replace(design, beta=0.2)
+    inp = RECORD_SAMPLES[11][0]
+    assert replace(inp, theme="t")._by_id == inp._by_id and "_by_id" not in inp._fields

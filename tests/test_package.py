@@ -38,6 +38,13 @@ def test_cli_imports_only_the_standard_library():
     assert [m for m in loaded if m != "satfeas" and m not in sys.stdlib_module_names] == []
 
 
+def test_cli_start_up_loads_no_code_generation_or_introspection():
+    # the model types are hand-written records: no dataclass machinery runs at import
+    loaded = set(_run_fresh(_IMPORT_CLI).split())
+    assert "satfeas" in loaded
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+
+
 #: The public surface: adding or removing an export is an edit to this list.
 PUBLIC_NAMES = [
     "Asset", "CascadeInput", "ExclusionCategory", "RebalanceEvent", "RebalanceProposal",
