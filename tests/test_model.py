@@ -670,11 +670,11 @@ def test_record_match_args_are_its_fields(obj, _text):
 
 
 def test_record_replace_revalidates_and_rejects_unknown_fields():
-    design = RECORD_SAMPLES[6][0]
+    design, inp = (next(obj for obj, _ in RECORD_SAMPLES if type(obj) is cls)
+                   for cls in (SatelliteDesign, CascadeInput))
     with pytest.raises(ValidationError) as err:
         replace(design, alpha=0.2)
     assert err.value.code == "weights_do_not_sum_to_alpha"
     with pytest.raises(TypeError):
         replace(design, beta=0.2)
-    inp = RECORD_SAMPLES[11][0]
     assert replace(inp, theme="t")._by_id == inp._by_id and "_by_id" not in inp._fields
