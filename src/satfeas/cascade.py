@@ -51,7 +51,10 @@ from .layers import (
     min_weight_change,
 )
 from .model import (
+    KAPPA_A,
+    KAPPA_C,
     LAYERS,
+    THEME,
     WEIGHT_TOL,
     _FLOAT_MAX,
     Asset,
@@ -94,7 +97,7 @@ class CascadeInput(_Record):
     """
 
     def __init__(self, candidates: tuple[Asset, ...], params: FeasibilityParams,
-                 kappa_a: float = 1.0, kappa_c: float = 1.0, theme: str = "unspecified",
+                 kappa_a: float = KAPPA_A, kappa_c: float = KAPPA_C, theme: str = THEME,
                  design: SatelliteDesign | None = None,
                  core_weights: tuple[float, ...] | None = None) -> None:
         by_id: _AssetIndex = _asset_map(candidates)

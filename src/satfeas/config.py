@@ -1,10 +1,9 @@
 """Run configuration: a strict JSON schema over the policy inputs.
 
-Every parameter is a design or governance choice, so the config is the
-single auditable home for all of them. Unknown keys are rejected at every
-level; validation failures name the offending key and its constraint.
-Sensible small-portfolio defaults ship for every field, so an empty JSON
-object is a valid config.
+Every parameter is a design or governance choice, set in one auditable file.
+Unknown keys are rejected at every level; an error names its key and constraint.
+A key's default is that of its record's constructor (in ``satfeas.model``, or
+:class:`RunConfig`), so an empty JSON object is ``RunConfig()``.
 """
 
 from __future__ import annotations
@@ -14,39 +13,47 @@ from typing import Any, Mapping
 
 from .io import read_json
 from .model import (
-    EconParams,
-    EntropyParams,
+    KAPPA_A,
+    KAPPA_C,
+    THEME,
     FeasibilityParams,
-    ImpactParams,
-    StructuralParams,
     ValidationError,
     _Record,
+    _require,
     check_kappas,
 )
-
-DEFAULTS: dict[str, Any] = {
-    "aum_usd": 100_000.0,
-    "turnover_fraction": 0.5,
-    "theme": "unspecified",
-    "impact": {"c": 0.1, "delta": 0.5, "impact_cap": 0.01, "participation_cap": None},
-    "econ": {"round_trip_cost_bps": 25.0, "min_effect_bps": 2.0},
-    "structural": {"loss_tolerance": 0.05, "max_drawdown": 0.5,
-                   "alpha_policy_min": 0.10, "alpha_policy_max": 0.15},
-    "entropy": {"delta_h_max": 0.5},
-    "tilts": {"kappa_a": 1.5, "kappa_c": 0.5},
-    "candidates": None,
-    "core_weights": None,
-}
 
 
 class RunConfig(_Record):
     """Validated policy inputs plus tilt parameters and data-file paths."""
 
-    def __init__(self, params: FeasibilityParams, kappa_a: float, kappa_c: float, theme: str,
-                 candidates_path: str | None = None,
+    def __init__(self, params: FeasibilityParams = FeasibilityParams(), kappa_a: float = KAPPA_A,
+                 kappa_c: float = KAPPA_C, theme: str = THEME, candidates_path: str | None = None,
                  core_weights_path: str | None = None) -> None:
+        _require(isinstance(params, FeasibilityParams), "params must be a FeasibilityParams",
+                 "bad_type", "params")
+        check_kappas(kappa_a, kappa_c)
+        _require(isinstance(theme, str), "theme must be a string", "bad_type", "theme")
+        for key, path in (("candidates", candidates_path), ("core_weights", core_weights_path)):
+            _require(isinstance(path, (str, type(None))), f"{key} must be a path string",
+                     "bad_type", key)
         self.__dict__.update(params=params, kappa_a=kappa_a, kappa_c=kappa_c, theme=theme,
                              candidates_path=candidates_path, core_weights_path=core_weights_path)
+
+
+def _defaults(cls: type) -> dict[str, Any]:
+    """Each field of record ``cls`` with its constructor default (every field has one)."""
+    return dict(zip(cls._fields, cls.__init__.__defaults__))
+
+
+#: The sections: each record field of ``FeasibilityParams`` with its type; then the tilt keys.
+_SECTIONS = {name: type(value) for name, value in _defaults(FeasibilityParams).items()
+             if isinstance(value, _Record)}
+_TILTS = {key: _defaults(RunConfig)[key] for key in ("kappa_a", "kappa_c")}
+#: The top-level keys passed to ``RunConfig`` as they are, and the field each fills.
+_PASSED = {"theme": "theme", "candidates": "candidates_path", "core_weights": "core_weights_path"}
+_SCALARS = [key for key in FeasibilityParams._fields if key not in _SECTIONS]
+_KEYS = {*FeasibilityParams._fields, "tilts", *_PASSED}
 
 
 def _number(value: Any, key: str) -> float:
@@ -58,25 +65,23 @@ def _number(value: Any, key: str) -> float:
         return value
 
 
-def _section(data: Mapping[str, Any], name: str) -> dict[str, float | None]:
-    """Section ``name`` over its defaults, each value a number (or null where the default is)."""
+def _given(data: Mapping[str, Any], name: str, defaults: dict[str, Any]) -> dict[str, Any]:
+    """The keys section ``name`` gives, in ``defaults`` order: numbers, null where defaulted."""
     raw = data.get(name, {})
     if not isinstance(raw, Mapping):
         raise ValidationError(f"{name} must be an object", code="bad_section", field=name)
-    defaults = DEFAULTS[name]
     for key in raw:
         if key not in defaults:
             raise ValidationError(f"unknown config key '{name}.{key}'",
                                   code="unknown_key", field=f"{name}.{key}")
-    merged = {**defaults, **raw}
-    return {key: None if value is None and defaults[key] is None
-            else _number(value, f"{name}.{key}")
-            for key, value in merged.items()}
+    return {key: None if raw[key] is None and default is None
+            else _number(raw[key], f"{name}.{key}")
+            for key, default in defaults.items() if key in raw}
 
 
 def _prefixed(e: ValidationError, name: str) -> ValidationError:
-    """``e`` restated for a key inside config section ``name``."""
-    return ValidationError(f"{name}.{e.args[0]}", code=e.code, field=f"{name}.{e.field}")
+    """``e``, a record's error (it names no entry), restated for a key inside section ``name``."""
+    return ValidationError(f"{name}.{e}", code=e.code, field=f"{name}.{e.field}")
 
 
 def config_from_dict(data: Mapping[str, Any]) -> RunConfig:
@@ -85,39 +90,25 @@ def config_from_dict(data: Mapping[str, Any]) -> RunConfig:
         raise ValidationError("config root must be a JSON object", code="not_an_object",
                               field="config")
     for key in data:
-        if key not in DEFAULTS:
+        if key not in _KEYS:
             raise ValidationError(f"unknown config key {key!r}", code="unknown_key", field=key)
 
-    def section_params(name: str, cls):
-        values = _section(data, name)  # its errors name their full key already
+    sections = {}
+    for name, cls in _SECTIONS.items():
+        values = _given(data, name, _defaults(cls))  # its errors name their full key already
         try:
-            return cls(**values)
+            sections[name] = cls(**values)
         except ValidationError as e:
             raise _prefixed(e, name) from None
+    params = FeasibilityParams(**sections, **{key: _number(data[key], key) for key in _SCALARS
+                                              if key in data})
 
-    sections = {name: section_params(name, cls) for name, cls in (
-        ("impact", ImpactParams), ("econ", EconParams),
-        ("structural", StructuralParams), ("entropy", EntropyParams))}
-    top = {**DEFAULTS, **data}
-    params = FeasibilityParams(
-        aum_usd=_number(top["aum_usd"], "aum_usd"),
-        turnover_fraction=_number(top["turnover_fraction"], "turnover_fraction"), **sections)
-
-    tilts = _section(data, "tilts")
+    tilts = _given(data, "tilts", _TILTS)
     try:
-        check_kappas(tilts["kappa_a"], tilts["kappa_c"])
+        return RunConfig(params, **tilts,
+                         **{field: data[key] for key, field in _PASSED.items() if key in data})
     except ValidationError as e:
-        raise _prefixed(e, "tilts") from None
-
-    if not isinstance(top["theme"], str):
-        raise ValidationError("theme must be a string", code="bad_type", field="theme")
-    for key in ("candidates", "core_weights"):
-        if top[key] is not None and not isinstance(top[key], str):
-            raise ValidationError(f"{key} must be a path string", code="bad_type", field=key)
-
-    return RunConfig(params=params, kappa_a=tilts["kappa_a"], kappa_c=tilts["kappa_c"],
-                     theme=top["theme"], candidates_path=top["candidates"],
-                     core_weights_path=top["core_weights"])
+        raise _prefixed(e, "tilts") if e.field in _TILTS else e from None
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -5,6 +5,8 @@ afterwards, so instances are safe to share across concurrent evaluators.
 Constructors raise :class:`ValidationError` naming the offending field.
 The types are records (:class:`_Record`): each ``__init__`` is written out
 and its parameters are the fields, so no method is generated at import.
+A parameter record's constructor is the one home of its knobs' shipped
+defaults, domains and error codes; ``config`` reads the defaults from there.
 
 All weights are fractions of total portfolio value; cost-like quantities
 carry a ``_bps`` suffix (1 bp = 1e-4 as a fraction) and are converted at
@@ -237,7 +239,7 @@ _ASSET_SETTERS = tuple(getattr(Asset, name).__set__ for name in Asset._fields)
 class ImpactParams(_Record):
     """Concave market-impact law parameters, in fractional-return units."""
 
-    def __init__(self, c: float, delta: float, impact_cap: float,
+    def __init__(self, c: float = 0.1, delta: float = 0.5, impact_cap: float = 0.01,
                  participation_cap: float | None = None) -> None:
         check_domain(c, "c", "positive", "c_must_be_positive")
         check_domain(delta, "delta", "(0,1)", "delta_out_of_range")
@@ -251,7 +253,7 @@ class ImpactParams(_Record):
 class EconParams(_Record):
     """Cost-dominance threshold inputs: round-trip friction and minimum effect."""
 
-    def __init__(self, round_trip_cost_bps: float, min_effect_bps: float = 0.0) -> None:
+    def __init__(self, round_trip_cost_bps: float = 25.0, min_effect_bps: float = 2.0) -> None:
         check_domain(round_trip_cost_bps, "round_trip_cost_bps", "positive",
                      "cost_must_be_positive")
         check_domain(min_effect_bps, "min_effect_bps", "nonnegative",
@@ -266,8 +268,8 @@ class EconParams(_Record):
 class StructuralParams(_Record):
     """Optionality budget: tolerable loss, failure drawdown, and policy caps."""
 
-    def __init__(self, loss_tolerance: float, max_drawdown: float,
-                 alpha_policy_min: float = 0.0, alpha_policy_max: float = 1.0) -> None:
+    def __init__(self, loss_tolerance: float = 0.05, max_drawdown: float = 0.5,
+                 alpha_policy_min: float = 0.10, alpha_policy_max: float = 0.15) -> None:
         check_domain(loss_tolerance, "loss_tolerance", "[0,1]", "loss_tolerance_out_of_range")
         check_domain(max_drawdown, "max_drawdown", "(0,1]", "max_drawdown_out_of_range")
         _finite(alpha_policy_min, "alpha_policy_min")
@@ -282,7 +284,7 @@ class StructuralParams(_Record):
 class EntropyParams(_Record):
     """Complexity budget: allowed portfolio weight-entropy increment, in nats."""
 
-    def __init__(self, delta_h_max: float) -> None:
+    def __init__(self, delta_h_max: float = 0.5) -> None:
         check_domain(delta_h_max, "delta_h_max", "nonnegative",
                      "entropy_budget_must_be_nonnegative")
         self.__dict__.update(delta_h_max=delta_h_max)
@@ -295,8 +297,10 @@ class FeasibilityParams(_Record):
     uniformly; asset-level round-trip-cost overrides live on :class:`Asset`.
     """
 
-    def __init__(self, aum_usd: float, turnover_fraction: float, impact: ImpactParams,
-                 econ: EconParams, structural: StructuralParams, entropy: EntropyParams) -> None:
+    def __init__(self, aum_usd: float = 100_000.0, turnover_fraction: float = 0.5,
+                 impact: ImpactParams = ImpactParams(), econ: EconParams = EconParams(),
+                 structural: StructuralParams = StructuralParams(),
+                 entropy: EntropyParams = EntropyParams()) -> None:
         check_domain(aum_usd, "aum_usd", "positive", "aum_must_be_positive")
         check_domain(turnover_fraction, "turnover_fraction", "(0,1]", "turnover_out_of_range")
         for name, value, typ in (("impact", impact, ImpactParams), ("econ", econ, EconParams),
@@ -306,6 +310,10 @@ class FeasibilityParams(_Record):
                      name)
         self.__dict__.update(aum_usd=aum_usd, turnover_fraction=turnover_fraction, impact=impact,
                              econ=econ, structural=structural, entropy=entropy)
+
+
+#: The shipped tier tilts and theme (illustrative, not derived): every record's default.
+KAPPA_A, KAPPA_C, THEME = 1.5, 0.5, "unspecified"
 
 
 def check_kappas(kappa_a: float, kappa_c: float) -> None:
@@ -385,7 +393,7 @@ class SatelliteDesign(_Record):
     """A concrete proposed sleeve: size, constituents, and tier tilts."""
 
     def __init__(self, theme: str, alpha: float, constituents: tuple[tuple[str, float], ...],
-                 kappa_a: float = 1.0, kappa_c: float = 1.0) -> None:
+                 kappa_a: float = KAPPA_A, kappa_c: float = KAPPA_C) -> None:
         _require(isinstance(theme, str), "theme must be a string", "bad_theme", "theme")
         check_domain(alpha, "alpha", "[0,1]", "alpha_out_of_range")
         constituents = check_pairs(constituents, "constituents")

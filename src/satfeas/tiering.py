@@ -13,6 +13,8 @@ import math
 from typing import Sequence
 
 from .model import (
+    KAPPA_A,
+    KAPPA_C,
     Asset,
     ExclusionCategory,
     TierClass,
@@ -48,12 +50,8 @@ def eligibility_filter(candidates: Sequence[Asset]) -> list[Asset]:
     return [a for a in candidates if eligibility_reason(a) is None]
 
 
-def assign_tier_weights(
-    alpha: float,
-    assets: Sequence[Asset],
-    kappa_a: float = 1.0,
-    kappa_c: float = 1.0,
-) -> list[tuple[str, float]]:
+def assign_tier_weights(alpha: float, assets: Sequence[Asset], kappa_a: float = KAPPA_A,
+                        kappa_c: float = KAPPA_C) -> list[tuple[str, float]]:
     """Equal-weight within tiers with tilts, normalized to sum exactly to alpha.
 
     Raw weights are ``(alpha / K) * kappa`` with kappa 1 for tier B,

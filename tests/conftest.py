@@ -4,13 +4,7 @@ from pathlib import Path
 import pytest
 
 from satfeas import Asset, TierClass
-from satfeas.model import (
-    EconParams,
-    EntropyParams,
-    FeasibilityParams,
-    ImpactParams,
-    StructuralParams,
-)
+from satfeas.model import FeasibilityParams
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -36,34 +30,22 @@ def replace(obj, **changes):
     return obj.__replace__(**changes)
 
 
-def make_params(
-    aum_usd=1e5,
-    turnover_fraction=0.5,
-    c=0.1,
-    delta=0.5,
-    impact_cap=0.01,
-    participation_cap=None,
-    round_trip_cost_bps=25.0,
-    min_effect_bps=2.0,
-    loss_tolerance=0.05,
-    max_drawdown=0.5,
-    alpha_policy_min=0.10,
-    alpha_policy_max=0.15,
-    delta_h_max=0.5,
-) -> FeasibilityParams:
-    return FeasibilityParams(
-        aum_usd=aum_usd,
-        turnover_fraction=turnover_fraction,
-        impact=ImpactParams(c=c, delta=delta, impact_cap=impact_cap,
-                            participation_cap=participation_cap),
-        econ=EconParams(round_trip_cost_bps=round_trip_cost_bps,
-                        min_effect_bps=min_effect_bps),
-        structural=StructuralParams(loss_tolerance=loss_tolerance,
-                                    max_drawdown=max_drawdown,
-                                    alpha_policy_min=alpha_policy_min,
-                                    alpha_policy_max=alpha_policy_max),
-        entropy=EntropyParams(delta_h_max=delta_h_max),
-    )
+#: Each section of ``FeasibilityParams`` and its fields: a ``make_params`` keyword names one.
+_SECTIONS = {name: getattr(FeasibilityParams(), name)._fields
+             for name in ("impact", "econ", "structural", "entropy")}
+
+
+def make_params(**changes) -> FeasibilityParams:
+    """``FeasibilityParams()``, the shipped defaults, with ``changes``: each keyword is a field
+    of it (``aum_usd``, ``turnover_fraction``) or of one of its sections (``c``,
+    ``min_effect_bps``, ...). Each changed section is built anew, so it is validated."""
+    base = FeasibilityParams()
+    sections = {}
+    for name, fields in _SECTIONS.items():
+        given = {key: changes.pop(key) for key in fields if key in changes}
+        if given:
+            sections[name] = replace(getattr(base, name), **given)
+    return replace(base, **sections, **changes)  # an unknown keyword is a TypeError
 
 
 def make_asset(id="X", tier=TierClass.A, adv_usd=5e6, gaer=True, exclusion=None,

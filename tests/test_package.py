@@ -8,6 +8,9 @@ import sys
 from pathlib import Path
 
 import satfeas
+from satfeas import config_from_dict
+from satfeas.config import RunConfig
+from satfeas.model import to_json
 
 from conftest import GOLDEN
 
@@ -73,6 +76,25 @@ def test_the_readme_library_example_runs():
     assert _run_fresh(snippet) == f"{golden['report']['binding_layer']} {constituents}\n"
 
 
+def _readme_json_blocks(heading: str) -> list:
+    """The JSON code blocks of the README section under ``heading``, decoded."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index(f"\n## {heading}"):]
+    section = section[:section.index("\n## ", 1)]
+    return [json.loads(block.split("```", 1)[0]) for block in section.split("```json\n")[1:]]
+
+
+def test_the_readme_config_blocks_are_the_fixture_and_the_defaults():
+    fixture, defaults = _readme_json_blocks("Config schema")
+    assert fixture == json.loads((ROOT / "fixtures" / "ai_config.json").read_text())
+    assert config_from_dict(defaults) == RunConfig() == config_from_dict({})
+    # every key of the schema is listed: the round trip through to_json is the whole config
+    cfg = RunConfig()
+    assert defaults == {**to_json(cfg.params), "theme": cfg.theme,
+                        "tilts": {"kappa_a": cfg.kappa_a, "kappa_c": cfg.kappa_c},
+                        "candidates": None, "core_weights": None}
+
+
 #: Codes of the list-entry rules, whose one home is ``satfeas/model.py``.
 ENTRY_RULE_CODES = {"bad_id", "duplicate_id", "not_finite"}
 
@@ -110,6 +132,19 @@ def _constant_homes(value) -> list[str]:
     for path in (SRC / "satfeas").glob("*.py"):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     return sorted(homes)
+
+
+def test_config_holds_no_numeric_literal():
+    # every default is its record's constructor default, which the config reads
+    tree = ast.parse((SRC / "satfeas" / "config.py").read_text(encoding="utf-8"))
+    assert [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and type(node.value) in (int, float, complex)] == []
+
+
+def test_the_shipped_tilts_and_theme_are_written_once():
+    # SatelliteDesign, CascadeInput, RunConfig and assign_tier_weights take them from the model
+    assert _constant_homes(1.5) == ["model"]
+    assert _constant_homes("unspecified") == ["model"]
 
 
 def test_asset_index_codes_have_one_home():
